@@ -25,7 +25,7 @@ from .estimate import (
     fit_ou,
     fit_spectrum,
 )
-from .netcore import PortVector, ScatterSolution, SingularSystem, cascade, solve_ports
+from .netcore import SingularSystem, cascade
 from .physics import (
     BathModel,
     CouplingParams,
@@ -47,9 +47,8 @@ __all__ = [
     "QubitScatterer", "SpectrumTrace", "make_interferometer", "read_trace",
     "sweep", "synthesize", "FitResult", "IllPosed", "NoConvergence",
     "NoFeature", "RateDataset", "RegimeLabel", "classify_regime", "fit_gamma1",
-    "fit_gamma_phi_power", "fit_ou", "fit_spectrum", "PortVector",
-    "ScatterSolution", "SingularSystem", "cascade", "solve_ports", "BathModel",
-    "CouplingParams", "DegenerateFlux", "OUNoise", "TransmonParams",
-    "domega01_dflux", "gamma1_model", "gamma_phi_model", "omega01",
-    "ou_coherence", "ou_spectrum", "__version__",
+    "fit_gamma_phi_power", "fit_ou", "fit_spectrum", "SingularSystem",
+    "cascade", "BathModel", "CouplingParams", "DegenerateFlux", "OUNoise",
+    "TransmonParams", "domega01_dflux", "gamma1_model", "gamma_phi_model",
+    "omega01", "ou_coherence", "ou_spectrum", "__version__",
 ]

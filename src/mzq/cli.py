@@ -10,9 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -202,19 +200,6 @@ def _build_transmon(obj: dict, where: str) -> TransmonParams:
     )
 
 
-def _workers() -> int:
-    env = os.environ.get("MZQ_THREADS")
-    if env is None:
-        return min(8, os.cpu_count() or 1)
-    try:
-        count = int(env)
-    except ValueError:
-        raise ConfigError(f"MZQ_THREADS: expected an integer, got {env!r}") from None
-    if count < 1:
-        raise ConfigError("MZQ_THREADS: must be >= 1")
-    return count
-
-
 def _say(quiet: bool, message: str) -> None:
     if not quiet:
         print(message)
@@ -356,20 +341,20 @@ def cmd_fit_spectrum(config: dict, out_dir: Path, seed: int | None, quiet: bool)
         raise ConfigError(f"config.input_dir: {batch_dir} is not a directory")
     files = sorted(p for p in batch_dir.iterdir()
                    if p.suffix in (".csv", ".json") and p.is_file())
+    # synth writes <stem>.csv and <stem>.json; only the JSON twin keeps
+    # flux_phi0 and drive_port, so it is the one fitted
+    json_stems = {p.stem for p in files if p.suffix == ".json"}
+    files = [p for p in files if p.suffix == ".json" or p.stem not in json_stems]
     if not files:
         raise ConfigError(f"config.input_dir: no .csv or .json traces in {batch_dir}")
 
-    def work(path: Path):
+    rows, failures = [], []
+    for path in files:
         try:
-            return path.name, _fit_one_trace(path, template, init, options, out_dir, quiet), None
+            rows.append(_fit_one_trace(path, template, init, options, out_dir, quiet))
         except Exception as exc:
-            return path.name, None, f"{type(exc).__name__}: {exc}"
+            failures.append((path.name, f"{type(exc).__name__}: {exc}"))
 
-    with ThreadPoolExecutor(max_workers=_workers()) as pool:
-        outcomes = list(pool.map(work, files))
-
-    rows = [row for _, row, _ in outcomes if row is not None]
-    failures = [(name, err) for name, _, err in outcomes if err is not None]
     if rows:
         cols = [np.array([r[i] for r in rows]) for i in range(5)]
         rates_name = _str(config, "rates_csv", "config", default="rates.csv")

@@ -16,7 +16,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -342,33 +342,6 @@ def qubit_stack(q: QubitScatterer, omegas: np.ndarray, arm: str = "a") -> np.nda
     return out
 
 
-def tl_matrix(params: LineParams, omega: float) -> np.ndarray:
-    """Transfer matrix of the four line segments at one frequency (rad/s)."""
-    if not omega > 0:
-        raise ValueError("omega must be > 0")
-    return tl_stack(params, np.array([omega]))[0]
-
-
-def bs_matrix(model: BeamSplitterModel, omega: float) -> np.ndarray:
-    """Transfer matrix of the splitter at one frequency (rad/s)."""
-    if not omega > 0:
-        raise ValueError("omega must be > 0")
-    return bs_stack(model, np.array([omega]))[0]
-
-
-def qubit_rt(q: QubitScatterer, omega: float) -> tuple[complex, complex]:
-    """Scalar (r, t) of the scatterer; r + t = 1 holds exactly."""
-    r, t = qubit_rt_many(q, np.array([float(omega)]))
-    return complex(r[0]), complex(t[0])
-
-
-def qubit_matrix(q: QubitScatterer, omega: float, arm: str = "a") -> np.ndarray:
-    """Transfer matrix of the scatterer at one frequency (rad/s)."""
-    if arm not in ("a", "b"):
-        raise ValueError("arm must be 'a' or 'b'")
-    return qubit_stack(q, np.array([float(omega)]), arm)[0]
-
-
 def total_matrix_stack(spec: CircuitSpec, omegas: np.ndarray) -> np.ndarray:
     """Total transfer matrix splitter.line.scatterer.line.splitter per frequency."""
     w = np.asarray(omegas, dtype=float).reshape(-1)
@@ -380,11 +353,6 @@ def total_matrix_stack(spec: CircuitSpec, omegas: np.ndarray) -> np.ndarray:
     else:
         inner = tl @ tl
     return bs @ inner @ bs
-
-
-def total_matrix(spec: CircuitSpec, omega: float) -> np.ndarray:
-    """Total transfer matrix at one frequency (rad/s)."""
-    return total_matrix_stack(spec, np.array([float(omega)]))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +493,8 @@ def trace_from_csv(text: str) -> SpectrumTrace:
             im_part = float(row[2])
         except ValueError as err:
             raise TraceParseError(f"line {lineno}: {err}") from None
+        if not (math.isfinite(f) and math.isfinite(re_part) and math.isfinite(im_part)):
+            raise TraceParseError(f"line {lineno}: non-finite number")
         path = row[3]
         if path not in PATHS:
             raise TraceParseError(f"line {lineno}: unknown path {path!r}")
@@ -583,13 +553,23 @@ def trace_from_json(text: str) -> SpectrumTrace:
             p: np.asarray(d["re"], dtype=float) + 1j * np.asarray(d["im"], dtype=float)
             for p, d in doc["paths"].items()
         }
+        for p, v in values.items():
+            if not np.isfinite(v).all():
+                raise ValueError(f"path {p!r} has a non-finite sample")
+        drive = doc.get("drive_port")
+        if drive is not None and (type(drive) is not int or drive not in (2, 4)):
+            raise ValueError(f"drive_port must be null, 2 or 4, got {drive!r}")
+        flux = doc.get("flux_phi0")
+        if flux is not None and (isinstance(flux, bool) or not isinstance(flux, (int, float))
+                                 or not math.isfinite(flux)):
+            raise ValueError(f"flux_phi0 must be null or a finite number, got {flux!r}")
         return SpectrumTrace(
             freqs=freqs,
             values=values,
             noise_sigma=float(doc.get("noise_sigma", 0.0)),
             label=str(doc.get("label", "")),
-            drive_port=doc.get("drive_port"),
-            flux_phi0=doc.get("flux_phi0"),
+            drive_port=drive,
+            flux_phi0=flux,
         )
     except (KeyError, TypeError, ValueError) as err:
         raise TraceParseError(f"bad trace document: {err}") from None
@@ -610,7 +590,3 @@ def read_trace(path: str | Path) -> SpectrumTrace:
         return read_trace_json(p)
     return read_trace_csv(p)
 
-
-def with_qubit(spec: CircuitSpec, qubit: QubitScatterer | None) -> CircuitSpec:
-    """Copy of spec with the scatterer replaced."""
-    return replace(spec, qubit=qubit)

@@ -12,7 +12,6 @@ unknown outgoing amplitudes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -37,37 +36,6 @@ class SingularSystem(ArithmeticError):
             message = f"{message} (at {frequency:.9g} Hz)"
         super().__init__(message)
         self.frequency = frequency
-
-
-@dataclass(frozen=True)
-class PortVector:
-    """All eight port amplitudes of one solved drive configuration."""
-
-    a1_out: complex
-    a1_in: complex
-    a3_out: complex
-    a3_in: complex
-    a4_in: complex
-    a4_out: complex
-    a2_in: complex
-    a2_out: complex
-
-
-@dataclass(frozen=True)
-class ScatterSolution:
-    """Output amplitudes on the four measurement paths.
-
-    s12 and s32 are the port-1 (cross) and port-3 (through) outputs produced
-    by the port-2 drive; s34 and s14 are the port-3 (cross) and port-1
-    (through) outputs produced by the port-4 drive. Each drive is solved
-    independently, so with unit drives the fields are the path S-parameters.
-    A port that is not driven contributes zeros.
-    """
-
-    s12: complex
-    s32: complex
-    s34: complex
-    s14: complex
 
 
 def identity() -> np.ndarray:
@@ -98,47 +66,25 @@ def cascade(matrices: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def port_system_many(totals: np.ndarray) -> np.ndarray:
-    """Coefficient matrices of the port equations for a stack of totals.
+def _det_and_cond1(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """det(B) and the exact 1-norm condition of the port system, per total.
 
-    For each total M the unknown vector is x = (a1_out, a3_out, a4_out,
-    a2_out). Rows 1 and 3 encode the a1_in = a3_in = 0 constraints.
+    B = M[(1,3),(1,3)] and P = M[(0,2),(1,3)]. Ordered as rows (0, 2, 1, 3)
+    the 4x4 port system is [[I, -P], [0, B]], whose inverse is
+    [[I, P B^-1], [0, B^-1]] with B^-1 = adj(B) / det(B). A singular B
+    gives an infinite condition.
     """
-    m = np.asarray(totals, dtype=complex)
-    a = np.zeros_like(m)
-    a[..., 0, 0] = 1.0
-    a[..., 2, 1] = 1.0
-    a[..., 0, 2] = -m[..., 0, 1]
-    a[..., 0, 3] = -m[..., 0, 3]
-    a[..., 1, 2] = m[..., 1, 1]
-    a[..., 1, 3] = m[..., 1, 3]
-    a[..., 2, 2] = -m[..., 2, 1]
-    a[..., 2, 3] = -m[..., 2, 3]
-    a[..., 3, 2] = m[..., 3, 1]
-    a[..., 3, 3] = m[..., 3, 3]
-    return a
-
-
-def _port_rhs(totals: np.ndarray, a4_in: complex, a2_in: complex) -> np.ndarray:
-    m = np.asarray(totals, dtype=complex)
-    b = np.empty(m.shape[:-2] + (4,), dtype=complex)
-    b[..., 0] = m[..., 0, 0] * a4_in + m[..., 0, 2] * a2_in
-    b[..., 1] = -(m[..., 1, 0] * a4_in + m[..., 1, 2] * a2_in)
-    b[..., 2] = m[..., 2, 0] * a4_in + m[..., 2, 2] * a2_in
-    b[..., 3] = -(m[..., 3, 0] * a4_in + m[..., 3, 2] * a2_in)
-    return b
-
-
-def _cond1_many(a: np.ndarray) -> np.ndarray:
-    """1-norm condition estimate of each matrix in a stack."""
-    norm = np.abs(a).sum(axis=-2).max(axis=-1)
-    try:
-        inv = np.linalg.inv(a)
-    except np.linalg.LinAlgError:
-        return np.full(a.shape[:-2], np.inf)
-    inv_norm = np.abs(inv).sum(axis=-2).max(axis=-1)
-    cond = norm * inv_norm
-    return np.where(np.isfinite(cond), cond, np.inf)
+    t = np.moveaxis(m, (-2, -1), (0, 1))  # t[i, j] is the stack of M[i, j]
+    det = t[1, 1] * t[3, 3] - t[1, 3] * t[3, 1]
+    norm = np.maximum(np.abs(t[:, 1]).sum(axis=0), np.abs(t[:, 3]).sum(axis=0))
+    # column sums of [P; I] adj(B), adj(B) = [[M33, -M13], [-M31, M11]]
+    inv0 = (np.abs(t[3, 3]) + np.abs(t[3, 1]) + np.abs(t[0, 1] * t[3, 3] - t[0, 3] * t[3, 1])
+            + np.abs(t[2, 1] * t[3, 3] - t[2, 3] * t[3, 1]))
+    inv1 = (np.abs(t[1, 3]) + np.abs(t[1, 1]) + np.abs(t[0, 3] * t[1, 1] - t[0, 1] * t[1, 3])
+            + np.abs(t[2, 3] * t[1, 1] - t[2, 1] * t[1, 3]))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        cond = np.maximum(norm, 1.0) * np.maximum(np.maximum(inv0, inv1) / np.abs(det), 1.0)
+    return det, np.where(np.isnan(cond), np.inf, cond)  # B = 0 gives 0/0
 
 
 def solve_port_system_many(
@@ -148,14 +94,17 @@ def solve_port_system_many(
 
     Returns an array of shape (..., 4, 2): column 0 holds (a1_out, a3_out,
     a4_out, a2_out) for a unit port-2 drive, column 1 the same for a unit
-    port-4 drive. LU with partial pivoting on the 4x4 system; the 1-norm
-    condition estimate gates against near-singular systems.
+    port-4 drive.
+
+    With a1_in = a3_in = 0, rows 1 and 3 of the mode relation involve only
+    (a4_out, a2_out); that 2x2 block B = M[(1,3),(1,3)] is solved by its
+    determinant, and a1_out, a3_out follow from rows 0 and 2. The exact
+    1-norm condition of the 4x4 system gates against near-singular totals.
     """
     m = np.asarray(totals, dtype=complex)
     if not np.isfinite(m).all():
         raise NonFinite("total transfer matrix contains non-finite entries")
-    a = port_system_many(m)
-    cond = _cond1_many(a)
+    det, cond = _det_and_cond1(m)
     bad = cond > COND_LIMIT
     if np.any(bad):
         idx = int(np.argmax(bad))
@@ -164,59 +113,14 @@ def solve_port_system_many(
             f"port system condition {cond.ravel()[idx]:.3g} exceeds {COND_LIMIT:.0e}",
             frequency=freq,
         )
-    b = np.stack(
-        [_port_rhs(m, 0.0, 1.0), _port_rhs(m, 1.0, 0.0)],
-        axis=-1,
-    )
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as err:
-        raise SingularSystem(f"port system solve failed: {err}") from err
 
-
-def solve_outputs(total, a2_in: complex = 1.0, a4_in: complex = 0.0) -> PortVector:
-    """Solve the port equations for one joint drive configuration.
-
-    Both drives may be nonzero; the returned PortVector carries the full set
-    of amplitudes, with a1_in = a3_in = 0 by construction.
-    """
-    m = _check_matrix(total, "total")
-    if a2_in == 0 and a4_in == 0:
-        raise ValueError("at least one drive must be nonzero")
-    a = port_system_many(m)
-    cond = float(_cond1_many(a))
-    if cond > COND_LIMIT:
-        raise SingularSystem(f"port system condition {cond:.3g} exceeds {COND_LIMIT:.0e}")
-    b = _port_rhs(m, a4_in, a2_in)
-    x = np.linalg.solve(a, b)
-    return PortVector(
-        a1_out=complex(x[0]),
-        a1_in=0j,
-        a3_out=complex(x[1]),
-        a3_in=0j,
-        a4_in=complex(a4_in),
-        a4_out=complex(x[2]),
-        a2_in=complex(a2_in),
-        a2_out=complex(x[3]),
-    )
-
-
-def solve_ports(total, a2_in: complex, a4_in: complex) -> ScatterSolution:
-    """Output amplitudes on the four measurement paths for the given drives.
-
-    Each nonzero drive is solved on its own (the equations are linear, so the
-    joint response is the superposition of the two). Normalizing a field by
-    its drive gives the corresponding S-parameter; with unit drives the
-    fields are the S-parameters directly.
-    """
-    m = _check_matrix(total, "total")
-    if a2_in == 0 and a4_in == 0:
-        raise ValueError("at least one drive must be nonzero")
-    s12 = s32 = s34 = s14 = 0j
-    if a2_in != 0:
-        sol = solve_outputs(m, a2_in=a2_in, a4_in=0.0)
-        s12, s32 = sol.a1_out, sol.a3_out
-    if a4_in != 0:
-        sol = solve_outputs(m, a2_in=0.0, a4_in=a4_in)
-        s34, s14 = sol.a3_out, sol.a1_out
-    return ScatterSolution(s12=s12, s32=s32, s34=s34, s14=s14)
+    t = np.moveaxis(m, (-2, -1), (0, 1))
+    out = np.empty(m.shape[:-2] + (4, 2), dtype=complex)
+    for k, drive in enumerate((2, 0)):  # M's input column of a port-2, port-4 drive
+        a4_out = (t[1, 3] * t[3, drive] - t[3, 3] * t[1, drive]) / det
+        a2_out = (t[3, 1] * t[1, drive] - t[1, 1] * t[3, drive]) / det
+        out[..., 0, k] = t[0, drive] + t[0, 1] * a4_out + t[0, 3] * a2_out
+        out[..., 1, k] = t[2, drive] + t[2, 1] * a4_out + t[2, 3] * a2_out
+        out[..., 2, k] = a4_out
+        out[..., 3, k] = a2_out
+    return out

@@ -11,6 +11,8 @@ from mzq.components import (
     make_interferometer,
     read_trace,
     synthesize,
+    trace_to_csv,
+    trace_to_json,
     write_trace_json,
 )
 from mzq.estimate import RateDataset, read_fit_json, read_rates_csv, write_rates_csv
@@ -151,6 +153,50 @@ def test_corrupt_trace_exits_2(tmp_path):
                 str(tmp_path / "out")) == 2
 
 
+def _bad_csv_sample(trace, tmp_path):
+    lines = trace_to_csv(trace).splitlines()
+    row = lines[3].split(",")
+    row[1] = "nan"
+    lines[3] = ",".join(row)
+    path = tmp_path / "scan.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _bad_json(**edits):
+    def make(trace, tmp_path):
+        doc = json.loads(trace_to_json(trace))
+        for key, value in edits.items():
+            if key == "re":
+                doc["paths"]["s12"]["re"][5] = value
+            else:
+                doc[key] = value
+        path = tmp_path / "scan.json"
+        path.write_text(json.dumps(doc))
+        return path
+    return make
+
+
+@pytest.mark.parametrize("make_input, message", [
+    (_bad_csv_sample, "line 4: non-finite"),
+    (_bad_json(re=math.inf), "non-finite sample"),
+    (_bad_json(drive_port="4"), "drive_port"),
+    (_bad_json(drive_port=True), "drive_port"),
+    (_bad_json(flux_phi0="0.2"), "flux_phi0"),
+    (_bad_json(flux_phi0=math.nan), "flux_phi0"),
+], ids=["csv-nan-sample", "json-inf-sample", "json-drive-port-string",
+        "json-drive-port-bool", "json-flux-string", "json-flux-nan"])
+def test_bad_trace_input_exits_2(tmp_path, capsys, make_input, message):
+    trace = synthesize(make_interferometer(qubit=_truth_qubit()),
+                       np.linspace(5.17e9, 5.23e9, 51))
+    trace.flux_phi0 = 0.2
+    path = make_input(trace, tmp_path)
+    key = "input_csv" if path.suffix == ".csv" else "input_json"
+    cfg = _write(tmp_path / "fit.json", {key: str(path), "init": QUBIT_CFG})
+    assert _run("fit-spectrum", "--config", cfg, "--out", str(tmp_path / "out")) == 2
+    assert message in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # classify
 # ---------------------------------------------------------------------------
@@ -208,8 +254,7 @@ def test_single_trace_fit_outputs(tmp_path):
     assert float(row[3]) == pytest.approx(float(row[5]), abs=1e-9)
 
 
-def test_batch_fit_collects_rates(tmp_path, monkeypatch):
-    monkeypatch.setenv("MZQ_THREADS", "2")
+def test_batch_fit_collects_rates(tmp_path):
     batch = tmp_path / "batch"
     batch.mkdir()
     fluxes = [0.10, 0.14, 0.18]
@@ -257,15 +302,22 @@ def test_batch_partial_failure_exits_4(tmp_path, capsys):
     assert len(rates) == 1
 
 
-def test_bad_worker_count_exits_2(tmp_path, monkeypatch):
-    monkeypatch.setenv("MZQ_THREADS", "zero")
+def test_batch_fits_a_synth_twin_once_from_its_json(tmp_path):
     batch = tmp_path / "batch"
-    batch.mkdir()
-    write_trace_json(batch / "t.json",
-                     synthesize(make_interferometer(qubit=_truth_qubit()),
-                                np.linspace(5.17e9, 5.23e9, 51)))
-    cfg = _write(tmp_path / "fit.json", {"input_dir": str(batch)})
-    assert _run("fit-spectrum", "--config", cfg, "--out", str(tmp_path / "out")) == 2
+    cfg = _write(tmp_path / "synth.json", {
+        "circuit": {"qubit": QUBIT_CFG},
+        "grid": GRID_CFG,
+        "noise_sigma": 0.005,
+        "flux_phi0": 0.17,
+    })
+    assert _run("synth", "--config", cfg, "--out", str(batch), "--quiet") == 0
+    assert sorted(p.name for p in batch.iterdir()) == ["trace.csv", "trace.json"]
+    fit_cfg = _write(tmp_path / "fit.json", {"input_dir": str(batch), "init": QUBIT_CFG})
+    out = tmp_path / "out"
+    assert _run("fit-spectrum", "--config", fit_cfg, "--out", str(out), "--quiet") == 0
+    rates = read_rates_csv(out / "rates.csv")
+    assert len(rates) == 1
+    assert rates.flux[0] == 0.17
 
 
 def test_fit_spectrum_needs_exactly_one_input(tmp_path):

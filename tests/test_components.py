@@ -28,7 +28,6 @@ from mzq.components import (
     trace_from_json,
     trace_to_csv,
     trace_to_json,
-    with_qubit,
     write_trace_csv,
     write_trace_json,
 )
@@ -302,15 +301,6 @@ def test_circuit_spec_validation():
         replace(spec, cal_scale=0)
     with pytest.raises(ValueError):
         replace(spec, cal_delay=math.inf)
-
-
-def test_with_qubit_swaps_only_the_scatterer():
-    spec = make_interferometer()
-    q = QubitScatterer(omega01=W_CENTER, gamma1=1e6, gamma_phi=1e5, r0=0.9)
-    loaded = with_qubit(spec, q)
-    assert loaded.qubit is q
-    assert loaded.splitter == spec.splitter and loaded.lines == spec.lines
-    assert with_qubit(loaded, None).qubit is None
 
 
 def test_total_matrix_stack_shapes():
