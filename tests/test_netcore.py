@@ -111,6 +111,32 @@ def test_joint_drive_is_superposition_of_columns():
             assert gap <= 1e-10 * max(np.abs(x).max(), 1.0)
 
 
+def test_solve_outputs_matches_stack_columns():
+    # the outputs solved from the mode relation for any drive are the matching
+    # combination of the two stacked unit-drive columns
+    rng = np.random.default_rng(24)
+    for _ in range(50):
+        (m,) = _random_matrices(rng, 1)
+        x = solve_port_system_many(m[None])[0]
+        for a2_in, a4_in in ((1.0, 0.0), (0.0, 1.0), (2.5 - 1.25j, 0.75j)):
+            ref = port_solution_oracle(m, a4_in, a2_in)
+            assert np.allclose(x @ np.array([a2_in, a4_in]), ref, rtol=1e-10, atol=1e-10)
+
+
+def test_solve_ports_leaves_undriven_paths_zero():
+    # a drive on one port alone is answered by that port's column alone: the
+    # paths out of the undriven port (its column) contribute nothing
+    rng = np.random.default_rng(25)
+    for _ in range(50):
+        (m,) = _random_matrices(rng, 1)
+        x = solve_port_system_many(m[None])[0]
+        for col, (a2_in, a4_in) in enumerate([(2.0 - 1j, 0.0), (0.0, -0.5j)]):
+            lam = a2_in if col == 0 else a4_in
+            ref = port_solution_oracle(m, a4_in, a2_in)
+            assert np.allclose(ref, lam * x[:, col], rtol=1e-10, atol=1e-10)
+            assert x[0, col] != 0 or x[1, col] != 0
+
+
 def test_identity_network_routes_straight_through():
     x = solve_port_system_many(identity()[None])[0]
     # port-2 drive: s12 = a1_out, s32 = a3_out; port-4 drive: s14, s34
