@@ -15,7 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import t as student_t
+from scipy.special import stdtrit
 
 from .components import (
     CircuitSpec,
@@ -52,12 +52,11 @@ from .netcore import SingularSystem
 from .physics import (
     BathModel,
     DegenerateFlux,
-    OUNoise,
     QuasiStaticLimit,
     TransmonParams,
     domega01_dflux,
     gamma1_model,
-    gamma_phi_model,
+    gamma_phi_rate,
 )
 
 GHZ = 2 * math.pi * 1e9
@@ -375,18 +374,16 @@ _FIT_RATES_KEYS = {"rates_csv", "transmon", "rel_err_max", "band_points"}
 
 def _band(curve, pvec: np.ndarray, cov: np.ndarray, xs: np.ndarray, dof: int):
     """Model curve with a linearized 95% band from the parameter covariance."""
-    y = np.array([curve(pvec, x) for x in xs])
+    y = curve(pvec, xs)
     k = cov.shape[0]
-    quantile = student_t.ppf(0.975, max(dof, 1))
-    half = np.empty_like(y)
-    for j, x in enumerate(xs):
-        grad = np.empty(k)
-        for i in range(k):
-            h = 1e-6 * max(abs(pvec[i]), 1e-12)
-            stepped = pvec.copy()
-            stepped[i] += h
-            grad[i] = (curve(stepped, x) - y[j]) / h
-        half[j] = quantile * math.sqrt(max(float(grad @ cov[:k, :k] @ grad), 0.0))
+    grad = np.empty((xs.size, k))
+    for i in range(k):
+        h = 1e-6 * max(abs(pvec[i]), 1e-12)
+        stepped = pvec.copy()
+        stepped[i] += h
+        grad[:, i] = (curve(stepped, xs) - y) / h
+    var = np.einsum("ni,ij,nj->n", grad, cov[:k, :k], grad)
+    half = stdtrit(max(dof, 1), 0.975) * np.sqrt(np.maximum(var, 0.0))
     return y, y - half, y + half
 
 
@@ -511,7 +508,7 @@ def cmd_fit_rates(config: dict, out_dir: Path, seed: int | None, quiet: bool) ->
             pvec = np.array([ou.params["sigma"], ou.params["kappa"]])
 
             def curve_ou(p, x):
-                return gamma_phi_model(OUNoise(abs(p[0]), abs(p[1]), x))
+                return gamma_phi_rate(abs(p[0]) * x, abs(p[1]))
 
             y, lo, hi = _band(curve_ou, pvec, ou.covariance, xs,
                               int(np.count_nonzero(usable)) - 2)

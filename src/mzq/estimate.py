@@ -12,8 +12,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.stats import t as student_t
+from scipy.special import stdtrit
 
 from .components import (
     CROSS_PATHS,
@@ -30,7 +29,8 @@ from .leastsq import (
     covariance,
     levenberg_marquardt,
 )
-from .physics import BathModel, OUNoise, TransmonParams, domega01_dflux, gamma1_model, gamma_phi_model
+from .physics import (BathModel, TransmonParams, _phase_variance_kernel, domega01_dflux,
+                      gamma1_model, gamma_phi_rate)
 
 __all__ = [
     "FitResult", "RateDataset", "RegimeLabel", "IllPosed", "NoFeature",
@@ -209,6 +209,9 @@ def rates_from_csv(text: str) -> RateDataset:
             vals = [float(p) for p in parts]
         except ValueError:
             raise ValueError(f"line {num}: non-numeric field") from None
+        # flux may be NaN (unknown) and rel_err NaN or inf (no weight)
+        if not (math.isfinite(vals[1]) and math.isfinite(vals[2])):
+            raise ValueError(f"line {num}: gamma1 and gamma_phi must be finite")
         for c, v in zip(cols, vals):
             c.append(v)
     if not cols[0]:
@@ -564,7 +567,7 @@ def fit_gamma_phi_power(rates: RateDataset, transmon: TransmonParams,
     dof = max(len(kept) - 2, 1)
     s2 = float(wgt @ resid**2) / dof
     cov_fit = s2 / det * np.array([[swxx, -swx], [-swx, sw]])
-    quantile = student_t.ppf(0.975, dof)
+    quantile = stdtrit(dof, 0.975)
     amplitude = math.exp(intercept)
 
     params = {"amplitude": amplitude, "eta": eta}
@@ -579,13 +582,19 @@ def fit_gamma_phi_power(rates: RateDataset, transmon: TransmonParams,
     return _make_result(params, ci95, rms, 1, True, cov)
 
 
+def _ou_sigmas(g: np.ndarray, slopes: np.ndarray, kappa: float) -> np.ndarray:
+    """Per-row OU scale sigma_i with 1/e time 1/g_i: (s_i*sigma_i)^2 K(kappa, 1/g_i) = 1."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return 1.0 / (slopes * np.sqrt(_phase_variance_kernel(kappa, 1.0 / g)))
+
+
 def _ou_start(g: np.ndarray, slopes: np.ndarray, sqrt_w: np.ndarray):
     """Starting point for the flux-noise fit over a coarse kappa grid.
 
     The model has a near-degenerate valley in the motionally narrowed regime
-    (only sigma^2/kappa is sharply constrained there), so for each trial
-    kappa the matching sigma is found by a monotone median condition and the
-    lowest-cost pair seeds the optimizer.
+    (only sigma^2/kappa is sharply constrained there), so each trial kappa is
+    paired with the median of the per-row scales that reproduce each rate
+    exactly, and the lowest-cost pair seeds the optimizer.
     """
     sigma_qs = math.sqrt(2) * float(np.median(g / slopes))
     if not sigma_qs > 0:
@@ -593,20 +602,10 @@ def _ou_start(g: np.ndarray, slopes: np.ndarray, sqrt_w: np.ndarray):
     v_med = sigma_qs * float(np.median(slopes))
     best = None
     for kappa in [0.0] + [c * v_med for c in (0.3, 1.0, 3.0, 10.0, 30.0)]:
-
-        def median_misfit(log_sigma: float) -> float:
-            s = math.exp(log_sigma)
-            model = np.array([gamma_phi_model(OUNoise(s, kappa, sl)) for sl in slopes])
-            return float(np.median(model - g))
-
-        lo, hi = math.log(sigma_qs / 100), math.log(sigma_qs * 100)
-        try:
-            if median_misfit(lo) > 0 or median_misfit(hi) < 0:
-                continue
-            sigma = math.exp(brentq(median_misfit, lo, hi, rtol=1e-3))
-        except ValueError:
+        sigma = float(np.median(_ou_sigmas(g, slopes, kappa)))
+        if not sigma_qs / 100 <= sigma <= sigma_qs * 100:
             continue
-        model = np.array([gamma_phi_model(OUNoise(sigma, kappa, sl)) for sl in slopes])
+        model = gamma_phi_rate(sigma * slopes, kappa)
         cost = float(np.sum(((model - g) * sqrt_w) ** 2))
         if best is None or cost < best[0]:
             best = (cost, sigma, kappa)
@@ -640,8 +639,7 @@ def fit_ou(rates: RateDataset, transmon: TransmonParams,
     sigma_0, kappa_0 = _ou_start(g, slopes, sqrt_w)
 
     def residual(x: np.ndarray) -> np.ndarray:
-        sigma, kappa = abs(x[0]), abs(x[1])
-        model = np.array([gamma_phi_model(OUNoise(sigma, kappa, s)) for s in slopes])
+        model = gamma_phi_rate(abs(x[0]) * slopes, abs(x[1]))
         return (model - g) * sqrt_w
 
     x0 = np.array([sigma_0, kappa_0])
@@ -653,8 +651,8 @@ def fit_ou(rates: RateDataset, transmon: TransmonParams,
     sigma, kappa = abs(res.x[0]), abs(res.x[1])
     hw = confidence_half_widths(res)
     dof = max(res.jacobian.shape[0] - 2, 1)
-    se_kappa = float(hw[1]) / student_t.ppf(0.975, dof)
-    upper = kappa + student_t.ppf(0.95, dof) * se_kappa
+    se_kappa = float(hw[1]) / stdtrit(dof, 0.975)
+    upper = kappa + stdtrit(dof, 0.95) * se_kappa
 
     params = {"sigma": sigma, "kappa": kappa, "kappa_upper95": upper}
     ci95 = {"sigma": float(hw[0]), "kappa": float(hw[1])}

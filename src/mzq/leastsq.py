@@ -10,11 +10,12 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import t as student_t
+from scipy.special import stdtrit
 
 FD_REL_STEP = 1e-6
 DAMPING_INIT = 1e-3
 DAMPING_MAX = 1e14
+SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
 
 
 class BadInitialization(ValueError):
@@ -132,23 +133,34 @@ def levenberg_marquardt(fn: Callable[[np.ndarray], np.ndarray],
 
 
 def covariance(result: LMResult) -> np.ndarray:
-    """Parameter covariance s^2 (J^T J)^-1 with s^2 the residual variance."""
+    """Parameter covariance s^2 (J^T J)^-1 with s^2 the residual variance.
+
+    A parameter weighing more than sqrt(eps) in a direction whose singular
+    value (column-normalised Jacobian) is at most sqrt(eps) of the largest
+    is not identified: its variance is inf and its covariances NaN, as is
+    any variance that comes out negative. The others keep the variance of
+    the directions the data see.
+    """
     m, n = result.jacobian.shape
-    dof = max(m - n, 1)
-    s2 = result.cost / dof
-    jtj = result.jacobian.T @ result.jacobian
-    try:
-        inv = np.linalg.inv(jtj)
-    except np.linalg.LinAlgError:
-        inv = np.linalg.pinv(jtj)
-    return s2 * inv
+    s2 = result.cost / max(m - n, 1)
+    jac = result.jacobian
+    norms = np.linalg.norm(jac, axis=0)
+    norms[norms == 0] = 1.0
+    _, sv, vt = np.linalg.svd(jac / norms, full_matrices=False)
+    null = sv <= SQRT_EPS * sv[0]
+    if not null.any():
+        cov = s2 * np.linalg.inv(jac.T @ jac)
+    else:
+        seen = vt[~null] / sv[~null, None]
+        cov = s2 * (seen.T @ seen) / np.outer(norms, norms)
+    bad = np.any(np.abs(vt[null]) > SQRT_EPS, axis=0) | (np.diag(cov) < 0)
+    cov[bad, :] = cov[:, bad] = np.nan
+    cov[bad, bad] = np.inf
+    return cov
 
 
 def confidence_half_widths(result: LMResult, level: float = 0.95) -> np.ndarray:
     """Student-t half-widths of the marginal parameter confidence intervals."""
     m, n = result.jacobian.shape
     dof = max(m - n, 1)
-    quantile = student_t.ppf(0.5 + level / 2, dof)
-    var = np.diag(covariance(result)).copy()
-    var[var < 0] = 0.0
-    return quantile * np.sqrt(var)
+    return stdtrit(dof, 0.5 + level / 2) * np.sqrt(np.diag(covariance(result)))

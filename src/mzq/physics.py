@@ -10,12 +10,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import constants
-from scipy.optimize import brentq
 
-HBAR = constants.hbar
-SPEED_OF_LIGHT = constants.c
-VACUUM_PERMITTIVITY = constants.epsilon_0
+# CODATA 2018 exact h and c; CODATA 2022 vacuum permittivity
+HBAR = 6.62607015e-34 / (2 * math.pi)
+SPEED_OF_LIGHT = 299792458.0
+VACUUM_PERMITTIVITY = 8.8541878188e-12
 
 
 class DegenerateFlux(ValueError):
@@ -287,23 +286,26 @@ def ou_coherence(noise: OUNoise, tau) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def gamma_phi_model(noise: OUNoise) -> float:
-    """Dephasing rate: inverse of the 1/e point of the coherence envelope.
+def gamma_phi_rate(v, kappa) -> np.ndarray:
+    """Dephasing rate of OU noise (inverse 1/e time), elementwise in v, kappa >= 0.
 
-    Limits: kappa = 0 gives v/sqrt(2); kappa >> v gives the motionally
-    narrowed rate v^2/kappa.
+    With x = kappa/v and u = kappa*t_phi the 1/e condition is
+    u - 1 + exp(-u) = x^2 and the rate is kappa/u. Newton from
+    u0 = sqrt(2)*x + x^2, right of the root of a convex increasing function,
+    descends monotonically. Past x = 1e8 the root is x^2 + 1 to double
+    precision, taken as v/(x + 1/x) so that it cannot overflow.
     """
-    v = noise.v
-    if v == 0:
-        return 0.0
-    if noise.kappa == 0:
-        return v / math.sqrt(2)
+    v, kappa = np.asarray(v, dtype=float), np.asarray(kappa, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = kappa / v
+        xs = np.minimum(x, 1e8)
+        u = math.sqrt(2) * xs + xs**2
+        for _ in range(6):
+            u = u - (_phase_variance_kernel(1.0, u) - xs**2) / -np.expm1(-u)
+        rate = np.where(x > 1e8, v / (x + 1 / x), kappa / u)
+    return np.where(v == 0, 0.0, np.where(kappa == 0, v / math.sqrt(2), rate))
 
-    def decay_deficit(t: float) -> float:
-        return v**2 * float(_phase_variance_kernel(noise.kappa, np.asarray(t))) - 1.0
 
-    hi = math.sqrt(2) / v
-    while decay_deficit(hi) < 0:
-        hi *= 2
-    t_phi = brentq(decay_deficit, 0.0, hi, xtol=1e-300, rtol=1e-14)
-    return 1.0 / t_phi
+def gamma_phi_model(noise: OUNoise) -> float:
+    """Scalar gamma_phi_rate: v/sqrt(2) at kappa = 0, v^2/kappa for kappa >> v."""
+    return float(gamma_phi_rate(noise.v, noise.kappa))

@@ -4,6 +4,8 @@ Everything here is written for transparency, not speed: straight loops,
 textbook elimination, and a stochastic simulation with exact one-step
 updates. Production code must agree with these within stated tolerances.
 """
+from decimal import Decimal, localcontext
+
 import numpy as np
 
 
@@ -100,3 +102,28 @@ def ou_coherence_mc(v: float, kappa: float, taus: np.ndarray,
             t_prev = t
         out[k] = float(np.cos(phi).mean())
     return out
+
+
+def dephasing_rate_oracle(v: float, kappa: float) -> float:
+    """Inverse 1/e time of the OU coherence envelope, by 50-digit bisection.
+
+    With x = kappa/v and u = kappa*t the envelope reaches 1/e where
+    u - 1 + exp(-u) = x^2, and the rate is kappa/u. The root lies in
+    [sqrt(2)*x, x^2 + 1], because u^2/2 >= u - 1 + exp(-u) >= u - 1; the
+    bracket is halved in log space until it is tight to 1e-30 relative.
+    """
+    if v == 0:
+        return 0.0
+    with localcontext() as ctx:
+        ctx.prec = 50
+        if kappa == 0:
+            return float(Decimal(v) / Decimal(2).sqrt())
+        x2 = (Decimal(kappa) / Decimal(v)) ** 2
+        lo, hi = (2 * x2).sqrt(), x2 + 1
+        while hi / lo - 1 > Decimal("1e-30"):
+            mid = (lo * hi).sqrt()
+            if mid - 1 + (-mid).exp() < x2:
+                lo = mid
+            else:
+                hi = mid
+        return float(Decimal(kappa) / ((lo + hi) / 2))

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from mzq import cli
 from mzq.components import (
@@ -23,6 +24,7 @@ from mzq.physics import (
     domega01_dflux,
     gamma1_model,
     gamma_phi_model,
+    gamma_phi_rate,
     omega01 as transmon_omega01,
 )
 
@@ -393,6 +395,41 @@ def test_fit_rates_pipeline(tmp_path):
     assert len(curve) == 51
     mid = [float(v) for v in curve[25].split(",")]
     assert mid[2] <= mid[1] <= mid[3]
+
+
+@pytest.mark.parametrize("column,value", [(1, "nan"), (1, "inf"), (2, "nan"), (2, "-inf")])
+def test_non_finite_rate_exits_2(tmp_path, capsys, column, value):
+    path = _rates_table(tmp_path)
+    lines = path.read_text().splitlines()
+    fields = lines[6].split(",")
+    fields[column] = value
+    lines[6] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    cfg = _write(tmp_path / "cfg.json", {"rates_csv": str(path),
+                                         "transmon": TRANSMON_CFG})
+    assert _run("fit-rates", "--config", cfg, "--out", str(tmp_path / "out")) == 2
+    assert "line 7: gamma1 and gamma_phi must be finite" in capsys.readouterr().err
+
+
+def test_band_matches_a_pointwise_reference():
+    def curve(p, x):
+        return gamma_phi_rate(abs(p[0]) * x, abs(p[1]))
+
+    pvec = np.array([200e-6, 2 * MHZ])
+    cov = np.array([[1e-11, 2e-2], [2e-2, 4e10]])
+    xs = np.linspace(1e9, 3e10, 40)
+    y, lo, hi = cli._band(curve, pvec, cov, xs, 30)
+    quantile = stats.t.ppf(0.975, 30)
+    for j, x in enumerate(xs):
+        grad = np.empty(2)
+        for i in range(2):
+            stepped = pvec.copy()
+            stepped[i] += 1e-6 * abs(pvec[i])
+            grad[i] = (curve(stepped, x) - curve(pvec, x)) / (1e-6 * abs(pvec[i]))
+        half = quantile * math.sqrt(grad @ cov @ grad)
+        assert y[j] == curve(pvec, x)
+        assert hi[j] - y[j] == pytest.approx(half, rel=1e-9)
+        assert y[j] - lo[j] == pytest.approx(half, rel=1e-9)
 
 
 def test_fit_rates_needs_eight_rows(tmp_path, capsys):

@@ -32,6 +32,7 @@ from mzq.estimate import (
     write_fit_json,
     write_rates_csv,
 )
+from mzq.estimate import _ou_sigmas
 from mzq.leastsq import NoConvergence
 from mzq.physics import (
     BathModel,
@@ -41,6 +42,7 @@ from mzq.physics import (
     flux_for_omega01,
     gamma1_model,
     gamma_phi_model,
+    gamma_phi_rate,
 )
 
 TRANSMON = TransmonParams(ej_max=20.0e9, ec=592.4e6)
@@ -127,6 +129,10 @@ def test_auto_init_needs_no_seed():
     # without a saturating drive only the total linewidth is identifiable
     total = result.params["gamma1"] / 2 + result.params["gamma_phi"]
     assert total == pytest.approx(quiet.gamma1 / 2 + quiet.gamma_phi, rel=1e-6)
+    # so neither rate alone has an interval, and the 33% rule drops the row
+    for name in ("gamma1", "gamma_phi"):
+        assert result.ci95[name] == math.inf
+        assert result.rel_err[name] == math.inf
 
 
 def test_fit_recovers_an_unknown_calibration():
@@ -341,6 +347,23 @@ def test_finite_noise_bandwidth_is_recovered():
     rates = RateDataset(targets, np.full(40, 1e5), gphi, flux, np.full(40, 0.1))
     result = fit_ou(rates, TRANSMON)
     assert abs(result.params["kappa"] - kappa) / kappa < 0.20
+
+
+def test_start_scales_reproduce_each_rate():
+    # the fit's seed pairs each trial kappa with per-row scales in closed
+    # form; each must give its own row's rate back through the model
+    _, _, slopes = _flux_grid(40)
+    rng = np.random.default_rng(5)
+    g = gamma_phi_rate(200e-6 * slopes, 2 * math.pi * 2e6) * np.exp(0.3 * rng.standard_normal(40))
+    g[7] = 0.0
+    v_med = float(np.median(g))
+    for kappa in [0.0] + [c * v_med for c in (0.3, 1.0, 3.0, 10.0, 30.0)]:
+        sigmas = _ou_sigmas(g, slopes, kappa)
+        assert sigmas[7] == 0.0
+        back = gamma_phi_rate(sigmas * slopes, kappa)
+        assert back[7] == 0.0
+        rows = g > 0
+        assert np.max(np.abs(back[rows] / g[rows] - 1)) <= 1e-10
 
 
 def test_flux_noise_fit_handles_missing_weights():

@@ -7,6 +7,7 @@ from scipy import optimize, stats
 
 from mzq.leastsq import (
     BadInitialization,
+    LMResult,
     confidence_half_widths,
     covariance,
     levenberg_marquardt,
@@ -156,7 +157,7 @@ def test_bad_starts_are_rejected():
 
 
 def test_covariance_survives_a_singular_jacobian():
-    # duplicated parameter: J^T J is singular, the pseudo-inverse steps in
+    # duplicated parameter: only p0 + p1 is seen, so neither has an interval
     t = np.linspace(0, 1, 12)
     y = 2.0 * t
 
@@ -164,7 +165,11 @@ def test_covariance_survives_a_singular_jacobian():
         return (p[0] + p[1]) * t - y
 
     res = levenberg_marquardt(fn, [0.9, 0.9])
-    cov = covariance(res)
-    assert np.all(np.isfinite(cov))
-    hw = confidence_half_widths(res)
-    assert np.all(np.isfinite(hw)) and np.all(hw >= 0)
+    assert np.all(np.diag(covariance(res)) == np.inf)
+    assert np.all(confidence_half_widths(res) == np.inf)
+    # an exactly zero residual must not turn 0 * inf into NaN, and the
+    # identifiable third parameter keeps its zero-noise interval of 0
+    jac = np.stack([t, t, t**2], axis=1)
+    exact = LMResult(x=np.ones(3), cost=0.0, cost_history=[0.0], residual=np.zeros(12),
+                     jacobian=jac, iterations=1, converged=True)
+    assert list(confidence_half_widths(exact)) == [np.inf, np.inf, 0.0]

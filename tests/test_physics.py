@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import dephasing_rate_oracle
 from scipy.integrate import quad
 
 from mzq.physics import (
@@ -23,6 +24,7 @@ from mzq.physics import (
     flux_for_omega01,
     gamma1_model,
     gamma_phi_model,
+    gamma_phi_rate,
     kondo_alpha,
     omega01,
     ou_coherence,
@@ -273,6 +275,33 @@ def test_dephasing_rate_is_the_inverse_1_over_e_time():
     noise = _noise(2e-4, 2 * math.pi * 2e6)
     rate = gamma_phi_model(noise)
     assert ou_coherence(noise, 1.0 / rate) == pytest.approx(math.exp(-1), rel=1e-9)
+
+
+def test_dephasing_rate_matches_the_decimal_oracle():
+    v = 2 * math.pi * 1e6
+    kappas = v * np.logspace(-12, 12, 97)
+    want = np.array([dephasing_rate_oracle(v, k) for k in kappas])
+    got = gamma_phi_rate(v, kappas)
+    assert np.max(np.abs(got / want - 1)) <= 1e-11
+
+
+def test_dephasing_rate_array_limits():
+    v = np.array([0.0, 0.0, 3.0, 2.5])
+    kappa = np.array([0.0, 7.0, 0.0, 0.0])
+    rate = gamma_phi_rate(v, kappa)
+    assert list(rate) == [0.0, 0.0, 3.0 / math.sqrt(2), 2.5 / math.sqrt(2)]
+    # beyond any realistic kappa/v the rate stays finite: v^2/kappa
+    assert gamma_phi_rate(1.0, 1e200) == pytest.approx(1e-200, rel=1e-15)
+
+
+def test_scalar_dephasing_rate_is_the_array_element():
+    rng = np.random.default_rng(11)
+    sigma = 10 ** rng.uniform(-6, -3, 50)
+    kappa = 10 ** rng.uniform(2, 9, 50)
+    slope = 2 * math.pi * 1e10
+    rates = gamma_phi_rate(slope * sigma, kappa)
+    for s, k, r in zip(sigma, kappa, rates):
+        assert gamma_phi_model(OUNoise(s, k, slope)) == r
 
 
 def test_noise_parameter_validation():
