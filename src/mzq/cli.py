@@ -54,7 +54,7 @@ from .physics import (
     DegenerateFlux,
     QuasiStaticLimit,
     TransmonParams,
-    domega01_dflux,
+    flux_slope,
     gamma1_model,
     gamma_phi_rate,
 )
@@ -413,13 +413,7 @@ def cmd_fit_rates(config: dict, out_dir: Path, seed: int | None, quiet: bool) ->
     points_g1.write_text("\n".join(lines) + "\n")
     _say(quiet, f"wrote {points_g1}")
 
-    slopes = np.full(len(rates), math.nan)
-    for i, flux in enumerate(rates.flux):
-        if math.isfinite(flux):
-            try:
-                slopes[i] = abs(domega01_dflux(transmon, float(flux)))
-            except ValueError:
-                pass
+    slopes = np.abs(flux_slope(transmon, rates.flux))
 
     points_gp = out_dir / "points_gamma_phi.csv"
     lines = ["omega01_rad_s,slope_rad_s_per_phi0,gamma_phi_rad_s,rel_err_gamma_phi"]

@@ -228,17 +228,14 @@ _IDEAL_BS = np.array(
     dtype=complex,
 ) / math.sqrt(2)
 
+# exchanges the mode pairs of arm a (0, 1) and arm b (2, 3)
+_ARM_SWAP = [2, 3, 0, 1]
+
 
 def tl_stack(params: LineParams, omegas: np.ndarray) -> np.ndarray:
-    """Diagonal line matrices exp(-r_k + i*phase_rate_k*omega), shape (N,4,4)."""
+    """Line factors exp(-r_k + i*phase_rate_k*omega) of the four segments, shape (N,4)."""
     w = np.asarray(omegas, dtype=float).reshape(-1)
-    rate = np.asarray(params.phase_rate)
-    att = np.asarray(params.attenuation)
-    diag = np.exp(-att[None, :] + 1j * rate[None, :] * w[:, None])
-    out = np.zeros((w.size, 4, 4), dtype=complex)
-    idx = np.arange(4)
-    out[:, idx, idx] = diag
-    return out
+    return np.exp(-np.asarray(params.attenuation) + 1j * np.asarray(params.phase_rate) * w[:, None])
 
 
 def _branchline_coefficients(theta: np.ndarray):
@@ -266,12 +263,15 @@ def _branchline_coefficients(theta: np.ndarray):
 
 
 def bs_stack(model: BeamSplitterModel, omegas: np.ndarray) -> np.ndarray:
-    """Splitter transfer matrices for each frequency, shape (N,4,4)."""
+    """Splitter transfer matrices for each frequency, shape (N,4,4).
+
+    The ideal splitter comes back as a read-only broadcast view of one matrix.
+    """
     w = np.asarray(omegas, dtype=float).reshape(-1)
     if np.any(w <= 0):
         raise ValueError("omega must be > 0")
     if model.kind == "ideal":
-        return np.broadcast_to(_IDEAL_BS, (w.size, 4, 4)).copy()
+        return np.broadcast_to(_IDEAL_BS, (w.size, 4, 4))
 
     theta = (math.pi / 2) * w / model.center_frequency
     refl, iso, thru, cross = _branchline_coefficients(theta)
@@ -282,28 +282,13 @@ def bs_stack(model: BeamSplitterModel, omegas: np.ndarray) -> np.ndarray:
             "branch-line splitter is not invertible into transfer form",
             frequency=w[idx] / (2 * math.pi),
         )
-    au = np.empty((w.size, 4), dtype=complex)
-    av = np.empty_like(au)
-    au[:, 0] = (cross * iso - thru * refl) / delta
-    au[:, 1] = thru / delta
-    au[:, 2] = (cross * refl - thru * iso) / delta
-    au[:, 3] = -cross / delta
-    av[:, 0] = au[:, 2]
-    av[:, 1] = au[:, 3]
-    av[:, 2] = au[:, 0]
-    av[:, 3] = au[:, 1]
-
-    out = np.empty((w.size, 4, 4), dtype=complex)
-    out[:, 1, :] = au
-    out[:, 3, :] = av
-    for col in range(4):
-        out[:, 0, col] = refl * au[:, col] + iso * av[:, col]
-        out[:, 2, col] = iso * au[:, col] + refl * av[:, col]
-    out[:, 0, 0] += thru
-    out[:, 0, 2] += cross
-    out[:, 2, 0] += cross
-    out[:, 2, 2] += thru
-    return out
+    # rows 1 and 3 are au and its arm swap av; rows 0 and 2 follow the same swap
+    zero = np.zeros_like(thru)
+    au = np.array([(cross * iso - thru * refl) / delta, thru / delta,
+                   (cross * refl - thru * iso) / delta, -cross / delta])
+    av = au[_ARM_SWAP]
+    top = refl * au + iso * av + np.array([thru, zero, cross, zero])
+    return np.moveaxis(np.array([top, au, top[_ARM_SWAP], av]), -1, 0)
 
 
 def qubit_rt_many(q: QubitScatterer, omegas: np.ndarray):
@@ -316,12 +301,8 @@ def qubit_rt_many(q: QubitScatterer, omegas: np.ndarray):
     return r, 1 - r
 
 
-def qubit_stack(q: QubitScatterer, omegas: np.ndarray, arm: str = "a") -> np.ndarray:
-    """Scatterer transfer matrices, shape (N,4,4); identity on the empty arm.
-
-    The occupied arm carries the standard two-port transfer block
-    (1/t) * [[t^2 - r^2, r], [-r, 1]].
-    """
+def qubit_stack(q: QubitScatterer, omegas: np.ndarray) -> np.ndarray:
+    """Scatterer transfer blocks (1/t) * [[t^2 - r^2, r], [-r, 1]], shape (N,2,2)."""
     w = np.asarray(omegas, dtype=float).reshape(-1)
     r, t = qubit_rt_many(q, w)
     small = np.abs(t) < T_DEGENERATE
@@ -331,28 +312,27 @@ def qubit_stack(q: QubitScatterer, omegas: np.ndarray, arm: str = "a") -> np.nda
             f"|t| = {abs(t[idx]):.3g} below {T_DEGENERATE:.0e}",
             frequency=w[idx] / (2 * math.pi),
         )
-    out = np.zeros((w.size, 4, 4), dtype=complex)
-    idx = np.arange(4)
-    out[:, idx, idx] = 1.0
-    lo = 0 if arm == "a" else 2
-    out[:, lo, lo] = (t**2 - r**2) / t
-    out[:, lo, lo + 1] = r / t
-    out[:, lo + 1, lo] = -r / t
-    out[:, lo + 1, lo + 1] = 1 / t
-    return out
+    return np.moveaxis(np.array([[(t**2 - r**2) / t, r / t], [-r / t, 1 / t]]), -1, 0)
 
 
 def total_matrix_stack(spec: CircuitSpec, omegas: np.ndarray) -> np.ndarray:
-    """Total transfer matrix splitter.line.scatterer.line.splitter per frequency."""
+    """Total transfer matrix splitter.line.scatterer.line.splitter per frequency.
+
+    line.scatterer.line is block diagonal: d_k^2 on the empty arm and
+    d_k * Q_kl * d_l on the scatterer arm, with d the line factors and Q the
+    scatterer block. It is applied to the right splitter row by row, then the
+    left splitter multiplies the result. The work runs frequency-last; the
+    (N,4,4) result is a view of that layout.
+    """
     w = np.asarray(omegas, dtype=float).reshape(-1)
-    bs = bs_stack(spec.splitter, w)
-    tl = tl_stack(spec.lines, w)
+    bs = np.moveaxis(bs_stack(spec.splitter, w), 0, -1)
+    d = tl_stack(spec.lines, w).T
+    inner_bs = (d * d)[:, None] * bs
     if spec.qubit is not None:
-        qm = qubit_stack(spec.qubit, w, spec.qubit_arm)
-        inner = tl @ qm @ tl
-    else:
-        inner = tl @ tl
-    return bs @ inner @ bs
+        arm = slice(0, 2) if spec.qubit_arm == "a" else slice(2, 4)
+        block = d[arm, None] * np.moveaxis(qubit_stack(spec.qubit, w), 0, -1) * d[None, arm]
+        inner_bs[arm] = np.einsum("kln,ljn->kjn", block, bs[arm])
+    return np.moveaxis(np.einsum("ikn,kjn->ijn", bs, inner_bs), -1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -525,21 +505,23 @@ def read_trace_csv(path: str | Path) -> SpectrumTrace:
     return trace_from_csv(Path(path).read_text())
 
 
-def trace_to_json(trace: SpectrumTrace) -> str:
-    """JSON mirror of the CSV format, including synthesis metadata."""
-    doc = {
+def _trace_doc(trace: SpectrumTrace) -> dict:
+    return {
         "label": trace.label,
         "noise_sigma": trace.noise_sigma,
         "drive_port": trace.drive_port,
         "flux_phi0": trace.flux_phi0,
-        "freq_hz": [float(f) for f in trace.freqs],
+        "freq_hz": trace.freqs.tolist(),
         "paths": {
-            p: {"re": [float(v.real) for v in trace.values[p]],
-                "im": [float(v.imag) for v in trace.values[p]]}
+            p: {"re": trace.values[p].real.tolist(), "im": trace.values[p].imag.tolist()}
             for p in PATHS if p in trace.values
         },
     }
-    return json.dumps(doc, indent=1)
+
+
+def trace_to_json(trace: SpectrumTrace) -> str:
+    """JSON mirror of the CSV format, including synthesis metadata."""
+    return json.dumps(_trace_doc(trace), indent=1)
 
 
 def trace_from_json(text: str) -> SpectrumTrace:
@@ -576,7 +558,9 @@ def trace_from_json(text: str) -> SpectrumTrace:
 
 
 def write_trace_json(path: str | Path, trace: SpectrumTrace) -> None:
-    Path(path).write_text(trace_to_json(trace))
+    """Stream the text of trace_to_json into the file, without building it whole."""
+    with open(path, "w") as fh:
+        json.dump(_trace_doc(trace), fh, indent=1)
 
 
 def read_trace_json(path: str | Path) -> SpectrumTrace:

@@ -29,7 +29,7 @@ from .leastsq import (
     covariance,
     levenberg_marquardt,
 )
-from .physics import (BathModel, TransmonParams, _phase_variance_kernel, domega01_dflux,
+from .physics import (BathModel, TransmonParams, _phase_variance_kernel, flux_slope,
                       gamma1_model, gamma_phi_rate)
 
 __all__ = [
@@ -71,6 +71,15 @@ def _rel_err_map(params: dict[str, float], ci95: dict[str, float]) -> dict[str, 
     return out
 
 
+def _json_float(x: float) -> float | str:
+    x = float(x)
+    return x if math.isfinite(x) else str(x)  # float() reads the string back
+
+
+def _json_floats(values: dict[str, float]) -> dict[str, float | str]:
+    return {k: _json_float(v) for k, v in values.items()}
+
+
 @dataclass
 class FitResult:
     """Point estimates with linearized 95% confidence half-widths.
@@ -104,11 +113,12 @@ class FitResult:
                 raise ValueError(f"rel_err[{k!r}] inconsistent with ci95/|params|")
 
     def to_json_dict(self) -> dict:
+        """Plain-JSON form; a non-finite float becomes the string "inf", "-inf" or "nan"."""
         return {
-            "params": dict(self.params),
-            "ci95": dict(self.ci95),
-            "rel_err": dict(self.rel_err),
-            "residual_rms": self.residual_rms,
+            "params": _json_floats(self.params),
+            "ci95": _json_floats(self.ci95),
+            "rel_err": _json_floats(self.rel_err),
+            "residual_rms": _json_float(self.residual_rms),
             "iterations": self.iterations,
             "converged": self.converged,
         }
@@ -141,7 +151,7 @@ def _make_result(params: dict[str, float], ci95: dict[str, float], residual_rms:
 
 def write_fit_json(path, result: FitResult) -> None:
     with open(path, "w") as fh:
-        json.dump(result.to_json_dict(), fh, indent=2, sort_keys=True)
+        json.dump(result.to_json_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -524,12 +534,7 @@ def _slope_rows(rates: RateDataset, transmon: TransmonParams, rel_err_max: float
     keep = np.isfinite(rates.flux) & np.isfinite(rates.gamma_phi)
     keep &= rates.gamma_phi > 0 if require_positive_gamma else rates.gamma_phi >= 0
     keep &= ~(rates.rel_err_gamma_phi >= rel_err_max)
-    slopes = np.zeros(len(rates))
-    for i in np.nonzero(keep)[0]:
-        try:
-            slopes[i] = abs(domega01_dflux(transmon, float(rates.flux[i])))
-        except ValueError:
-            keep[i] = False
+    slopes = np.abs(flux_slope(transmon, rates.flux))
     keep &= slopes > 0
     return rates.subset(keep), slopes[keep]
 

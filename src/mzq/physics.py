@@ -135,20 +135,30 @@ def omega01(params: TransmonParams, flux: float) -> float:
     return 2 * math.pi * f01
 
 
+def flux_slope(params: TransmonParams, flux) -> np.ndarray:
+    """Elementwise analytic domega01/dflux in rad/s per flux quantum.
+
+    NaN where flux is NaN, where |cos(pi*flux)| < 1e-12 (the slope diverges)
+    and where f01 <= 0 (no transition).
+    """
+    theta = np.pi * np.asarray(flux, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cosine = np.cos(theta)
+        mag = np.abs(cosine)
+        slope = (-np.pi**2 * math.sqrt(8 * params.ej_max * params.ec) * np.sign(cosine)
+                 * np.sin(theta) / np.sqrt(mag))
+        exists = np.sqrt(8 * params.ej_max * mag * params.ec) - params.ec > 0
+    return np.where((mag >= 1e-12) & exists, slope, np.nan)
+
+
 def domega01_dflux(params: TransmonParams, flux: float) -> float:
-    """Analytic flux derivative of omega01 in rad/s per flux quantum."""
-    theta = math.pi * flux
-    cosine = math.cos(theta)
-    if abs(cosine) < 1e-12:
-        raise DegenerateFlux(f"derivative diverges at flux {flux!r}")
-    omega01(params, flux)  # reuse the existence check
-    return (
-        -math.pi**2
-        * math.sqrt(8 * params.ej_max * params.ec)
-        * math.copysign(1.0, cosine)
-        * math.sin(theta)
-        / math.sqrt(abs(cosine))
-    )
+    """Scalar flux_slope; raises DegenerateFlux where the slope is undefined."""
+    slope = float(flux_slope(params, flux))
+    if math.isnan(slope) and not math.isnan(flux):
+        if abs(math.cos(math.pi * flux)) < 1e-12:
+            raise DegenerateFlux(f"derivative diverges at flux {flux!r}")
+        raise DegenerateFlux(f"junction energy vanishes at flux {flux!r}")
+    return slope
 
 
 def flux_for_omega01(params: TransmonParams, target: float) -> float:

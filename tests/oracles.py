@@ -4,9 +4,14 @@ Everything here is written for transparency, not speed: straight loops,
 textbook elimination, and a stochastic simulation with exact one-step
 updates. Production code must agree with these within stated tolerances.
 """
+import cmath
+import math
 from decimal import Decimal, localcontext
 
 import numpy as np
+
+from mzq.components import _IDEAL_BS, _branchline_coefficients, qubit_rt_many
+from mzq.netcore import SingularSystem
 
 
 def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -23,6 +28,71 @@ def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             for l in range(k):
                 acc += a[i, l] * b[l, j]
             out[i, j] = acc
+    return out
+
+
+def splitter_stack_oracle(model, omegas: np.ndarray) -> np.ndarray:
+    """Splitter matrices, shape (N,4,4), with the branch-line rows filled column by column."""
+    w = np.asarray(omegas, dtype=float).reshape(-1)
+    if np.any(w <= 0):
+        raise ValueError("omega must be > 0")
+    if model.kind == "ideal":
+        return np.broadcast_to(_IDEAL_BS, (w.size, 4, 4)).copy()
+
+    theta = (math.pi / 2) * w / model.center_frequency
+    refl, iso, thru, cross = _branchline_coefficients(theta)
+    delta = thru**2 - cross**2
+    if np.any(np.abs(delta) < 1e-12):
+        idx = int(np.argmin(np.abs(delta)))
+        raise SingularSystem(
+            "branch-line splitter is not invertible into transfer form",
+            frequency=w[idx] / (2 * math.pi),
+        )
+    au = np.empty((w.size, 4), dtype=complex)
+    av = np.empty_like(au)
+    au[:, 0] = (cross * iso - thru * refl) / delta
+    au[:, 1] = thru / delta
+    au[:, 2] = (cross * refl - thru * iso) / delta
+    au[:, 3] = -cross / delta
+    av[:, 0] = au[:, 2]
+    av[:, 1] = au[:, 3]
+    av[:, 2] = au[:, 0]
+    av[:, 3] = au[:, 1]
+
+    out = np.empty((w.size, 4, 4), dtype=complex)
+    out[:, 1, :] = au
+    out[:, 3, :] = av
+    for col in range(4):
+        out[:, 0, col] = refl * au[:, col] + iso * av[:, col]
+        out[:, 2, col] = iso * au[:, col] + refl * av[:, col]
+    out[:, 0, 0] += thru
+    out[:, 0, 2] += cross
+    out[:, 2, 0] += cross
+    out[:, 2, 2] += thru
+    return out
+
+
+def transfer_chain_oracle(spec, omegas: np.ndarray) -> np.ndarray:
+    """splitter.line.scatterer.line.splitter from five explicit 4x4 factors.
+
+    Per frequency the line is a full diagonal matrix and the scatterer the
+    identity with its 2x2 transfer block written into the occupied arm; the
+    chain is multiplied left to right with matmul_oracle.
+    """
+    w = np.asarray(omegas, dtype=float).reshape(-1)
+    out = np.empty((w.size, 4, 4), dtype=complex)
+    for i, (omega, splitter) in enumerate(zip(w, splitter_stack_oracle(spec.splitter, w))):
+        line = np.diag([cmath.exp(complex(-att, rate * omega))
+                        for att, rate in zip(spec.lines.attenuation, spec.lines.phase_rate)])
+        scatterer = np.eye(4, dtype=complex)
+        if spec.qubit is not None:
+            r, t = (complex(v[0]) for v in qubit_rt_many(spec.qubit, np.array([omega])))
+            lo = 0 if spec.qubit_arm == "a" else 2
+            scatterer[lo:lo + 2, lo:lo + 2] = [[(t * t - r * r) / t, r / t], [-r / t, 1 / t]]
+        total = splitter
+        for factor in (line, scatterer, line, splitter):
+            total = matmul_oracle(total, factor)
+        out[i] = total
     return out
 
 

@@ -19,6 +19,7 @@ from mzq.components import (
 from mzq.estimate import RateDataset, read_fit_json, read_rates_csv, write_rates_csv
 from mzq.physics import (
     BathModel,
+    DegenerateFlux,
     OUNoise,
     TransmonParams,
     domega01_dflux,
@@ -395,6 +396,45 @@ def test_fit_rates_pipeline(tmp_path):
     assert len(curve) == 51
     mid = [float(v) for v in curve[25].split(",")]
     assert mid[2] <= mid[1] <= mid[3]
+
+
+def test_degenerate_flux_rows_keep_their_exclusion_reasons(tmp_path):
+    rates_path = _rates_table(tmp_path)
+    rates = read_rates_csv(rates_path)
+    # sweet spot, both half-integer points, and two in the band where f01 <= 0
+    extra = np.array([0.0, 0.5, 1.5, 0.4995, -0.4995])
+    rates = RateDataset(np.append(rates.omega01, rates.omega01[:5]),
+                        np.append(rates.gamma1, rates.gamma1[:5]),
+                        np.append(rates.gamma_phi, rates.gamma_phi[:5]),
+                        np.append(rates.flux, extra),
+                        np.append(rates.rel_err_gamma_phi, np.full(5, 0.1)))
+    write_rates_csv(rates_path, rates)
+    cfg = _write(tmp_path / "rates_cfg.json", {
+        "rates_csv": str(rates_path), "transmon": TRANSMON_CFG, "band_points": 20})
+    out = tmp_path / "out"
+    assert _run("fit-rates", "--config", cfg, "--out", str(out), "--quiet") == 0
+
+    # the pointwise reasons, with the scalar slope and its DegenerateFlux
+    transmon = TransmonParams(ej_max=20.0e9, ec=592.4e6)
+    lines = ["row,omega01_rad_s,gamma_phi_rad_s,rel_err_gamma_phi,reason"]
+    for i in range(len(rates)):
+        reasons = []
+        if rates.rel_err_gamma_phi[i] >= 0.33:
+            reasons.append("rel_err_at_or_above_max")
+        if not math.isfinite(rates.flux[i]):
+            reasons.append("flux_unknown")
+        else:
+            try:
+                slope = abs(domega01_dflux(transmon, float(rates.flux[i])))
+            except DegenerateFlux:
+                slope = math.nan
+            if not slope > 0:
+                reasons.append("zero_flux_sensitivity")
+        if reasons:
+            lines.append(",".join((str(i), cli._fmt(rates.omega01[i]), cli._fmt(rates.gamma_phi[i]),
+                                   cli._fmt(rates.rel_err_gamma_phi[i]), ";".join(reasons))))
+    assert (out / "excluded_rows.csv").read_text() == "\n".join(lines) + "\n"
+    assert len(lines) == 1 + 2 + 5
 
 
 @pytest.mark.parametrize("column,value", [(1, "nan"), (1, "inf"), (2, "nan"), (2, "-inf")])

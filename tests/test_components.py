@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mzq.components import (
     CROSS_PATHS,
@@ -31,7 +33,9 @@ from mzq.components import (
     write_trace_csv,
     write_trace_json,
 )
-from mzq.netcore import SingularSystem
+from mzq.netcore import SingularSystem, solve_port_system_many
+
+from oracles import splitter_stack_oracle, transfer_chain_oracle
 
 CENTER_HZ = 5.746e9
 W_CENTER = 2 * math.pi * CENTER_HZ
@@ -52,21 +56,21 @@ IDEAL_BS = np.array(
 # ---------------------------------------------------------------------------
 
 def test_line_with_zero_parameters_is_identity():
-    m = tl_stack(LineParams(), np.array([W_CENTER]))[0]
-    assert np.array_equal(m, np.eye(4, dtype=complex))
+    d = tl_stack(LineParams(), np.array([W_CENTER, 2 * W_CENTER]))
+    assert d.shape == (2, 4)
+    assert np.array_equal(d, np.ones((2, 4), dtype=complex))
 
 
 def test_line_half_wave_flips_sign():
     d = 1.0 / (2 * CENTER_HZ)
-    m = tl_stack(LineParams(phase_rate=(d, d, d, d)), np.array([W_CENTER]))[0]
-    assert np.allclose(m, -np.eye(4), rtol=0, atol=1e-12)
+    factors = tl_stack(LineParams(phase_rate=(d, d, d, d)), np.array([W_CENTER]))[0]
+    assert np.allclose(factors, -1, rtol=0, atol=1e-12)
 
 
 def test_line_attenuation_damps_one_segment():
-    m = tl_stack(LineParams(attenuation=(0.1, 0.0, 0.0, 0.0)), np.array([W_CENTER]))[0]
-    assert abs(m[0, 0] - math.exp(-0.1)) <= 1e-15
-    assert m[1, 1] == 1 and m[2, 2] == 1 and m[3, 3] == 1
-    assert np.count_nonzero(m) == 4
+    d = tl_stack(LineParams(attenuation=(0.1, 0.0, 0.0, 0.0)), np.array([W_CENTER]))[0]
+    assert abs(d[0] - math.exp(-0.1)) <= 1e-15
+    assert d[1] == 1 and d[2] == 1 and d[3] == 1
 
 
 def test_line_rejects_bad_parameters():
@@ -102,6 +106,20 @@ def test_branchline_is_singular_at_twice_center():
     with pytest.raises(SingularSystem) as err:
         bs_stack(bl, np.array([2 * W_CENTER]))
     assert err.value.frequency == pytest.approx(2 * CENTER_HZ, rel=1e-12)
+
+
+def test_branchline_rows_match_the_column_loop_oracle():
+    bl = BeamSplitterModel(kind="branchline", center_frequency=W_CENTER)
+    w = W_CENTER * np.linspace(0.3, 1.7, 57)
+    assert np.array_equal(bs_stack(bl, w), splitter_stack_oracle(bl, w))
+
+
+def test_ideal_splitter_stack_is_a_read_only_view():
+    ideal = BeamSplitterModel(kind="ideal")
+    w = W_CENTER * np.linspace(0.5, 1.5, 5)
+    m = bs_stack(ideal, w)
+    assert m.shape == (5, 4, 4) and not m.flags.writeable
+    assert np.array_equal(m, splitter_stack_oracle(ideal, w))
 
 
 def test_splitter_model_validation():
@@ -164,12 +182,9 @@ def test_drive_saturation_suppresses_reflection():
 def test_scatterer_block_at_half_reflection():
     # r = t = 1/2 on resonance gives the transfer block [[0, 1], [-1, 2]]
     q = QubitScatterer(omega01=W_CENTER, gamma1=2e6, gamma_phi=1e6, r0=0.5)
-    m = qubit_stack(q, np.array([W_CENTER]), "a")[0]
-    assert np.allclose(m[:2, :2], [[0, 1], [-1, 2]], rtol=0, atol=1e-14)
-    assert np.array_equal(m[2:, 2:], np.eye(2))
-    m_b = qubit_stack(q, np.array([W_CENTER]), "b")[0]
-    assert np.allclose(m_b[2:, 2:], [[0, 1], [-1, 2]], rtol=0, atol=1e-14)
-    assert np.array_equal(m_b[:2, :2], np.eye(2))
+    blocks = qubit_stack(q, np.array([W_CENTER]))
+    assert blocks.shape == (1, 2, 2)
+    assert np.allclose(blocks[0], [[0, 1], [-1, 2]], rtol=0, atol=1e-14)
 
 
 def test_scatterer_block_inverts_back_to_r_and_t():
@@ -183,7 +198,7 @@ def test_scatterer_block_inverts_back_to_r_and_t():
         )
         w = np.array([W_CENTER + rng.uniform(-3e6, 3e6)])
         r, t = qubit_rt_many(q, w)
-        block = qubit_stack(q, w, "a")[0][:2, :2]
+        block = qubit_stack(q, w)[0]
         t_back = 1 / block[1, 1]
         r_back = block[0, 1] * t_back
         assert abs(t_back - t[0]) <= 1e-12
@@ -195,7 +210,7 @@ def test_scatterer_block_inverts_back_to_r_and_t():
 def test_full_reflection_on_resonance_is_degenerate():
     q = QubitScatterer(omega01=W_CENTER, gamma1=2e6, gamma_phi=1e6, r0=1.0)
     with pytest.raises(DegenerateScatterer) as err:
-        qubit_stack(q, np.array([W_CENTER]), "a")
+        qubit_stack(q, np.array([W_CENTER]))
     assert err.value.frequency == pytest.approx(CENTER_HZ, rel=1e-12)
     assert f"{CENTER_HZ:.9g}" in str(err.value)
 
@@ -301,6 +316,42 @@ def test_circuit_spec_validation():
         replace(spec, cal_scale=0)
     with pytest.raises(ValueError):
         replace(spec, cal_delay=math.inf)
+
+
+@pytest.mark.parametrize("kind", ["ideal", "branchline"])
+@pytest.mark.parametrize("arm", ["a", "b"])
+@pytest.mark.parametrize("with_qubit", [True, False])
+def test_total_matrix_stack_matches_the_transfer_chain_oracle(kind, arm, with_qubit):
+    rng = np.random.default_rng(41)
+    w = W_CENTER * np.linspace(0.6, 1.4, 33)
+    for _ in range(5):
+        qubit = QubitScatterer(omega01=W_CENTER * rng.uniform(0.9, 1.1),
+                               gamma1=2 * math.pi * rng.uniform(1e6, 3e7),
+                               gamma_phi=2 * math.pi * rng.uniform(1e5, 1e7),
+                               r0=rng.uniform(0.1, 0.95), rabi=2 * math.pi * rng.uniform(0, 2e6))
+        spec = CircuitSpec(
+            splitter=BeamSplitterModel(kind=kind, center_frequency=W_CENTER),
+            lines=LineParams(phase_rate=tuple(rng.uniform(0, 1e-9, 4)),
+                             attenuation=tuple(rng.uniform(0, 0.5, 4))),
+            qubit=qubit if with_qubit else None,
+            qubit_arm=arm,
+        )
+        want = transfer_chain_oracle(spec, w)
+        got = total_matrix_stack(spec, w)
+        scale = np.abs(want).max(axis=(1, 2))[:, None, None]
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["ideal", "branchline"]),
+       delays=st.lists(st.floats(0.0, 1e-9), min_size=4, max_size=4),
+       ratios=st.lists(st.floats(0.5, 1.5), min_size=1, max_size=8))
+def test_lossless_circuit_conserves_power_in_both_drive_columns(kind, delays, ratios):
+    spec = CircuitSpec(splitter=BeamSplitterModel(kind=kind, center_frequency=W_CENTER),
+                       lines=LineParams(phase_rate=tuple(delays)))
+    out = solve_port_system_many(total_matrix_stack(spec, W_CENTER * np.array(ratios)))
+    power = np.sum(np.abs(out) ** 2, axis=-2)  # (a1_out, a3_out, a4_out, a2_out) per drive
+    assert np.max(np.abs(power - 1.0)) <= 1e-13
 
 
 def test_total_matrix_stack_shapes():
@@ -418,6 +469,14 @@ def test_json_round_trip_keeps_metadata(tmp_path):
     assert back.drive_port == trace.drive_port
     assert back.flux_phi0 == trace.flux_phi0
     assert trace_to_json(back) == path.read_text()
+
+
+def test_written_trace_json_equals_trace_to_json(tmp_path):
+    trace = _example_trace()
+    del trace.values["s14"]
+    path = tmp_path / "trace.json"
+    write_trace_json(path, trace)
+    assert path.read_text() == trace_to_json(trace)
 
 
 def test_csv_parse_errors_carry_line_numbers():

@@ -135,6 +135,25 @@ def test_auto_init_needs_no_seed():
         assert result.rel_err[name] == math.inf
 
 
+def test_undriven_fit_json_is_strict_json(tmp_path):
+    quiet = QubitScatterer(omega01=TRUTH.omega01, gamma1=TRUTH.gamma1,
+                           gamma_phi=TRUTH.gamma_phi, r0=TRUTH.r0)
+    path = tmp_path / "trace_fit.json"
+    write_fit_json(path, fit_spectrum(_qubit_trace(qubit=quiet), make_interferometer()))
+
+    def reject(token):
+        raise ValueError(f"non-finite token {token}")
+
+    doc = json.loads(path.read_text(), parse_constant=reject)
+    assert doc["ci95"]["gamma1"] == "inf" and doc["rel_err"]["gamma_phi"] == "inf"
+    back = read_fit_json(path)
+    for name in ("gamma1", "gamma_phi"):
+        assert back.ci95[name] == math.inf and back.rel_err[name] == math.inf
+    # files written with the bare token Infinity still load
+    path.write_text(path.read_text().replace('"inf"', "Infinity"))
+    assert read_fit_json(path) == back
+
+
 def test_fit_recovers_an_unknown_calibration():
     from dataclasses import replace
 

@@ -22,6 +22,7 @@ from mzq.physics import (
     domega01_dflux,
     dressed_frequencies,
     flux_for_omega01,
+    flux_slope,
     gamma1_model,
     gamma_phi_model,
     gamma_phi_rate,
@@ -84,6 +85,33 @@ def test_slope_is_zero_at_sweet_spot_and_negative_above():
     assert domega01_dflux(TRANSMON, 0.0) == 0.0
     for flux in (0.1, 0.25, 0.45):
         assert domega01_dflux(TRANSMON, flux) < 0
+
+
+def _slope_reference(flux):
+    """Pointwise analytic slope, or None where no slope exists."""
+    cosine = math.cos(math.pi * flux)
+    if abs(cosine) < 1e-12 or math.sqrt(8 * TRANSMON.ej_max * abs(cosine) * TRANSMON.ec) <= TRANSMON.ec:
+        return None
+    return (-math.pi**2 * math.sqrt(8 * TRANSMON.ej_max * TRANSMON.ec) * math.copysign(1.0, cosine)
+            * math.sin(math.pi * flux) / math.sqrt(abs(cosine)))
+
+
+def test_array_flux_slope_matches_the_scalar_form():
+    # 0.4995 and 1.5005 lie in the band next to half-integer flux where f01 <= 0
+    grid = np.concatenate([np.linspace(-1.6, 1.6, 321), [0.5, 1.5, 0.4995, 1.5005]])
+    slopes = flux_slope(TRANSMON, np.append(grid, math.nan))
+    assert slopes.shape == (grid.size + 1,) and math.isnan(slopes[-1])
+    assert math.isnan(domega01_dflux(TRANSMON, math.nan))
+    assert abs(math.cos(math.pi * 0.4995)) > 1e-12 and _slope_reference(0.4995) is None
+    for flux, slope in zip(grid, slopes):
+        want = _slope_reference(flux)
+        if want is None:
+            assert math.isnan(slope)
+            with pytest.raises(DegenerateFlux):
+                domega01_dflux(TRANSMON, float(flux))
+        else:
+            assert abs(slope - want) <= 1e-15 * max(abs(want), 1.0)
+            assert domega01_dflux(TRANSMON, float(flux)) == slope
 
 
 def test_flux_lookup_round_trip():
