@@ -27,9 +27,9 @@ from .components import (
     read_trace,
     sweep,
     synthesize,
+    write_csv_columns,
     write_trace_csv,
     write_trace_json,
-    _fmt,
 )
 from .estimate import (
     BadInitialization,
@@ -44,9 +44,12 @@ from .estimate import (
     fit_gamma_phi_power,
     fit_ou,
     fit_spectrum,
+    gamma1_curve,
+    ou_curve,
     read_rates_csv,
     write_fit_json,
     write_rates_csv,
+    _slope_rows,
 )
 from .netcore import SingularSystem
 from .physics import (
@@ -55,8 +58,6 @@ from .physics import (
     QuasiStaticLimit,
     TransmonParams,
     flux_slope,
-    gamma1_model,
-    gamma_phi_rate,
 )
 
 GHZ = 2 * math.pi * 1e9
@@ -290,14 +291,12 @@ def _model_cross(template: CircuitSpec, result: FitResult, rabi: float,
 
 
 def _write_residuals(path: Path, trace, model: dict[str, np.ndarray]) -> None:
-    lines = ["freq_hz,path,data_re,data_im,model_re,model_im"]
-    for name in CROSS_PATHS:
-        if name not in trace.values:
-            continue
-        for f, d, m in zip(trace.freqs, trace.values[name], model[name]):
-            lines.append(",".join((_fmt(f), name, _fmt(d.real), _fmt(d.imag),
-                                   _fmt(m.real), _fmt(m.imag))))
-    path.write_text("\n".join(lines) + "\n")
+    with open(path, "w") as fh:
+        write_csv_columns(fh, ("freq_hz", "path", "data_re", "data_im", "model_re", "model_im"))
+        for name in CROSS_PATHS:
+            if name in trace.values:
+                d, m = trace.values[name], model[name]
+                write_csv_columns(fh, None, trace.freqs, name, d.real, d.imag, m.real, m.imag)
 
 
 def _fit_one_trace(trace_path: Path, template: CircuitSpec,
@@ -338,8 +337,11 @@ def cmd_fit_spectrum(config: dict, out_dir: Path, seed: int | None, quiet: bool)
     batch_dir = Path(_str(config, "input_dir", "config"))
     if not batch_dir.is_dir():
         raise ConfigError(f"config.input_dir: {batch_dir} is not a directory")
+    rates_name = _str(config, "rates_csv", "config", default="rates.csv")
+    # a directory that also receives --out holds this command's own outputs
     files = sorted(p for p in batch_dir.iterdir()
-                   if p.suffix in (".csv", ".json") and p.is_file())
+                   if p.suffix in (".csv", ".json") and p.is_file() and p.name != rates_name
+                   and not p.name.endswith(("_fit.json", "_residuals.csv")))
     # synth writes <stem>.csv and <stem>.json; only the JSON twin keeps
     # flux_phi0 and drive_port, so it is the one fitted
     json_stems = {p.stem for p in files if p.suffix == ".json"}
@@ -356,7 +358,6 @@ def cmd_fit_spectrum(config: dict, out_dir: Path, seed: int | None, quiet: bool)
 
     if rows:
         cols = [np.array([r[i] for r in rows]) for i in range(5)]
-        rates_name = _str(config, "rates_csv", "config", default="rates.csv")
         rates_path = out_dir / rates_name
         write_rates_csv(rates_path, RateDataset(*cols))
         _say(quiet, f"wrote {rates_path}")
@@ -387,11 +388,14 @@ def _band(curve, pvec: np.ndarray, cov: np.ndarray, xs: np.ndarray, dof: int):
     return y, y - half, y + half
 
 
-def _write_curve_csv(path: Path, header: str, xs, ys, lo, hi) -> None:
-    lines = [header]
-    for row in zip(xs, ys, lo, hi):
-        lines.append(",".join(_fmt(float(v)) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, quiet: bool, header, *columns) -> None:
+    with open(path, "w") as fh:
+        write_csv_columns(fh, header, *columns)
+    _say(quiet, f"wrote {path}")
+
+
+def _power_curve(p, x):
+    return abs(p[0]) * x ** p[1]
 
 
 def cmd_fit_rates(config: dict, out_dir: Path, seed: int | None, quiet: bool) -> int:
@@ -406,110 +410,55 @@ def cmd_fit_rates(config: dict, out_dir: Path, seed: int | None, quiet: bool) ->
         raise IllPosed(f"rate table has {len(rates)} rows; need at least 8")
 
     # data points and the 33%-rule sidecar are written before any fit runs
-    points_g1 = out_dir / "points_gamma1.csv"
-    lines = ["omega01_rad_s,gamma1_rad_s"]
-    for w, g in zip(rates.omega01, rates.gamma1):
-        lines.append(f"{_fmt(w)},{_fmt(g)}")
-    points_g1.write_text("\n".join(lines) + "\n")
-    _say(quiet, f"wrote {points_g1}")
-
     slopes = np.abs(flux_slope(transmon, rates.flux))
+    _write_csv(out_dir / "points_gamma1.csv", quiet, ("omega01_rad_s", "gamma1_rad_s"),
+               rates.omega01, rates.gamma1)
+    _write_csv(out_dir / "points_gamma_phi.csv", quiet,
+               ("omega01_rad_s", "slope_rad_s_per_phi0", "gamma_phi_rad_s", "rel_err_gamma_phi"),
+               rates.omega01, slopes, rates.gamma_phi, rates.rel_err_gamma_phi)
 
-    points_gp = out_dir / "points_gamma_phi.csv"
-    lines = ["omega01_rad_s,slope_rad_s_per_phi0,gamma_phi_rad_s,rel_err_gamma_phi"]
-    for i in range(len(rates)):
-        lines.append(",".join(_fmt(v) for v in (
-            rates.omega01[i], slopes[i], rates.gamma_phi[i], rates.rel_err_gamma_phi[i])))
-    points_gp.write_text("\n".join(lines) + "\n")
-    _say(quiet, f"wrote {points_gp}")
+    flux_known = np.isfinite(rates.flux)
+    checks = (("rel_err_at_or_above_max", rates.rel_err_gamma_phi >= rel_err_max),
+              ("flux_unknown", ~flux_known),
+              ("zero_flux_sensitivity", flux_known & ~(slopes > 0)))
+    reasons = [";".join(name for name, hit in checks if hit[i]) for i in range(len(rates))]
+    rows = [i for i, reason in enumerate(reasons) if reason]
+    _write_csv(out_dir / "excluded_rows.csv", quiet,
+               ("row", "omega01_rad_s", "gamma_phi_rad_s", "rel_err_gamma_phi", "reason"),
+               rows, rates.omega01[rows], rates.gamma_phi[rows],
+               rates.rel_err_gamma_phi[rows], [reasons[i] for i in rows])
 
-    sidecar = out_dir / "excluded_rows.csv"
-    lines = ["row,omega01_rad_s,gamma_phi_rad_s,rel_err_gamma_phi,reason"]
-    for i in range(len(rates)):
-        reasons = []
-        if rates.rel_err_gamma_phi[i] >= rel_err_max:
-            reasons.append("rel_err_at_or_above_max")
-        if not math.isfinite(rates.flux[i]):
-            reasons.append("flux_unknown")
-        elif not (slopes[i] > 0):
-            reasons.append("zero_flux_sensitivity")
-        if reasons:
-            lines.append(",".join((str(i), _fmt(rates.omega01[i]),
-                                   _fmt(rates.gamma_phi[i]),
-                                   _fmt(rates.rel_err_gamma_phi[i]),
-                                   ";".join(reasons))))
-    sidecar.write_text("\n".join(lines) + "\n")
-    _say(quiet, f"wrote {sidecar}")
-
-    usable = (np.isfinite(rates.flux)
-              & ~(rates.rel_err_gamma_phi >= rel_err_max)
-              & (slopes > 0))
-    kept_slopes = slopes[usable]
-
-    failures: list[tuple[str, str]] = []
-
-    def attempt(name: str, fn):
-        try:
-            return fn()
-        except Exception as exc:
-            failures.append((name, f"{type(exc).__name__}: {exc}"))
-            return None
-
-    g1 = attempt("gamma1", lambda: fit_gamma1(rates))
-    if g1 is not None:
-        write_fit_json(out_dir / "gamma1_fit.json", g1)
-        _say(quiet, f"wrote {out_dir / 'gamma1_fit.json'}")
-        ws = np.linspace(rates.omega01.min(), rates.omega01.max(), band_points)
-        pvec = np.array(list(g1.params.values()))
-
-        def curve_g1(p, x):
-            return gamma1_model(BathModel(p[0], p[1], max(p[2], 1.0), abs(p[3])), x)
-
-        y, lo, hi = _band(curve_g1, pvec, g1.covariance, ws, len(rates) - 4)
-        _write_curve_csv(out_dir / "curve_gamma1.csv",
-                         "omega01_rad_s,gamma1_rad_s,lo95_rad_s,hi95_rad_s",
-                         ws, y, lo, hi)
-        _say(quiet, f"wrote {out_dir / 'curve_gamma1.csv'}")
-
-    power = attempt("gamma_phi_power", lambda: fit_gamma_phi_power(rates, transmon, rel_err_max))
-    ou = attempt("ou", lambda: fit_ou(rates, transmon, rel_err_max))
-
+    kept_slopes = np.delete(slopes, rows)
     if kept_slopes.size >= 2 and kept_slopes.max() > kept_slopes.min():
         xs = np.linspace(kept_slopes.min(), kept_slopes.max(), band_points)
     else:
         xs = None
+    ws = np.linspace(rates.omega01.min(), rates.omega01.max(), band_points)
+    phi_cols = ("slope_rad_s_per_phi0", "gamma_phi_rad_s")
+    reports = (  # name, fit, model curve, grid, Student-t dof, curve file, its x and y columns
+        ("gamma1", lambda: fit_gamma1(rates), gamma1_curve, ws, len(rates) - 4,
+         "curve_gamma1.csv", ("omega01_rad_s", "gamma1_rad_s")),
+        ("gamma_phi_power", lambda: fit_gamma_phi_power(rates, transmon, rel_err_max),
+         _power_curve, xs, len(_slope_rows(rates, transmon, rel_err_max, True)[0]) - 2,
+         "curve_gamma_phi_power.csv", phi_cols),
+        ("ou", lambda: fit_ou(rates, transmon, rel_err_max),
+         ou_curve, xs, len(_slope_rows(rates, transmon, rel_err_max, False)[0]) - 2,
+         "curve_gamma_phi_ou.csv", phi_cols),
+    )
 
-    if power is not None:
-        write_fit_json(out_dir / "gamma_phi_power_fit.json", power)
-        _say(quiet, f"wrote {out_dir / 'gamma_phi_power_fit.json'}")
-        if xs is not None:
-            pvec = np.array([power.params["amplitude"], power.params["eta"]])
-
-            def curve_power(p, x):
-                return abs(p[0]) * x ** p[1]
-
-            dof = int(np.count_nonzero(usable & (rates.gamma_phi > 0))) - 2
-            y, lo, hi = _band(curve_power, pvec, power.covariance, xs, dof)
-            _write_curve_csv(out_dir / "curve_gamma_phi_power.csv",
-                             "slope_rad_s_per_phi0,gamma_phi_rad_s,lo95_rad_s,hi95_rad_s",
-                             xs, y, lo, hi)
-            _say(quiet, f"wrote {out_dir / 'curve_gamma_phi_power.csv'}")
-
-    if ou is not None:
-        write_fit_json(out_dir / "ou_fit.json", ou)
-        _say(quiet, f"wrote {out_dir / 'ou_fit.json'}")
-        if xs is not None:
-            pvec = np.array([ou.params["sigma"], ou.params["kappa"]])
-
-            def curve_ou(p, x):
-                return gamma_phi_rate(abs(p[0]) * x, abs(p[1]))
-
-            y, lo, hi = _band(curve_ou, pvec, ou.covariance, xs,
-                              int(np.count_nonzero(usable)) - 2)
-            _write_curve_csv(out_dir / "curve_gamma_phi_ou.csv",
-                             "slope_rad_s_per_phi0,gamma_phi_rad_s,lo95_rad_s,hi95_rad_s",
-                             xs, y, lo, hi)
-            _say(quiet, f"wrote {out_dir / 'curve_gamma_phi_ou.csv'}")
+    failures = []
+    for name, fit, curve, grid, dof, curve_name, cols in reports:
+        try:
+            result = fit()
+        except Exception as exc:
+            failures.append((name, f"{type(exc).__name__}: {exc}"))
+            continue
+        write_fit_json(out_dir / f"{name}_fit.json", result)
+        _say(quiet, f"wrote {out_dir / f'{name}_fit.json'}")
+        if grid is not None:
+            pvec = np.array(list(result.params.values()))
+            _write_csv(out_dir / curve_name, quiet, (*cols, "lo95_rad_s", "hi95_rad_s"),
+                       grid, *_band(curve, pvec, result.covariance, grid, dof))
 
     for name, err in failures:
         print(f"{name} fit failed: {err}", file=sys.stderr)

@@ -33,8 +33,6 @@ THROUGH_PATHS = ("s32", "s14")
 # numerically meaningless (entries scale as 1/t).
 T_DEGENERATE = 1e-9
 
-CSV_HEADER = ("freq_hz", "re", "im", "path", "label")
-
 
 class DegenerateScatterer(ArithmeticError):
     """Raised when the two-level scatterer is fully reflecting (|t| ~ 0)."""
@@ -429,24 +427,39 @@ def make_interferometer(center_hz: float = 5.746e9, qubit: QubitScatterer | None
 # serialization
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+CSV_HEADER = ("freq_hz", "re", "im", "path", "label")
+
+
+def write_csv_columns(fh, header, *columns) -> None:
+    """Write a header row (unless None), then equal-length columns as CSV rows.
+
+    A float array is written with 17 significant digits, enough to round-trip
+    float64 exactly, spelled as format(float(x), ".17g") spells it (nan, inf,
+    -0). A str is repeated on every row; any other column is written as given.
+    """
+    rows = max((len(c) for c in columns if not isinstance(c, str)), default=0)
+    cells = [[c] * rows if isinstance(c, str)
+             else map("{:.17g}".format, c.tolist())
+             if isinstance(c, np.ndarray) and c.dtype.kind == "f" else c
+             for c in columns]
+    writer = csv.writer(fh, lineterminator="\n")
+    if header is not None:
+        writer.writerow(header)
+    writer.writerows(zip(*cells, strict=True))
+
+
+def _write_trace_rows(fh, trace: SpectrumTrace) -> None:
+    write_csv_columns(fh, CSV_HEADER)
+    for path in PATHS:
+        if path in trace.values:
+            vals = trace.values[path]
+            write_csv_columns(fh, None, trace.freqs, vals.real, vals.imag, path, trace.label)
 
 
 def trace_to_csv(trace: SpectrumTrace) -> str:
-    """Render a trace as CSV text with columns freq_hz,re,im,path,label.
-
-    Floats carry 17 significant digits, enough to round-trip float64 exactly.
-    """
+    """Render a trace as CSV text with columns freq_hz,re,im,path,label."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for path in PATHS:
-        if path not in trace.values:
-            continue
-        vals = trace.values[path]
-        for f, v in zip(trace.freqs, vals):
-            writer.writerow([_fmt(f), _fmt(v.real), _fmt(v.imag), path, trace.label])
+    _write_trace_rows(buf, trace)
     return buf.getvalue()
 
 
@@ -498,7 +511,9 @@ def trace_from_csv(text: str) -> SpectrumTrace:
 
 
 def write_trace_csv(path: str | Path, trace: SpectrumTrace) -> None:
-    Path(path).write_text(trace_to_csv(trace))
+    """Stream the text of trace_to_csv into the file, one path block at a time."""
+    with open(path, "w") as fh:
+        _write_trace_rows(fh, trace)
 
 
 def read_trace_csv(path: str | Path) -> SpectrumTrace:
@@ -531,12 +546,13 @@ def trace_from_json(text: str) -> SpectrumTrace:
         raise TraceParseError(f"line {err.lineno}: {err.msg}") from None
     try:
         freqs = np.asarray(doc["freq_hz"], dtype=float)
-        values = {
-            p: np.asarray(d["re"], dtype=float) + 1j * np.asarray(d["im"], dtype=float)
-            for p, d in doc["paths"].items()
-        }
-        for p, v in values.items():
-            if not np.isfinite(v).all():
+        values = {}
+        for p, d in doc["paths"].items():
+            re, im = np.asarray(d["re"], dtype=float), np.asarray(d["im"], dtype=float)
+            if not re.shape == im.shape == freqs.shape:
+                raise ValueError(f"path {p!r}: re, im and freq_hz differ in length")
+            values[p] = re + 1j * im
+            if not np.isfinite(values[p]).all():
                 raise ValueError(f"path {p!r} has a non-finite sample")
         drive = doc.get("drive_port")
         if drive is not None and (type(drive) is not int or drive not in (2, 4)):

@@ -7,9 +7,10 @@ second stage fits rate-vs-frequency models to a table of extracted rates.
 from __future__ import annotations
 
 import enum
+import io
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from scipy.special import stdtrit
@@ -19,8 +20,8 @@ from .components import (
     CircuitSpec,
     QubitScatterer,
     SpectrumTrace,
-    _fmt,
     sweep,
+    write_csv_columns,
 )
 from .leastsq import (
     BadInitialization,
@@ -195,13 +196,15 @@ class RateDataset:
                            self.flux[mask], self.rel_err_gamma_phi[mask])
 
 
+def _write_rates_rows(fh, rates: RateDataset) -> None:
+    write_csv_columns(fh, RATES_CSV_HEADER.split(","), rates.omega01, rates.gamma1,
+                      rates.gamma_phi, rates.flux, rates.rel_err_gamma_phi)
+
+
 def rates_to_csv(rates: RateDataset) -> str:
-    lines = [RATES_CSV_HEADER]
-    for i in range(len(rates)):
-        lines.append(",".join(_fmt(float(col[i])) for col in (
-            rates.omega01, rates.gamma1, rates.gamma_phi, rates.flux,
-            rates.rel_err_gamma_phi)))
-    return "\n".join(lines) + "\n"
+    buf = io.StringIO()
+    _write_rates_rows(buf, rates)
+    return buf.getvalue()
 
 
 def rates_from_csv(text: str) -> RateDataset:
@@ -234,7 +237,7 @@ def rates_from_csv(text: str) -> RateDataset:
 
 def write_rates_csv(path, rates: RateDataset) -> None:
     with open(path, "w") as fh:
-        fh.write(rates_to_csv(rates))
+        _write_rates_rows(fh, rates)
 
 
 def read_rates_csv(path) -> RateDataset:
@@ -481,6 +484,20 @@ def fit_spectrum(trace: SpectrumTrace, spec_template: CircuitSpec,
 # rate-model fits
 # ---------------------------------------------------------------------------
 
+def _fold_bath(x) -> BathModel:
+    return BathModel(abs(x[0]), abs(x[1]), max(abs(x[2]), 1.0), abs(x[3]))
+
+
+def gamma1_curve(x, w: np.ndarray) -> np.ndarray:
+    """Relaxation model at the folded parameters x = (alpha, center, fwhm, height)."""
+    return gamma1_model(_fold_bath(x), w)
+
+
+def ou_curve(x, slopes: np.ndarray) -> np.ndarray:
+    """Dephasing rate at the folded flux-noise parameters x = (sigma, kappa)."""
+    return gamma_phi_rate(abs(x[0]) * slopes, abs(x[1]))
+
+
 def fit_gamma1(rates: RateDataset) -> FitResult:
     """Fit the Ohmic-plus-Lorentzian relaxation model to gamma1 rows.
 
@@ -503,13 +520,8 @@ def fit_gamma1(rates: RateDataset) -> FitResult:
     center_0 = float(w[i0])
     fwhm_0 = 2 * math.pi * 1.5e9
 
-    def fold(x):
-        return abs(x[0]), abs(x[1]), max(abs(x[2]), 1.0), abs(x[3])
-
     def residual(x: np.ndarray) -> np.ndarray:
-        alpha, center, fwhm, height = fold(x)
-        bath = BathModel(alpha, center, fwhm, height)
-        return gamma1_model(bath, w) - g
+        return gamma1_curve(x, w) - g
 
     x0 = np.array([alpha_0, center_0, fwhm_0, height_0])
     x_scale = np.array([max(alpha_0, 1e-5), 2 * math.pi * 1e9, 2 * math.pi * 1e9,
@@ -519,9 +531,7 @@ def fit_gamma1(rates: RateDataset) -> FitResult:
         raise NoConvergence(
             f"relaxation-model fit stopped after {res.iterations} iterations")
 
-    alpha, center, fwhm, height = fold(res.x)
-    params = {"alpha": alpha, "lorentz_center": center,
-              "lorentz_fwhm": fwhm, "lorentz_height": height}
+    params = asdict(_fold_bath(res.x))  # alpha, lorentz_center, lorentz_fwhm, lorentz_height
     hw = confidence_half_widths(res)
     ci95 = {k: float(h) for k, h in zip(params, hw)}
     rms = float(np.sqrt(np.mean(res.residual**2)) / np.sqrt(np.mean(g**2)))
@@ -644,8 +654,7 @@ def fit_ou(rates: RateDataset, transmon: TransmonParams,
     sigma_0, kappa_0 = _ou_start(g, slopes, sqrt_w)
 
     def residual(x: np.ndarray) -> np.ndarray:
-        model = gamma_phi_rate(abs(x[0]) * slopes, abs(x[1]))
-        return (model - g) * sqrt_w
+        return (ou_curve(x, slopes) - g) * sqrt_w
 
     x0 = np.array([sigma_0, kappa_0])
     x_scale = np.array([max(sigma_0, 1e-6), max(kappa_0, 2 * math.pi * 1e6)])

@@ -5,12 +5,16 @@ textbook elimination, and a stochastic simulation with exact one-step
 updates. Production code must agree with these within stated tolerances.
 """
 import cmath
+import csv
+import io
 import math
 from decimal import Decimal, localcontext
 
 import numpy as np
 
-from mzq.components import _IDEAL_BS, _branchline_coefficients, qubit_rt_many
+from mzq.components import (CSV_HEADER, PATHS, _IDEAL_BS, _branchline_coefficients,
+                            qubit_rt_many)
+from mzq.estimate import RATES_CSV_HEADER
 from mzq.netcore import SingularSystem
 
 
@@ -197,3 +201,31 @@ def dephasing_rate_oracle(v: float, kappa: float) -> float:
             else:
                 hi = mid
         return float(Decimal(kappa) / ((lo + hi) / 2))
+
+
+def _fmt(x: float) -> str:
+    return format(float(x), ".17g")
+
+
+def trace_csv_oracle(trace) -> str:
+    """Trace CSV text written row by row: one writerow and three _fmt calls per sample."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for path in PATHS:
+        if path not in trace.values:
+            continue
+        vals = trace.values[path]
+        for f, v in zip(trace.freqs, vals):
+            writer.writerow([_fmt(f), _fmt(v.real), _fmt(v.imag), path, trace.label])
+    return buf.getvalue()
+
+
+def rates_csv_oracle(rates) -> str:
+    """Rate-table CSV text joined line by line with one _fmt call per field."""
+    lines = [RATES_CSV_HEADER]
+    for i in range(len(rates)):
+        lines.append(",".join(_fmt(float(col[i])) for col in (
+            rates.omega01, rates.gamma1, rates.gamma_phi, rates.flux,
+            rates.rel_err_gamma_phi)))
+    return "\n".join(lines) + "\n"

@@ -16,7 +16,8 @@ from mzq.components import (
     trace_to_json,
     write_trace_json,
 )
-from mzq.estimate import RateDataset, read_fit_json, read_rates_csv, write_rates_csv
+from mzq.estimate import (RateDataset, fit_ou, ou_curve, read_fit_json, read_rates_csv,
+                          write_rates_csv)
 from mzq.physics import (
     BathModel,
     DegenerateFlux,
@@ -187,8 +188,11 @@ def _bad_json(**edits):
     (_bad_json(drive_port=True), "drive_port"),
     (_bad_json(flux_phi0="0.2"), "flux_phi0"),
     (_bad_json(flux_phi0=math.nan), "flux_phi0"),
+    # one re with 51 im used to broadcast into 51 samples sharing a real part
+    (_bad_json(paths={"s12": {"re": [0.5], "im": [0.1] * 51}}),
+     "path 's12': re, im and freq_hz differ in length"),
 ], ids=["csv-nan-sample", "json-inf-sample", "json-drive-port-string",
-        "json-drive-port-bool", "json-flux-string", "json-flux-nan"])
+        "json-drive-port-bool", "json-flux-string", "json-flux-nan", "json-re-im-lengths"])
 def test_bad_trace_input_exits_2(tmp_path, capsys, make_input, message):
     trace = synthesize(make_interferometer(qubit=_truth_qubit()),
                        np.linspace(5.17e9, 5.23e9, 51))
@@ -323,6 +327,25 @@ def test_batch_fits_a_synth_twin_once_from_its_json(tmp_path):
     assert rates.flux[0] == 0.17
 
 
+def test_repeated_batch_fit_into_its_input_dir_skips_its_own_outputs(tmp_path):
+    batch = tmp_path / "batch"
+    cfg = _write(tmp_path / "synth.json", {
+        "circuit": {"qubit": QUBIT_CFG},
+        "grid": GRID_CFG,
+        "noise_sigma": 0.005,
+        "flux_phi0": 0.17,
+    })
+    assert _run("synth", "--config", cfg, "--out", str(batch), "--quiet") == 0
+    fit_cfg = _write(tmp_path / "fit.json", {"input_dir": str(batch), "init": QUBIT_CFG,
+                                             "rates_csv": "sweep_rates.csv"})
+    assert _run("fit-spectrum", "--config", fit_cfg, "--out", str(batch), "--quiet") == 0
+    first = (batch / "sweep_rates.csv").read_bytes()
+    assert sorted(p.name for p in batch.iterdir()) == [
+        "sweep_rates.csv", "trace.csv", "trace.json", "trace_fit.json", "trace_residuals.csv"]
+    assert _run("fit-spectrum", "--config", fit_cfg, "--out", str(batch), "--quiet") == 0
+    assert (batch / "sweep_rates.csv").read_bytes() == first
+
+
 def test_fit_spectrum_needs_exactly_one_input(tmp_path):
     cfg = _write(tmp_path / "fit.json", {"input_csv": "a.csv", "input_json": "b.json"})
     assert _run("fit-spectrum", "--config", cfg, "--out", str(tmp_path / "out")) == 2
@@ -431,10 +454,35 @@ def test_degenerate_flux_rows_keep_their_exclusion_reasons(tmp_path):
             if not slope > 0:
                 reasons.append("zero_flux_sensitivity")
         if reasons:
-            lines.append(",".join((str(i), cli._fmt(rates.omega01[i]), cli._fmt(rates.gamma_phi[i]),
-                                   cli._fmt(rates.rel_err_gamma_phi[i]), ";".join(reasons))))
+            lines.append(",".join((str(i), *(format(float(x), ".17g") for x in (
+                rates.omega01[i], rates.gamma_phi[i], rates.rel_err_gamma_phi[i])),
+                ";".join(reasons))))
     assert (out / "excluded_rows.csv").read_text() == "\n".join(lines) + "\n"
     assert len(lines) == 1 + 2 + 5
+
+
+def test_ou_band_takes_its_dof_from_the_rows_the_fit_keeps(tmp_path):
+    rates_path = _rates_table(tmp_path)
+    rates = read_rates_csv(rates_path)
+    # a usable row with a negative gamma_phi, which the OU fit drops
+    rates = RateDataset(*(np.append(col, sign * col[3]) for col, sign in (
+        (rates.omega01, 1), (rates.gamma1, 1), (rates.gamma_phi, -1), (rates.flux, 1),
+        (rates.rel_err_gamma_phi, 1))))
+    write_rates_csv(rates_path, rates)
+    cfg = _write(tmp_path / "rates_cfg.json", {
+        "rates_csv": str(rates_path), "transmon": TRANSMON_CFG, "band_points": 20})
+    out = tmp_path / "out"
+    assert _run("fit-rates", "--config", cfg, "--out", str(out), "--quiet") == 0
+
+    lines = (out / "curve_gamma_phi_ou.csv").read_text().splitlines()[1:]
+    xs, y, lo, hi = np.array([[float(v) for v in ln.split(",")] for ln in lines]).T
+    ou = fit_ou(read_rates_csv(rates_path), TransmonParams(ej_max=20.0e9, ec=592.4e6))
+    pvec = np.array(list(ou.params.values()))
+    kept = len(rates) - 3  # less the noisy row, the untagged row and the negative one
+    band = cli._band(ou_curve, pvec, ou.covariance, xs, kept - 2)
+    assert np.array_equal(np.array([y, lo, hi]), np.array(band))
+    _, _, hi_usable = cli._band(ou_curve, pvec, ou.covariance, xs, kept - 1)
+    assert not np.allclose(hi_usable - y, hi - y, rtol=1e-4, atol=0)
 
 
 @pytest.mark.parametrize("column,value", [(1, "nan"), (1, "inf"), (2, "nan"), (2, "-inf")])

@@ -35,7 +35,7 @@ from mzq.components import (
 )
 from mzq.netcore import SingularSystem, solve_port_system_many
 
-from oracles import splitter_stack_oracle, transfer_chain_oracle
+from oracles import splitter_stack_oracle, trace_csv_oracle, transfer_chain_oracle
 
 CENTER_HZ = 5.746e9
 W_CENTER = 2 * math.pi * CENTER_HZ
@@ -471,12 +471,46 @@ def test_json_round_trip_keeps_metadata(tmp_path):
     assert trace_to_json(back) == path.read_text()
 
 
-def test_written_trace_json_equals_trace_to_json(tmp_path):
+@pytest.mark.parametrize("write, render", [(write_trace_json, trace_to_json),
+                                           (write_trace_csv, trace_to_csv)],
+                         ids=["json", "csv"])
+def test_written_trace_json_equals_trace_to_json(tmp_path, write, render):
     trace = _example_trace()
     del trace.values["s14"]
-    path = tmp_path / "trace.json"
-    write_trace_json(path, trace)
-    assert path.read_text() == trace_to_json(trace)
+    path = tmp_path / "trace.out"
+    write(path, trace)
+    assert path.read_text() == render(trace)
+
+
+_ODD_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                               -2.5e-310, 2.2250738585072014e-308, 1.7976931348623157e308])
+
+
+@st.composite
+def _odd_traces(draw):
+    freqs = sorted(draw(st.lists(st.floats(-1e300, 1e300) | _ODD_FLOATS.filter(math.isfinite),
+                                 min_size=1, max_size=12, unique=True)))
+    samples = st.lists(st.floats() | _ODD_FLOATS, min_size=2 * len(freqs),
+                       max_size=2 * len(freqs))
+    paths = draw(st.lists(st.sampled_from(PATHS), min_size=1, unique=True))
+    label = draw(st.text(st.sampled_from(list('ab 7,"\n;')), max_size=8))
+    return SpectrumTrace(freqs=np.array(freqs), label=label,
+                         values={p: np.array(draw(samples)).view(complex) for p in paths})
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(trace=_odd_traces())
+def test_csv_writer_matches_the_row_by_row_oracle(trace):
+    text = trace_to_csv(trace)
+    assert text == trace_csv_oracle(trace)
+    if all(np.isfinite(v).all() for v in trace.values.values()):
+        back = trace_from_csv(text)
+        assert back.label == trace.label
+        # bit patterns, so that -0.0 and subnormals must survive too
+        assert np.array_equal(back.freqs.view(np.int64), trace.freqs.view(np.int64))
+        assert back.values.keys() == trace.values.keys()
+        for p, v in trace.values.items():
+            assert np.array_equal(back.values[p].view(np.int64), v.view(np.int64))
 
 
 def test_csv_parse_errors_carry_line_numbers():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mzq.components import (
     QubitScatterer,
@@ -44,6 +46,8 @@ from mzq.physics import (
     gamma_phi_model,
     gamma_phi_rate,
 )
+
+from oracles import rates_csv_oracle
 
 TRANSMON = TransmonParams(ej_max=20.0e9, ec=592.4e6)
 TRUTH = QubitScatterer(omega01=2 * math.pi * 5.2e9, gamma1=2 * math.pi * 1.0e6,
@@ -458,6 +462,23 @@ def test_rate_table_round_trip(tmp_path):
     for name in ("omega01", "gamma1", "gamma_phi", "flux", "rel_err_gamma_phi"):
         assert np.array_equal(getattr(back, name), getattr(rates, name), equal_nan=True)
     assert rates_to_csv(back) == path.read_text()
+
+
+_ANY_FLOAT = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(rows=st.lists(st.tuples(st.floats(1e-300, 1e300), _ANY_FLOAT, _ANY_FLOAT,
+                               _ANY_FLOAT, _ANY_FLOAT), min_size=1, max_size=10))
+def test_rates_csv_matches_the_row_by_row_oracle(rows):
+    rates = RateDataset(*(np.array(col) for col in zip(*rows)))
+    text = rates_to_csv(rates)
+    assert text == rates_csv_oracle(rates)
+    if np.isfinite(rates.gamma1).all() and np.isfinite(rates.gamma_phi).all():
+        back = rates_from_csv(text)
+        for name in ("omega01", "gamma1", "gamma_phi", "flux", "rel_err_gamma_phi"):
+            assert np.array_equal(getattr(back, name).view(np.int64),
+                                  getattr(rates, name).view(np.int64))
 
 
 def test_rate_table_parse_errors():
