@@ -15,7 +15,6 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .components import (
     CircuitSpec,
@@ -33,12 +32,10 @@ from .components import (
 )
 from .estimate import (
     BadInitialization,
-    FitResult,
     IllPosed,
     NoConvergence,
     NoFeature,
     RateDataset,
-    calibration_curve,
     classify_regime,
     fit_gamma1,
     fit_gamma_phi_power,
@@ -47,10 +44,11 @@ from .estimate import (
     gamma1_curve,
     ou_curve,
     read_rates_csv,
+    spectrum_curve,
     write_fit_json,
     write_rates_csv,
-    _slope_rows,
 )
+from .leastsq import prediction_band
 from .netcore import SingularSystem
 from .physics import (
     BathModel,
@@ -237,7 +235,7 @@ def _write_trace(out_dir: Path, basename: str, trace, quiet: bool) -> None:
     _say(quiet, f"wrote {json_path}")
 
 
-def cmd_simulate(config: dict, out_dir: Path, seed: int | None, quiet: bool) -> int:
+def cmd_simulate(config: dict, out_dir: Path, quiet: bool) -> int:
     spec, freqs, drive, label, basename, flux = _trace_common(config, synth=False)
     trace = sweep(spec, freqs, drive_port=drive, label=label)
     trace.flux_phi0 = flux
@@ -245,7 +243,7 @@ def cmd_simulate(config: dict, out_dir: Path, seed: int | None, quiet: bool) -> 
     return 0
 
 
-def cmd_synth(config: dict, out_dir: Path, seed: int | None, quiet: bool) -> int:
+def cmd_synth(config: dict, out_dir: Path, quiet: bool, seed: int | None = None) -> int:
     spec, freqs, drive, label, basename, flux = _trace_common(config, synth=True)
     noise = _num(config, "noise_sigma", "config", minimum=0)
     if seed is None:
@@ -279,17 +277,6 @@ def _fit_options(config: dict) -> dict | None:
     return opts
 
 
-def _model_cross(template: CircuitSpec, result: FitResult, rabi: float,
-                 freqs: np.ndarray) -> dict[str, np.ndarray]:
-    p = result.params
-    qubit = QubitScatterer(omega01=p["omega01"], gamma1=p["gamma1"],
-                           gamma_phi=p["gamma_phi"], r0=p["r0"], rabi=rabi)
-    model = sweep(replace(template, qubit=qubit), freqs)
-    cal = calibration_curve(p["scale_re"], p["scale_im"], p["phase_slope"],
-                            freqs, float(np.mean(freqs)))
-    return {path: model.values[path] * cal for path in CROSS_PATHS}
-
-
 def _write_residuals(path: Path, trace, model: dict[str, np.ndarray]) -> None:
     with open(path, "w") as fh:
         write_csv_columns(fh, ("freq_hz", "path", "data_re", "data_im", "model_re", "model_im"))
@@ -308,18 +295,17 @@ def _fit_one_trace(trace_path: Path, template: CircuitSpec,
     fit_path = out_dir / f"{stem}_fit.json"
     write_fit_json(fit_path, result)
     rabi = init.rabi if init is not None else 0.0
-    model = _model_cross(replace(template, qubit=None), result, rabi, trace.freqs)
+    model = spectrum_curve(template, list(result.params.values()), rabi, trace.freqs)
     resid_path = out_dir / f"{stem}_residuals.csv"
     _write_residuals(resid_path, trace, model)
     _say(quiet, f"wrote {fit_path}")
     _say(quiet, f"wrote {resid_path}")
     flux = trace.flux_phi0 if trace.flux_phi0 is not None else math.nan
-    row = (result.params["omega01"], result.params["gamma1"],
-           result.params["gamma_phi"], flux, result.rel_err["gamma_phi"])
-    return row
+    return (result.params["omega01"], result.params["gamma1"],
+            result.params["gamma_phi"], flux, result.rel_err["gamma_phi"])
 
 
-def cmd_fit_spectrum(config: dict, out_dir: Path, seed: int | None, quiet: bool) -> int:
+def cmd_fit_spectrum(config: dict, out_dir: Path, quiet: bool) -> int:
     _check_keys(config, "config", _FIT_SPECTRUM_KEYS)
     inputs = [k for k in ("input_csv", "input_json", "input_dir") if k in config]
     if len(inputs) != 1:
@@ -373,21 +359,6 @@ def cmd_fit_spectrum(config: dict, out_dir: Path, seed: int | None, quiet: bool)
 _FIT_RATES_KEYS = {"rates_csv", "transmon", "rel_err_max", "band_points"}
 
 
-def _band(curve, pvec: np.ndarray, cov: np.ndarray, xs: np.ndarray, dof: int):
-    """Model curve with a linearized 95% band from the parameter covariance."""
-    y = curve(pvec, xs)
-    k = cov.shape[0]
-    grad = np.empty((xs.size, k))
-    for i in range(k):
-        h = 1e-6 * max(abs(pvec[i]), 1e-12)
-        stepped = pvec.copy()
-        stepped[i] += h
-        grad[:, i] = (curve(stepped, xs) - y) / h
-    var = np.einsum("ni,ij,nj->n", grad, cov[:k, :k], grad)
-    half = stdtrit(max(dof, 1), 0.975) * np.sqrt(np.maximum(var, 0.0))
-    return y, y - half, y + half
-
-
 def _write_csv(path: Path, quiet: bool, header, *columns) -> None:
     with open(path, "w") as fh:
         write_csv_columns(fh, header, *columns)
@@ -398,7 +369,7 @@ def _power_curve(p, x):
     return abs(p[0]) * x ** p[1]
 
 
-def cmd_fit_rates(config: dict, out_dir: Path, seed: int | None, quiet: bool) -> int:
+def cmd_fit_rates(config: dict, out_dir: Path, quiet: bool) -> int:
     _check_keys(config, "config", _FIT_RATES_KEYS)
     rates_path = Path(_str(config, "rates_csv", "config"))
     transmon = _build_transmon(_obj(config, "transmon", "config"), "config.transmon")
@@ -435,19 +406,17 @@ def cmd_fit_rates(config: dict, out_dir: Path, seed: int | None, quiet: bool) ->
         xs = None
     ws = np.linspace(rates.omega01.min(), rates.omega01.max(), band_points)
     phi_cols = ("slope_rad_s_per_phi0", "gamma_phi_rad_s")
-    reports = (  # name, fit, model curve, grid, Student-t dof, curve file, its x and y columns
-        ("gamma1", lambda: fit_gamma1(rates), gamma1_curve, ws, len(rates) - 4,
+    reports = (  # name, fit, model curve, grid, curve file, its x and y columns
+        ("gamma1", lambda: fit_gamma1(rates), gamma1_curve, ws,
          "curve_gamma1.csv", ("omega01_rad_s", "gamma1_rad_s")),
         ("gamma_phi_power", lambda: fit_gamma_phi_power(rates, transmon, rel_err_max),
-         _power_curve, xs, len(_slope_rows(rates, transmon, rel_err_max, True)[0]) - 2,
-         "curve_gamma_phi_power.csv", phi_cols),
+         _power_curve, xs, "curve_gamma_phi_power.csv", phi_cols),
         ("ou", lambda: fit_ou(rates, transmon, rel_err_max),
-         ou_curve, xs, len(_slope_rows(rates, transmon, rel_err_max, False)[0]) - 2,
-         "curve_gamma_phi_ou.csv", phi_cols),
+         ou_curve, xs, "curve_gamma_phi_ou.csv", phi_cols),
     )
 
     failures = []
-    for name, fit, curve, grid, dof, curve_name, cols in reports:
+    for name, fit, curve, grid, curve_name, cols in reports:
         try:
             result = fit()
         except Exception as exc:
@@ -457,8 +426,8 @@ def cmd_fit_rates(config: dict, out_dir: Path, seed: int | None, quiet: bool) ->
         _say(quiet, f"wrote {out_dir / f'{name}_fit.json'}")
         if grid is not None:
             pvec = np.array(list(result.params.values()))
-            _write_csv(out_dir / curve_name, quiet, (*cols, "lo95_rad_s", "hi95_rad_s"),
-                       grid, *_band(curve, pvec, result.covariance, grid, dof))
+            _write_csv(out_dir / curve_name, quiet, (*cols, "lo95_rad_s", "hi95_rad_s"), grid,
+                       *prediction_band(curve, pvec, result.covariance, grid, result.dof))
 
     for name, err in failures:
         print(f"{name} fit failed: {err}", file=sys.stderr)
@@ -469,7 +438,7 @@ def cmd_fit_rates(config: dict, out_dir: Path, seed: int | None, quiet: bool) ->
 # classify
 # ---------------------------------------------------------------------------
 
-def cmd_classify(config: dict, out_dir: Path, seed: int | None, quiet: bool) -> int:
+def cmd_classify(config: dict, out_dir: Path, quiet: bool) -> int:
     _check_keys(config, "config", {"input_csv", "input_json"})
     inputs = [k for k in ("input_csv", "input_json") if k in config]
     if len(inputs) != 1:
@@ -509,9 +478,9 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed (synth only)")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
+        if name == "synth":
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
     return parser
 
 
@@ -524,7 +493,8 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError("config: top level must be a JSON object")
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](config, out_dir, args.seed, args.quiet)
+        extra = {"seed": args.seed} if args.command == "synth" else {}
+        return _COMMANDS[args.command](config, out_dir, args.quiet, **extra)
     except (DegenerateScatterer, SingularSystem) as exc:
         freq = getattr(exc, "frequency", None)
         detail = f" at frequency {freq:.6g} Hz" if freq is not None else ""

@@ -200,6 +200,8 @@ class SpectrumTrace:
         self.values = vals
         if not math.isfinite(self.noise_sigma) or self.noise_sigma < 0:
             raise ValueError("noise_sigma must be finite and >= 0")
+        if "\r" in self.label:  # csv.writer leaves it unquoted: the CSV would not read back
+            raise ValueError("label must not contain a carriage return")
 
     def cross_path(self) -> str:
         """Preferred cross path: the one matching drive_port when known."""
@@ -463,9 +465,17 @@ def trace_to_csv(trace: SpectrumTrace) -> str:
     return buf.getvalue()
 
 
+def _csv_rows(text: str):
+    reader = csv.reader(io.StringIO(text))
+    try:
+        yield from reader
+    except csv.Error as err:  # e.g. a field over csv's size limit
+        raise TraceParseError(f"line {reader.line_num}: {err}") from None
+
+
 def trace_from_csv(text: str) -> SpectrumTrace:
     """Parse CSV produced by trace_to_csv; errors carry the 1-based line number."""
-    reader = csv.reader(io.StringIO(text))
+    reader = _csv_rows(text)
     try:
         header = next(reader)
     except StopIteration:

@@ -13,7 +13,6 @@ import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .components import (
     CROSS_PATHS,
@@ -25,10 +24,12 @@ from .components import (
 )
 from .leastsq import (
     BadInitialization,
+    LMResult,
     NoConvergence,
     confidence_half_widths,
     covariance,
     levenberg_marquardt,
+    t_quantile,
 )
 from .physics import (BathModel, TransmonParams, _phase_variance_kernel, flux_slope,
                       gamma1_model, gamma_phi_rate)
@@ -86,7 +87,8 @@ class FitResult:
     """Point estimates with linearized 95% confidence half-widths.
 
     rel_err maps each ci95 key to ci95/|estimate|. covariance (when present)
-    is ordered like the leading params keys and is not serialized.
+    is ordered like the leading params keys; dof is the residual degrees of
+    freedom behind the intervals. Neither is serialized.
     """
 
     params: dict[str, float]
@@ -96,6 +98,7 @@ class FitResult:
     iterations: int
     converged: bool
     covariance: np.ndarray | None = field(default=None, repr=False, compare=False)
+    dof: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
         for k, hw in self.ci95.items():
@@ -144,10 +147,19 @@ class FitResult:
 
 
 def _make_result(params: dict[str, float], ci95: dict[str, float], residual_rms: float,
-                 iterations: int, converged: bool, cov: np.ndarray | None) -> FitResult:
+                 iterations: int, cov: np.ndarray, dof: int) -> FitResult:
     return FitResult(params=params, ci95=ci95, rel_err=_rel_err_map(params, ci95),
                      residual_rms=residual_rms, iterations=iterations,
-                     converged=converged, covariance=cov)
+                     converged=True, covariance=cov, dof=dof)
+
+
+def _lm_fit_result(res: LMResult, params: dict[str, float], residual_rms: float) -> FitResult:
+    """Result of a converged LM fit: one covariance, ci95 on the leading params."""
+    m, n = res.jacobian.shape
+    cov = covariance(res)
+    hw = confidence_half_widths(cov, m - n)
+    ci95 = {k: float(h) for k, h in zip(params, hw)}
+    return _make_result(params, ci95, residual_rms, res.iterations, cov, m - n)
 
 
 def write_fit_json(path, result: FitResult) -> None:
@@ -341,8 +353,12 @@ def calibration_curve(scale_re: float, scale_im: float, phase_slope: float,
     return (scale_re + 1j * scale_im) * np.exp(-2j * np.pi * (freqs - f_ref) * phase_slope)
 
 
-def _calibration(x: np.ndarray, freqs: np.ndarray, f_ref: float) -> np.ndarray:
-    return calibration_curve(x[4], x[5], x[6], freqs, f_ref)
+def spectrum_curve(template: CircuitSpec, x, rabi: float,
+                   freqs: np.ndarray) -> dict[str, np.ndarray]:
+    """Calibrated cross paths at the folded fit parameters x (fit_spectrum's order)."""
+    model = sweep(replace(template, qubit=_fold_qubit(x, rabi)), freqs)
+    cal = calibration_curve(x[4], x[5], x[6], freqs, float(np.mean(freqs)))
+    return {p: model.values[p] * cal for p in CROSS_PATHS}
 
 
 def _feature_init(freqs: np.ndarray, values: np.ndarray):
@@ -374,15 +390,13 @@ def fit_spectrum(trace: SpectrumTrace, spec_template: CircuitSpec,
 
     init seeds the start and fixes the drive amplitude; an init center that
     lies outside the swept window is replaced by the dominant feature in the
-    data, so one init can serve a whole flux sweep.
+    data, so one init can serve a whole flux sweep. options may override
+    the max_iter, ftol and xtol defaults of levenberg_marquardt.
     """
     opts = dict(options or {})
     unknown = set(opts) - {"max_iter", "ftol", "xtol"}
     if unknown:
         raise ValueError(f"unknown fit options: {sorted(unknown)}")
-    max_iter = int(opts.get("max_iter", 200))
-    ftol = float(opts.get("ftol", 1e-10))
-    xtol = float(opts.get("xtol", 1e-8))
 
     paths = [p for p in CROSS_PATHS if p in trace.values]
     if not paths:
@@ -444,18 +458,15 @@ def fit_spectrum(trace: SpectrumTrace, spec_template: CircuitSpec,
     data_vec = np.concatenate([np.concatenate([data[p].real, data[p].imag]) for p in paths])
 
     def residual(x: np.ndarray) -> np.ndarray:
-        qubit = _fold_qubit(x, rabi)
-        model_trace = sweep(replace(template, qubit=qubit), freqs)
-        cal = _calibration(x, freqs, f_ref)
+        model = spectrum_curve(template, x, rabi, freqs)
         parts = []
         for p in paths:
-            diff = model_trace.values[p] * cal - data[p]
+            diff = model[p] - data[p]
             parts.append(diff.real)
             parts.append(diff.imag)
         return np.concatenate(parts)
 
-    res = levenberg_marquardt(residual, x0, x_scale=x_scale, max_iter=max_iter,
-                              ftol=ftol, xtol=xtol)
+    res = levenberg_marquardt(residual, x0, x_scale=x_scale, **opts)
     if not res.converged:
         raise NoConvergence(
             f"spectrum fit stopped after {res.iterations} iterations, cost {res.cost:.3g}")
@@ -474,10 +485,8 @@ def fit_spectrum(trace: SpectrumTrace, spec_template: CircuitSpec,
         "scale_im": float(res.x[5]),
         "phase_slope": float(res.x[6]),
     }
-    hw = confidence_half_widths(res)
-    ci95 = {k: float(h) for k, h in zip(params, hw)}
     rms = float(np.sqrt(np.mean(res.residual**2)) / max(np.sqrt(np.mean(data_vec**2)), 1e-300))
-    return _make_result(params, ci95, rms, res.iterations, True, covariance(res))
+    return _lm_fit_result(res, params, rms)
 
 
 # ---------------------------------------------------------------------------
@@ -532,10 +541,8 @@ def fit_gamma1(rates: RateDataset) -> FitResult:
             f"relaxation-model fit stopped after {res.iterations} iterations")
 
     params = asdict(_fold_bath(res.x))  # alpha, lorentz_center, lorentz_fwhm, lorentz_height
-    hw = confidence_half_widths(res)
-    ci95 = {k: float(h) for k, h in zip(params, hw)}
     rms = float(np.sqrt(np.mean(res.residual**2)) / np.sqrt(np.mean(g**2)))
-    return _make_result(params, ci95, rms, res.iterations, True, covariance(res))
+    return _lm_fit_result(res, params, rms)
 
 
 def _slope_rows(rates: RateDataset, transmon: TransmonParams, rel_err_max: float,
@@ -579,10 +586,10 @@ def fit_gamma_phi_power(rates: RateDataset, transmon: TransmonParams,
     intercept = (swy - eta * swx) / sw
 
     resid = y - (intercept + eta * x)
-    dof = max(len(kept) - 2, 1)
+    dof = len(kept) - 2
     s2 = float(wgt @ resid**2) / dof
     cov_fit = s2 / det * np.array([[swxx, -swx], [-swx, sw]])
-    quantile = stdtrit(dof, 0.975)
+    quantile = t_quantile(dof, 0.975)
     amplitude = math.exp(intercept)
 
     params = {"amplitude": amplitude, "eta": eta}
@@ -594,7 +601,7 @@ def fit_gamma_phi_power(rates: RateDataset, transmon: TransmonParams,
         [amplitude * cov_fit[1, 0], cov_fit[1, 1]],
     ])
     rms = float(np.sqrt((wgt @ resid**2) / sw))
-    return _make_result(params, ci95, rms, 1, True, cov)
+    return _make_result(params, ci95, rms, 1, cov, dof)
 
 
 def _ou_sigmas(g: np.ndarray, slopes: np.ndarray, kappa: float) -> np.ndarray:
@@ -662,14 +669,9 @@ def fit_ou(rates: RateDataset, transmon: TransmonParams,
     if not res.converged:
         raise NoConvergence(f"flux-noise fit stopped after {res.iterations} iterations")
 
-    sigma, kappa = abs(res.x[0]), abs(res.x[1])
-    hw = confidence_half_widths(res)
-    dof = max(res.jacobian.shape[0] - 2, 1)
-    se_kappa = float(hw[1]) / stdtrit(dof, 0.975)
-    upper = kappa + stdtrit(dof, 0.95) * se_kappa
-
-    params = {"sigma": sigma, "kappa": kappa, "kappa_upper95": upper}
-    ci95 = {"sigma": float(hw[0]), "kappa": float(hw[1])}
     rms = float(np.sqrt(np.mean(res.residual**2)) /
                 max(np.sqrt(np.mean((g * sqrt_w) ** 2)), 1e-300))
-    return _make_result(params, ci95, rms, res.iterations, True, covariance(res))
+    result = _lm_fit_result(res, {"sigma": abs(res.x[0]), "kappa": abs(res.x[1])}, rms)
+    se_kappa = result.ci95["kappa"] / t_quantile(result.dof, 0.975)
+    upper = result.params["kappa"] + t_quantile(result.dof, 0.95) * se_kappa
+    return replace(result, params={**result.params, "kappa_upper95": upper})

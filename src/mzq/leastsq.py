@@ -2,7 +2,8 @@
 
 Small Levenberg-Marquardt engine used by the estimation layer. The residual
 function maps a parameter vector to a 1-d residual array; the engine
-minimizes the sum of squared residuals.
+minimizes the sum of squared residuals. The Student-t quantile, the
+parameter intervals and the prediction bands built on a fit live here too.
 """
 from __future__ import annotations
 
@@ -159,8 +160,22 @@ def covariance(result: LMResult) -> np.ndarray:
     return cov
 
 
-def confidence_half_widths(result: LMResult, level: float = 0.95) -> np.ndarray:
+def t_quantile(dof: int, p: float) -> float:
+    """Student-t quantile at probability p; a dof below 1 counts as 1."""
+    return stdtrit(max(dof, 1), p)
+
+
+def confidence_half_widths(cov: np.ndarray, dof: int, level: float = 0.95) -> np.ndarray:
     """Student-t half-widths of the marginal parameter confidence intervals."""
-    m, n = result.jacobian.shape
-    dof = max(m - n, 1)
-    return stdtrit(dof, 0.5 + level / 2) * np.sqrt(np.diag(covariance(result)))
+    return t_quantile(dof, 0.5 + level / 2) * np.sqrt(np.diag(cov))
+
+
+def prediction_band(curve: Callable[[np.ndarray, np.ndarray], np.ndarray], pvec: np.ndarray,
+                    cov: np.ndarray, xs: np.ndarray, dof: int):
+    """Curve over xs with its linearized 95% band, varying the first cov.shape[0] of pvec."""
+    p = pvec[:cov.shape[0]]
+    y = curve(p, xs)
+    grad = _jacobian(lambda q: curve(q, xs), p, y, np.full(p.size, 1e-12))
+    var = np.einsum("ni,ij,nj->n", grad, cov, grad)
+    half = t_quantile(dof, 0.975) * np.sqrt(np.maximum(var, 0.0))
+    return y, y - half, y + half

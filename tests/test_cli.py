@@ -16,8 +16,9 @@ from mzq.components import (
     trace_to_json,
     write_trace_json,
 )
-from mzq.estimate import (RateDataset, fit_ou, ou_curve, read_fit_json, read_rates_csv,
-                          write_rates_csv)
+from mzq.estimate import (RateDataset, fit_gamma1, fit_gamma_phi_power, fit_ou, ou_curve,
+                          read_fit_json, read_rates_csv, write_rates_csv)
+from mzq.leastsq import prediction_band
 from mzq.physics import (
     BathModel,
     DegenerateFlux,
@@ -96,6 +97,23 @@ def test_synth_is_seed_deterministic(tmp_path):
     assert read_trace(a / "trace.json").noise_sigma == 0.02
 
 
+def test_seed_is_a_synth_only_option(tmp_path):
+    cfg = _write(tmp_path / "sim.json", {"circuit": {"qubit": QUBIT_CFG}, "grid": GRID_CFG})
+    with pytest.raises(SystemExit) as exc:
+        _run("simulate", "--config", cfg, "--out", str(tmp_path / "out"), "--seed", "3")
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_carriage_return_label_exits_2_before_writing(tmp_path, capsys):
+    cfg = _write(tmp_path / "sim.json", {"circuit": {"qubit": QUBIT_CFG}, "grid": GRID_CFG,
+                                         "label": "a\rb"})
+    out = tmp_path / "out"
+    assert _run("simulate", "--config", cfg, "--out", str(out)) == 2
+    assert "carriage return" in capsys.readouterr().err
+    assert not (out / "trace.csv").exists()
+
+
 def test_flux_tag_survives_the_json_side(tmp_path):
     cfg = _write(tmp_path / "sim.json", {
         "circuit": {"qubit": QUBIT_CFG},
@@ -167,6 +185,14 @@ def _bad_csv_sample(trace, tmp_path):
     return path
 
 
+def _oversized_csv_field(trace, tmp_path):
+    lines = trace_to_csv(trace).splitlines()
+    lines[1] += "x" * 200_000  # past csv's default field size limit
+    path = tmp_path / "scan.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 def _bad_json(**edits):
     def make(trace, tmp_path):
         doc = json.loads(trace_to_json(trace))
@@ -183,6 +209,7 @@ def _bad_json(**edits):
 
 @pytest.mark.parametrize("make_input, message", [
     (_bad_csv_sample, "line 4: non-finite"),
+    (_oversized_csv_field, "line 2: field larger than field limit"),
     (_bad_json(re=math.inf), "non-finite sample"),
     (_bad_json(drive_port="4"), "drive_port"),
     (_bad_json(drive_port=True), "drive_port"),
@@ -191,7 +218,7 @@ def _bad_json(**edits):
     # one re with 51 im used to broadcast into 51 samples sharing a real part
     (_bad_json(paths={"s12": {"re": [0.5], "im": [0.1] * 51}}),
      "path 's12': re, im and freq_hz differ in length"),
-], ids=["csv-nan-sample", "json-inf-sample", "json-drive-port-string",
+], ids=["csv-nan-sample", "csv-oversized-field", "json-inf-sample", "json-drive-port-string",
         "json-drive-port-bool", "json-flux-string", "json-flux-nan", "json-re-im-lengths"])
 def test_bad_trace_input_exits_2(tmp_path, capsys, make_input, message):
     trace = synthesize(make_interferometer(qubit=_truth_qubit()),
@@ -479,10 +506,24 @@ def test_ou_band_takes_its_dof_from_the_rows_the_fit_keeps(tmp_path):
     ou = fit_ou(read_rates_csv(rates_path), TransmonParams(ej_max=20.0e9, ec=592.4e6))
     pvec = np.array(list(ou.params.values()))
     kept = len(rates) - 3  # less the noisy row, the untagged row and the negative one
-    band = cli._band(ou_curve, pvec, ou.covariance, xs, kept - 2)
+    band = prediction_band(ou_curve, pvec, ou.covariance, xs, kept - 2)
     assert np.array_equal(np.array([y, lo, hi]), np.array(band))
-    _, _, hi_usable = cli._band(ou_curve, pvec, ou.covariance, xs, kept - 1)
+    _, _, hi_usable = prediction_band(ou_curve, pvec, ou.covariance, xs, kept - 1)
     assert not np.allclose(hi_usable - y, hi - y, rtol=1e-4, atol=0)
+
+
+def test_rate_fits_carry_the_dof_of_their_bands(tmp_path):
+    rates = read_rates_csv(_rates_table(tmp_path))
+    # a usable row with gamma_phi = 0, which the power fit drops and the OU fit keeps
+    rates = RateDataset(*(np.append(col, value) for col, value in (
+        (rates.omega01, rates.omega01[3]), (rates.gamma1, rates.gamma1[3]),
+        (rates.gamma_phi, 0.0), (rates.flux, rates.flux[3]),
+        (rates.rel_err_gamma_phi, 0.1))))
+    transmon = TransmonParams(ej_max=20.0e9, ec=592.4e6)
+    assert fit_gamma1(rates).dof == len(rates) - 4
+    # less the noisy row and the untagged row, and for the power fit the zero row
+    assert fit_gamma_phi_power(rates, transmon).dof == len(rates) - 3 - 2
+    assert fit_ou(rates, transmon).dof == len(rates) - 2 - 2
 
 
 @pytest.mark.parametrize("column,value", [(1, "nan"), (1, "inf"), (2, "nan"), (2, "-inf")])
@@ -506,7 +547,7 @@ def test_band_matches_a_pointwise_reference():
     pvec = np.array([200e-6, 2 * MHZ])
     cov = np.array([[1e-11, 2e-2], [2e-2, 4e10]])
     xs = np.linspace(1e9, 3e10, 40)
-    y, lo, hi = cli._band(curve, pvec, cov, xs, 30)
+    y, lo, hi = prediction_band(curve, pvec, cov, xs, 30)
     quantile = stats.t.ppf(0.975, 30)
     for j, x in enumerate(xs):
         grad = np.empty(2)

@@ -253,6 +253,20 @@ def test_pure_ohmic_relaxation_is_fit_exactly():
     assert result.residual_rms < 1e-12
 
 
+def test_one_gamma1_fit_takes_one_svd(monkeypatch):
+    rates, _ = _gamma1_rates(noise=0.05, seed=1)
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    fit_gamma1(rates)
+    assert len(calls) == 1
+
+
 def test_noisy_relaxation_fit_covers_the_truth():
     hits = 0
     for seed in range(10):

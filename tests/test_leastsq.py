@@ -11,6 +11,7 @@ from mzq.leastsq import (
     confidence_half_widths,
     covariance,
     levenberg_marquardt,
+    t_quantile,
 )
 
 
@@ -87,7 +88,7 @@ def test_linear_regression_closed_form():
     cov_exact = s2 * np.linalg.inv(design.T @ design)
     assert np.allclose(covariance(res), cov_exact, rtol=1e-5)
     hw_exact = stats.t.ppf(0.975, dof) * np.sqrt(np.diag(cov_exact))
-    assert np.allclose(confidence_half_widths(res), hw_exact, rtol=1e-5)
+    assert np.allclose(confidence_half_widths(covariance(res), dof), hw_exact, rtol=1e-5)
     assert np.all(np.abs(res.x - beta) < 2 * hw_exact)
 
 
@@ -166,10 +167,16 @@ def test_covariance_survives_a_singular_jacobian():
 
     res = levenberg_marquardt(fn, [0.9, 0.9])
     assert np.all(np.diag(covariance(res)) == np.inf)
-    assert np.all(confidence_half_widths(res) == np.inf)
+    assert np.all(confidence_half_widths(covariance(res), t.size - 2) == np.inf)
     # an exactly zero residual must not turn 0 * inf into NaN, and the
     # identifiable third parameter keeps its zero-noise interval of 0
     jac = np.stack([t, t, t**2], axis=1)
     exact = LMResult(x=np.ones(3), cost=0.0, cost_history=[0.0], residual=np.zeros(12),
                      jacobian=jac, iterations=1, converged=True)
-    assert list(confidence_half_widths(exact)) == [np.inf, np.inf, 0.0]
+    assert list(confidence_half_widths(covariance(exact), t.size - 3)) == [np.inf, np.inf, 0.0]
+
+
+def test_t_quantile_counts_a_dof_below_one_as_one():
+    for dof in (1, 7, 2400):
+        assert t_quantile(dof, 0.975) == pytest.approx(stats.t.ppf(0.975, dof), rel=1e-12)
+    assert t_quantile(0, 0.95) == t_quantile(-3, 0.95) == t_quantile(1, 0.95)
