@@ -301,8 +301,13 @@ def qubit_rt_many(q: QubitScatterer, omegas: np.ndarray):
     return r, 1 - r
 
 
+def _transfer_block(r: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Transfer blocks (1/t) * [[t^2 - r^2, r], [-r, 1]], shape (N,2,2)."""
+    return np.moveaxis(np.array([[(t**2 - r**2) / t, r / t], [-r / t, 1 / t]]), -1, 0)
+
+
 def qubit_stack(q: QubitScatterer, omegas: np.ndarray) -> np.ndarray:
-    """Scatterer transfer blocks (1/t) * [[t^2 - r^2, r], [-r, 1]], shape (N,2,2)."""
+    """Scatterer transfer blocks at the lineshape's r, shape (N,2,2), gated on |t|."""
     w = np.asarray(omegas, dtype=float).reshape(-1)
     r, t = qubit_rt_many(q, w)
     small = np.abs(t) < T_DEGENERATE
@@ -312,7 +317,7 @@ def qubit_stack(q: QubitScatterer, omegas: np.ndarray) -> np.ndarray:
             f"|t| = {abs(t[idx]):.3g} below {T_DEGENERATE:.0e}",
             frequency=w[idx] / (2 * math.pi),
         )
-    return np.moveaxis(np.array([[(t**2 - r**2) / t, r / t], [-r / t, 1 / t]]), -1, 0)
+    return _transfer_block(r, t)
 
 
 def total_matrix_stack(spec: CircuitSpec, omegas: np.ndarray) -> np.ndarray:
@@ -324,13 +329,26 @@ def total_matrix_stack(spec: CircuitSpec, omegas: np.ndarray) -> np.ndarray:
     left splitter multiplies the result. The work runs frequency-last; the
     (N,4,4) result is a view of that layout.
     """
-    w = np.asarray(omegas, dtype=float).reshape(-1)
+    return _chain_stack(spec, np.asarray(omegas, dtype=float).reshape(-1), None)
+
+
+def _chain_stack(spec: CircuitSpec, w: np.ndarray, r: np.ndarray | None) -> np.ndarray:
+    """total_matrix_stack, with the scatterer's reflection r per frequency when given.
+
+    Without r the block is qubit_stack of spec.qubit, or the arm is empty.
+    A given r replaces spec.qubit and is not gated: the caller keeps
+    |1 - r| clear of 0.
+    """
     bs = np.moveaxis(bs_stack(spec.splitter, w), 0, -1)
     d = tl_stack(spec.lines, w).T
     inner_bs = (d * d)[:, None] * bs
-    if spec.qubit is not None:
+    if r is not None or spec.qubit is not None:
         arm = slice(0, 2) if spec.qubit_arm == "a" else slice(2, 4)
-        block = d[arm, None] * np.moveaxis(qubit_stack(spec.qubit, w), 0, -1) * d[None, arm]
+        # the unscaled block stays a temporary: a name on it would add N*64 bytes to the peak
+        block = (d[arm, None]
+                 * np.moveaxis(qubit_stack(spec.qubit, w) if r is None
+                               else _transfer_block(r, 1 - r), 0, -1)
+                 * d[None, arm])
         inner_bs[arm] = np.einsum("kln,ljn->kjn", block, bs[arm])
     return np.moveaxis(np.einsum("ikn,kjn->ijn", bs, inner_bs), -1, 0)
 
@@ -466,9 +484,17 @@ def trace_to_csv(trace: SpectrumTrace) -> str:
 
 
 def _csv_rows(text: str):
+    """Yield (line, row): the 1-based physical line each record starts on.
+
+    A quoted field may span lines, so a record starts one line after the
+    last line of the record before it.
+    """
     reader = csv.reader(io.StringIO(text))
+    start = 1
     try:
-        yield from reader
+        for row in reader:
+            yield start, row
+            start = reader.line_num + 1
     except csv.Error as err:  # e.g. a field over csv's size limit
         raise TraceParseError(f"line {reader.line_num}: {err}") from None
 
@@ -477,7 +503,7 @@ def trace_from_csv(text: str) -> SpectrumTrace:
     """Parse CSV produced by trace_to_csv; errors carry the 1-based line number."""
     reader = _csv_rows(text)
     try:
-        header = next(reader)
+        _, header = next(reader)
     except StopIteration:
         raise TraceParseError("line 1: empty trace file") from None
     if tuple(h.strip() for h in header) != CSV_HEADER:
@@ -485,7 +511,7 @@ def trace_from_csv(text: str) -> SpectrumTrace:
     freqs: dict[str, list[float]] = {}
     vals: dict[str, list[complex]] = {}
     label = None
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in reader:
         if not row:
             continue
         if len(row) != 5:

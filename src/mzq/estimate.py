@@ -19,7 +19,10 @@ from .components import (
     CircuitSpec,
     QubitScatterer,
     SpectrumTrace,
+    _chain_stack,
+    qubit_rt_many,
     sweep,
+    total_matrix_stack,
     write_csv_columns,
 )
 from .leastsq import (
@@ -31,6 +34,7 @@ from .leastsq import (
     levenberg_marquardt,
     t_quantile,
 )
+from .netcore import solve_port_system_many
 from .physics import (BathModel, TransmonParams, _phase_variance_kernel, flux_slope,
                       gamma1_model, gamma_phi_rate)
 
@@ -330,16 +334,123 @@ def classify_regime(trace: SpectrumTrace) -> RegimeLabel:
 # per-spectrum fit
 # ---------------------------------------------------------------------------
 
+# fold bounds: gamma1 stays off 0 so the saturation term is finite, and r0
+# stays off full reflection so |t| = |1 - r| >= 1 - Re(r) >= _R0_MIN
+_GAMMA1_MIN = 1e-3
+_R0_MIN = 1e-6
+
+
 def _fold_qubit(x: np.ndarray, rabi: float) -> QubitScatterer:
-    # reflective folding keeps the forward model valid at any step the
-    # optimizer tries; r0 stays clear of full reflection so 1/t is tame
+    # reflective folding keeps the forward model valid at any step the optimizer tries
     return QubitScatterer(
         omega01=abs(x[0]),
-        gamma1=max(abs(x[1]), 1e-3),
+        gamma1=max(abs(x[1]), _GAMMA1_MIN),
         gamma_phi=abs(x[2]),
-        r0=min(max(abs(x[3]), 1e-6), 1 - 1e-6),
+        r0=min(max(abs(x[3]), _R0_MIN), 1 - _R0_MIN),
         rabi=rabi,
     )
+
+
+def _reflection_gradient(x: np.ndarray, rabi: float, w: np.ndarray):
+    """Scatterer reflection r at the folded x and dr/dx[:4], shapes (N,) and (N,4).
+
+    r = r0 (1 - i delta) / (1 + delta^2 + s) with delta = (w - omega01)/G2,
+    G2 = gamma1/2 + gamma_phi and s = rabi^2/(gamma1 G2). The chain rule
+    runs through _fold_qubit: each abs contributes its sign, and a clamped
+    gamma1 or r0 has zero derivative.
+    """
+    q = _fold_qubit(x, rabi)
+    r = qubit_rt_many(q, w)[0]
+    g2 = q.gamma2
+    detune = (w - q.omega01) / g2
+    sat = rabi**2 / (q.gamma1 * g2) if rabi > 0 else 0.0
+    den = 1 + detune**2 + sat
+    dr_ddetune = q.r0 * (-1j * den - 2 * detune * (1 - 1j * detune)) / den**2
+    dr_dsat = -r / den
+    dr_dg2 = -(dr_ddetune * detune + dr_dsat * sat) / g2
+    grad = np.stack([-dr_ddetune / g2,
+                     dr_dg2 / 2 - dr_dsat * sat / q.gamma1,
+                     dr_dg2,
+                     r / q.r0], axis=1)
+    fold = np.sign(x[:4]) * [1.0, abs(x[1]) > _GAMMA1_MIN, 1.0,
+                             _R0_MIN < abs(x[3]) < 1 - _R0_MIN]
+    return r, grad * fold
+
+
+# sweep's port-solution entry of each cross path: (output row, drive column)
+_CROSS_ENTRY = {"s12": (0, 0), "s34": (1, 1)}
+# the fixed reflection at which the embedding is built and, with its
+# negative, the Mobius coefficients are sampled
+_R_PROBE = 0.5
+
+
+def _cross_path_embedding(template: CircuitSpec, freqs: np.ndarray, paths: list[str]):
+    """Exact dependence of the template's cross paths on a scatterer's reflection r.
+
+    Per frequency (1 - r) M(r) = A + r B, with A the empty-arm total and B
+    from one more build at r = 1/2. Returns (solve_at, mobius): solve_at(r)
+    forms M(r) and solves it through the gated port solve, so it is sweep's
+    cross paths, template calibration included, to rounding; mobius maps
+    each path to (a, b, d) with S(r) = (a + b r)/(1 + d r), fitted to the
+    gated solves at r = 0 and r = +-1/2. a is the qubit-free background.
+    """
+    w = 2 * math.pi * freqs
+    cal0 = template.cal_scale * np.exp(-1j * w * template.cal_delay)  # as sweep applies it
+    a_tot = total_matrix_stack(template, w)
+    probe = _chain_stack(template, w, np.full(w.size, _R_PROBE))
+    b_tot = ((1 - _R_PROBE) * probe - a_tot) / _R_PROBE
+
+    def solve(totals) -> dict[str, np.ndarray]:
+        x = solve_port_system_many(totals, frequencies=freqs)
+        return {p: x[:, i, j] * cal0 for p, (i, j) in _CROSS_ENTRY.items() if p in paths}
+
+    def solve_at(r: np.ndarray) -> dict[str, np.ndarray]:
+        return solve((a_tot + r[:, None, None] * b_tot) / (1 - r)[:, None, None])
+
+    s0, s_plus = solve(a_tot), solve(probe)
+    s_minus = solve((a_tot - _R_PROBE * b_tot) / (1 + _R_PROBE))
+    mobius = {}
+    for p in s0:
+        d = (s_plus[p] + s_minus[p] - 2 * s0[p]) / (_R_PROBE * (s_minus[p] - s_plus[p]))
+        mobius[p] = (s0[p], (s_plus[p] - s0[p]) / _R_PROBE + s_plus[p] * d, d)
+    return solve_at, mobius
+
+
+def _embedded_spectrum(template: CircuitSpec, freqs: np.ndarray, rabi: float,
+                       paths: list[str]):
+    """Calibrated cross paths and their Jacobian as functions of the fit vector x.
+
+    Returns (model, jacobian, mobius): model(x) is solve_at of
+    _cross_path_embedding at the folded lineshape's r times the fit
+    calibration; jacobian(x) maps each path to its (N,7) complex derivative,
+    dS/dr = (b - a d)/(1 + d r)^2 times dr/dx, and closed-form calibration
+    columns; mobius is the embedding's, whose a is the qubit-free background.
+    """
+    w = 2 * math.pi * freqs
+    f_ref = float(np.mean(freqs))
+    solve_at, mobius = _cross_path_embedding(template, freqs, paths)
+
+    def model(x) -> dict[str, np.ndarray]:
+        # qubit_stack's |t| gate is not needed: the fold keeps r0 <= 1 - _R0_MIN,
+        # so |1 - r| >= 1 - Re(r) >= _R0_MIN, far above T_DEGENERATE, for any x
+        r = qubit_rt_many(_fold_qubit(x, rabi), w)[0]
+        cal = calibration_curve(x[4], x[5], x[6], freqs, f_ref)
+        return {p: s * cal for p, s in solve_at(r).items()}
+
+    def jacobian(x) -> dict[str, np.ndarray]:
+        r, dr = _reflection_gradient(x, rabi, w)
+        unwind = calibration_curve(1.0, 0.0, x[6], freqs, f_ref)
+        scale = complex(x[4], x[5])
+        out = {}
+        for p, (a, b, d) in mobius.items():
+            den = 1 + d * r
+            s = (a + b * r) / den * unwind
+            ds = (b - a * d) / den**2 * unwind * scale
+            out[p] = np.column_stack([ds[:, None] * dr, s, 1j * s,
+                                      -2j * math.pi * (freqs - f_ref) * scale * s])
+        return out
+
+    return model, jacobian, mobius
 
 
 def calibration_curve(scale_re: float, scale_im: float, phase_slope: float,
@@ -392,6 +503,16 @@ def fit_spectrum(trace: SpectrumTrace, spec_template: CircuitSpec,
     lies outside the swept window is replaced by the dominant feature in the
     data, so one init can serve a whole flux sweep. options may override
     the max_iter, ftol and xtol defaults of levenberg_marquardt.
+
+    The model is sweep's, evaluated through the scatterer's exact embedding:
+    with r the scatterer reflection, (1 - r) M(r) = A + r B per frequency,
+    so A and B are built once per trace and no sweep runs inside the loop.
+    Every evaluated point still goes through the port solve and its
+    condition gate, so SingularSystem names the frequency as sweep would;
+    the |t| gate cannot trip because the fold keeps |1 - r| >= 1e-6. The
+    Jacobian is closed form: each cross path is Mobius in r,
+    S = (a + b r)/(1 + d r). The converged point is swept once more, so
+    both of sweep's gates run on the reported estimate.
     """
     opts = dict(options or {})
     unknown = set(opts) - {"max_iter", "ftol", "xtol"}
@@ -428,7 +549,8 @@ def fit_spectrum(trace: SpectrumTrace, spec_template: CircuitSpec,
     # calibration start: compare data with the qubit-free background; the
     # line fit uses only the outer bands, away from the scatterer feature
     f_ref = float(np.mean(freqs))
-    background = sweep(template, freqs).values[primary]
+    model, model_jacobian, mobius = _embedded_spectrum(template, freqs, rabi, paths)
+    background = mobius[primary][0]
     ok = np.abs(background) > 1e-12
     if ok.sum() >= 4:
         ratio = data[primary][ok] / background[ok]
@@ -455,24 +577,21 @@ def fit_spectrum(trace: SpectrumTrace, spec_template: CircuitSpec,
                         max(gamma_phi_0, 2 * math.pi * 1e5),
                         0.1, 0.1, 0.1, 1e-9])
 
-    data_vec = np.concatenate([np.concatenate([data[p].real, data[p].imag]) for p in paths])
+    def stacked(parts) -> np.ndarray:  # real and imaginary parts, path after path
+        return np.concatenate([half for c in parts for half in (c.real, c.imag)])
 
-    def residual(x: np.ndarray) -> np.ndarray:
-        model = spectrum_curve(template, x, rabi, freqs)
-        parts = []
-        for p in paths:
-            diff = model[p] - data[p]
-            parts.append(diff.real)
-            parts.append(diff.imag)
-        return np.concatenate(parts)
-
-    res = levenberg_marquardt(residual, x0, x_scale=x_scale, **opts)
+    data_vec = stacked(data[p] for p in paths)
+    res = levenberg_marquardt(lambda x: stacked(m - data[p] for p, m in model(x).items()),
+                              x0, x_scale=x_scale, **opts,
+                              jac=lambda x: stacked(model_jacobian(x).values()))
     if not res.converged:
         raise NoConvergence(
             f"spectrum fit stopped after {res.iterations} iterations, cost {res.cost:.3g}")
+    # the final point goes through sweep itself, so both of its gates run
+    spectrum_curve(template, res.x, rabi, freqs)
 
     qubit = _fold_qubit(res.x, rabi)
-    if qubit.r0 in (1e-6, 1 - 1e-6):
+    if qubit.r0 in (_R0_MIN, 1 - _R0_MIN):
         # a reflection amplitude pinned at the fold bound is an escaped fit,
         # not an estimate; its jacobian column is dead so the intervals lie
         raise NoConvergence("reflection amplitude pinned at its bound")

@@ -1,9 +1,12 @@
-"""Damped least-squares minimization with finite-difference Jacobians.
+"""Damped least-squares minimization.
 
 Small Levenberg-Marquardt engine used by the estimation layer. The residual
 function maps a parameter vector to a 1-d residual array; the engine
-minimizes the sum of squared residuals. The Student-t quantile, the
-parameter intervals and the prediction bands built on a fit live here too.
+minimizes the sum of squared residuals. The Jacobian comes from a caller's
+closed form when one is passed (the spectrum fit), otherwise from forward
+differences (the rate fits and the prediction bands). The Student-t
+quantile, the parameter intervals and the prediction bands built on a fit
+live here too.
 """
 from __future__ import annotations
 
@@ -54,7 +57,8 @@ def levenberg_marquardt(fn: Callable[[np.ndarray], np.ndarray],
                         x_scale: Sequence[float] | None = None,
                         max_iter: int = 200,
                         ftol: float = 1e-10,
-                        xtol: float = 1e-8) -> LMResult:
+                        xtol: float = 1e-8,
+                        jac: Callable[[np.ndarray], np.ndarray] | None = None) -> LMResult:
     """Minimize sum(fn(x)**2) from x0.
 
     x_scale sets the characteristic size of each parameter. The search runs
@@ -65,6 +69,12 @@ def levenberg_marquardt(fn: Callable[[np.ndarray], np.ndarray],
     step is smaller than xtol in scaled units, or when no damping value
     yields an improvement (a numerical stationary point). Hitting max_iter
     leaves converged False. The returned jacobian is in x units.
+
+    jac, when given, returns d fn / dx at x as an (m, n) array in x units;
+    it is called once at x0 and once per accepted step, and fn is then
+    evaluated only at trial steps. Without it, each Jacobian costs n more
+    fn evaluations by forward differences. That path stays the default:
+    the rate models have no closed-form derivatives yet.
     """
     x = np.asarray(x0, dtype=float).copy()
     if x.ndim != 1 or x.size == 0:
@@ -79,6 +89,11 @@ def levenberg_marquardt(fn: Callable[[np.ndarray], np.ndarray],
     def fn_z(zv: np.ndarray) -> np.ndarray:
         return np.asarray(fn(zv * scale), dtype=float)
 
+    def jac_z(zv: np.ndarray, rv: np.ndarray) -> np.ndarray:
+        if jac is None:
+            return _jacobian(fn_z, zv, rv, unit)
+        return np.asarray(jac(zv * scale), dtype=float) * scale
+
     r = fn_z(z)
     if r.ndim != 1 or r.size < z.size:
         raise BadInitialization("need at least as many residuals as parameters")
@@ -88,13 +103,15 @@ def levenberg_marquardt(fn: Callable[[np.ndarray], np.ndarray],
     cost = float(r @ r)
     history = [cost]
     lam = DAMPING_INIT
-    jac = _jacobian(fn_z, z, r, unit)
+    jmat = jac_z(z, r)
+    if jmat.shape != (r.size, z.size):
+        raise BadInitialization(f"jacobian has shape {jmat.shape}, expected {(r.size, z.size)}")
     converged = False
     iterations = 0
 
     for iterations in range(1, max_iter + 1):
-        jtj = jac.T @ jac
-        grad = jac.T @ r
+        jtj = jmat.T @ jmat
+        grad = jmat.T @ r
         diag = np.diag(jtj).copy()
         diag = np.maximum(diag, 1e-12 * max(diag.max(), 1e-300))
 
@@ -123,14 +140,14 @@ def levenberg_marquardt(fn: Callable[[np.ndarray], np.ndarray],
         z, r, cost = z_new, r_new, cost_new
         history.append(cost)
         lam = max(lam / 3, 1e-12)
-        jac = _jacobian(fn_z, z, r, unit)
+        jmat = jac_z(z, r)
         if (cost == 0.0 or improvement <= ftol * max(cost, 1e-300)
                 or step_size <= xtol * (1.0 + float(np.max(np.abs(z))))):
             converged = True
             break
 
     return LMResult(x=z * scale, cost=cost, cost_history=history, residual=r,
-                    jacobian=jac / scale, iterations=iterations, converged=converged)
+                    jacobian=jmat / scale, iterations=iterations, converged=converged)
 
 
 def covariance(result: LMResult) -> np.ndarray:

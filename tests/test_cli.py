@@ -1,4 +1,6 @@
 """End-to-end command-line runs against temporary workspaces."""
+import csv
+import io
 import json
 import math
 
@@ -193,6 +195,16 @@ def _oversized_csv_field(trace, tmp_path):
     return path
 
 
+def _bad_sample_after_two_line_labels(trace, tmp_path):
+    trace.label = "a\nb"  # quoted, so every record spans two physical lines
+    rows = list(csv.reader(io.StringIO(trace_to_csv(trace))))
+    rows[3][1] = "x"  # the third record starts on physical line 6
+    path = tmp_path / "scan.csv"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    return path
+
+
 def _bad_json(**edits):
     def make(trace, tmp_path):
         doc = json.loads(trace_to_json(trace))
@@ -210,6 +222,7 @@ def _bad_json(**edits):
 @pytest.mark.parametrize("make_input, message", [
     (_bad_csv_sample, "line 4: non-finite"),
     (_oversized_csv_field, "line 2: field larger than field limit"),
+    (_bad_sample_after_two_line_labels, "line 6: could not convert string to float"),
     (_bad_json(re=math.inf), "non-finite sample"),
     (_bad_json(drive_port="4"), "drive_port"),
     (_bad_json(drive_port=True), "drive_port"),
@@ -218,8 +231,9 @@ def _bad_json(**edits):
     # one re with 51 im used to broadcast into 51 samples sharing a real part
     (_bad_json(paths={"s12": {"re": [0.5], "im": [0.1] * 51}}),
      "path 's12': re, im and freq_hz differ in length"),
-], ids=["csv-nan-sample", "csv-oversized-field", "json-inf-sample", "json-drive-port-string",
-        "json-drive-port-bool", "json-flux-string", "json-flux-nan", "json-re-im-lengths"])
+], ids=["csv-nan-sample", "csv-oversized-field", "csv-multiline-label", "json-inf-sample",
+        "json-drive-port-string", "json-drive-port-bool", "json-flux-string", "json-flux-nan",
+        "json-re-im-lengths"])
 def test_bad_trace_input_exits_2(tmp_path, capsys, make_input, message):
     trace = synthesize(make_interferometer(qubit=_truth_qubit()),
                        np.linspace(5.17e9, 5.23e9, 51))

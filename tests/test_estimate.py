@@ -1,16 +1,26 @@
 """Regime classification, spectrum fits, and rate-model fits."""
+import cmath
 import json
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from mzq import components, estimate, netcore
 from mzq.components import (
+    T_DEGENERATE,
+    BeamSplitterModel,
+    CircuitSpec,
+    LineParams,
     QubitScatterer,
     SpectrumTrace,
     make_interferometer,
+    qubit_rt_many,
     sweep,
     synthesize,
 )
@@ -34,8 +44,9 @@ from mzq.estimate import (
     write_fit_json,
     write_rates_csv,
 )
-from mzq.estimate import _ou_sigmas
+from mzq.estimate import _cross_path_embedding, _embedded_spectrum, _fold_qubit, _ou_sigmas
 from mzq.leastsq import NoConvergence
+from mzq.netcore import SingularSystem
 from mzq.physics import (
     BathModel,
     OUNoise,
@@ -47,7 +58,7 @@ from mzq.physics import (
     gamma_phi_rate,
 )
 
-from oracles import rates_csv_oracle
+from oracles import port_solution_oracle, rates_csv_oracle, transfer_chain_oracle
 
 TRANSMON = TransmonParams(ej_max=20.0e9, ec=592.4e6)
 TRUTH = QubitScatterer(omega01=2 * math.pi * 5.2e9, gamma1=2 * math.pi * 1.0e6,
@@ -225,6 +236,105 @@ def test_calibration_curve_reference_point():
     assert curve[2] == 0.6 - 0.2j  # untouched at the reference
     expected = (0.6 - 0.2j) * np.exp(-2j * math.pi * (freqs - f_ref) * 3e-10)
     assert np.allclose(curve, expected, rtol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# spectrum fit: the scatterer's exact embedding and the analytic Jacobian
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["ideal", "branchline"]), arm=st.sampled_from(["a", "b"]),
+       delays=st.lists(st.floats(0.0, 1e-9), min_size=4, max_size=4),
+       losses=st.lists(st.floats(0.0, 0.5), min_size=4, max_size=4),
+       refl=st.lists(st.tuples(st.floats(0.0, 0.95), st.floats(-math.pi, math.pi)),
+                     min_size=9, max_size=9))
+def test_cross_paths_are_affine_then_mobius_in_the_reflection(kind, arm, delays, losses, refl):
+    center = 5.2e9
+    freqs = center * np.linspace(0.7, 1.3, len(refl))
+    w = 2 * math.pi * freqs
+    r = np.array([cmath.rect(mag, phase) for mag, phase in refl])
+    template = CircuitSpec(BeamSplitterModel(kind, center_frequency=2 * math.pi * center),
+                           LineParams(phase_rate=tuple(delays), attenuation=tuple(losses)),
+                           qubit_arm=arm)
+    solve_at, mobius = _cross_path_embedding(template, freqs, ["s12", "s34"])
+
+    def given_r(q, omegas):  # the scatterer of spec reflects r, whatever its lineshape
+        k = np.searchsorted(w, omegas)
+        return r[k], 1 - r[k]
+
+    spec = replace(template, qubit=TRUTH)
+    with mock.patch.object(components, "qubit_rt_many", given_r), \
+            mock.patch.object(oracles, "qubit_rt_many", given_r):
+        swept = sweep(spec, freqs)
+        totals = transfer_chain_oracle(spec, w)
+    # (a1_out, a3_out, ...) for a unit port-2 drive, then a unit port-4 drive
+    oracle = {"s12": np.array([port_solution_oracle(m, 0, 1)[0] for m in totals]),
+              "s34": np.array([port_solution_oracle(m, 1, 0)[1] for m in totals])}
+    # worst error measured over 60 random draws: 4e-14 of the largest sample
+    for p, (a, b, d) in mobius.items():
+        scale = np.abs(oracle[p]).max()
+        for got in (solve_at(r)[p], (a + b * r) / (1 + d * r), swept.values[p]):
+            assert np.abs(got - oracle[p]).max() <= 1e-12 * scale
+
+
+_X_SCALE = np.array([2 * math.pi * 1e6] * 3 + [0.1] * 3 + [1e-9])
+
+
+@pytest.mark.parametrize("rabi", [0.0, TRUTH.rabi], ids=["undriven", "driven"])
+@pytest.mark.parametrize("x, clamped", [
+    ([TRUTH.omega01, TRUTH.gamma1, TRUTH.gamma_phi, 0.9, 0.8, 0.3, 2e-10], []),
+    # every abs in the fold flips the sign of its column
+    ([-1.0001 * TRUTH.omega01, -1.3 * TRUTH.gamma1, -TRUTH.gamma_phi, -0.7, -0.5, 0.2, -1e-10],
+     []),
+    ([TRUTH.omega01, 4e-4, TRUTH.gamma_phi, 0.8, 1.0, 0.0, 0.0], [1]),  # gamma1 on its floor
+    # r0 clamped; the center sits between grid points, since at |t| = 1e-6 the
+    # solve's own rounding, not the Jacobian, would set the difference error
+    ([TRUTH.omega01 + 2 * math.pi * 0.15e6, TRUTH.gamma1, TRUTH.gamma_phi, 1.5, 1.0, 0.0, 0.0],
+     [3]),
+], ids=["plain", "negative", "gamma1-floor", "r0-clamped"])
+def test_spectrum_jacobian_matches_central_differences(rabi, x, clamped):
+    trace = _qubit_trace(points=201)
+    model, jacobian, _ = _embedded_spectrum(make_interferometer(), trace.freqs, rabi,
+                                            ["s12", "s34"])
+    x = np.array(x)
+    jac = jacobian(x)
+    steps = 1e-4 * _X_SCALE
+    steps[clamped] = 1e-5 * np.abs(x[clamped])  # stay on the clamp
+    for k, h in enumerate(steps):
+        up, down = model(x + h * np.eye(7)[k]), model(x - h * np.eye(7)[k])
+        for p, cols in jac.items():
+            central = (up[p] - down[p]) / (2 * h)
+            # scaled columns, as the fit sees them; measured worst 6e-8
+            tol = 1e-6 * np.abs(cols * _X_SCALE).max()
+            assert np.abs(central - cols[:, k]).max() * _X_SCALE[k] <= tol
+            if k in clamped:
+                assert not cols[:, k].any()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(x=st.lists(st.floats(-1e12, 1e12), min_size=4, max_size=4).filter(lambda v: v[0] != 0),
+       rabi=st.floats(0.0, 1e9), offsets=st.lists(st.floats(-1e9, 1e9), max_size=5))
+def test_folded_reflection_stays_clear_of_full_reflection(x, rabi, offsets):
+    q = _fold_qubit(x, rabi)
+    w = q.omega01 + np.array([0.0, *offsets])  # resonance is the worst point
+    r, t = qubit_rt_many(q, w)
+    assert np.abs(t).min() >= 1e-6 > T_DEGENERATE
+
+
+def test_spectrum_fit_sweeps_only_its_converged_point(monkeypatch):
+    calls = []
+    monkeypatch.setattr(estimate, "sweep", lambda *a, **k: calls.append(a) or sweep(*a, **k))
+    result = fit_spectrum(_qubit_trace(noise=0.01, seed=3), make_interferometer(), init=TRUTH)
+    assert result.converged
+    assert 1 <= len(calls) <= 3
+
+
+def test_spectrum_fit_keeps_the_port_gate(monkeypatch):
+    trace = _qubit_trace()
+    monkeypatch.setattr(netcore, "COND_LIMIT", 1e-3)
+    with pytest.raises(SingularSystem) as err:
+        fit_spectrum(trace, make_interferometer(), init=TRUTH)
+    assert err.value.frequency in trace.freqs
 
 
 # ---------------------------------------------------------------------------

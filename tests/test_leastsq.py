@@ -36,6 +36,20 @@ def test_rosenbrock_valley():
     assert res.cost <= 1e-12
 
 
+def test_rosenbrock_valley_with_an_exact_jacobian():
+    def fn(p):
+        return np.array([10 * (p[1] - p[0] ** 2), 1 - p[0]])
+
+    def jac(p):
+        return np.array([[-20 * p[0], 10.0], [-1.0, 0.0]])
+
+    exact = levenberg_marquardt(fn, [-1.2, 1.0], jac=jac)
+    assert exact.converged
+    assert exact.x == pytest.approx(levenberg_marquardt(fn, [-1.2, 1.0]).x, abs=1e-6)
+    assert exact.x == pytest.approx([1.0, 1.0], abs=1e-6)
+    assert exact.cost <= 1e-12
+
+
 def test_matches_scipy_on_a_curve_fit():
     fn, _, _ = _exp_problem()
     mine = levenberg_marquardt(fn, [1.0, 1.0, 0.0])
@@ -90,6 +104,58 @@ def test_linear_regression_closed_form():
     hw_exact = stats.t.ppf(0.975, dof) * np.sqrt(np.diag(cov_exact))
     assert np.allclose(confidence_half_widths(covariance(res), dof), hw_exact, rtol=1e-5)
     assert np.all(np.abs(res.x - beta) < 2 * hw_exact)
+
+
+def test_linear_regression_with_an_exact_jacobian():
+    rng = np.random.default_rng(3)
+    t = np.linspace(-1, 1, 41)
+    design = np.column_stack([np.ones_like(t), t, t**2])
+    y = design @ np.array([0.7, -1.1, 2.3]) + 0.05 * rng.standard_normal(t.size)
+
+    def fn(b):
+        return design @ b - y
+
+    res = levenberg_marquardt(fn, [0.0, 0.0, 0.0], jac=lambda b: design)
+    fd = levenberg_marquardt(fn, [0.0, 0.0, 0.0])
+    assert res.converged
+    assert res.x == pytest.approx(np.linalg.lstsq(design, y, rcond=None)[0], abs=1e-9)
+    assert res.x == pytest.approx(fd.x, abs=1e-9)
+    assert np.array_equal(res.jacobian, design)
+    assert np.allclose(covariance(res), covariance(fd), rtol=1e-5)
+
+
+def _exp_jacobian(t):
+    def jac(p):
+        e = np.exp(-p[1] * t)
+        return np.column_stack([e, -p[0] * t * e, np.ones_like(t)])
+    return jac
+
+
+def test_an_exact_jacobian_spends_no_residual_evaluations_on_columns(monkeypatch):
+    # every step solve is one trial step, and each trial costs one residual
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(1) or solve(a, b))
+    fn, t, _ = _exp_problem()
+    for jac in (None, _exp_jacobian(t)):
+        evals, jac_calls = [], []
+
+        def counted_fn(p):
+            evals.append(1)
+            return fn(p)
+
+        def counted_jac(p):
+            jac_calls.append(1)
+            return jac(p)
+
+        solves.clear()
+        res = levenberg_marquardt(counted_fn, [1.0, 1.0, 0.0],
+                                  jac=None if jac is None else counted_jac)
+        assert res.converged
+        jacobians = len(res.cost_history)  # one at x0 and one per accepted step
+        columns = 3 * jacobians if jac is None else 0
+        assert len(evals) == 1 + len(solves) + columns
+        assert len(jac_calls) == (0 if jac is None else jacobians)
 
 
 def test_exact_data_drives_cost_to_zero():
@@ -155,6 +221,8 @@ def test_bad_starts_are_rejected():
         levenberg_marquardt(lambda p: np.asarray([p[0] + p[1]]), [1.0, 2.0])
     with pytest.raises(BadInitialization):
         levenberg_marquardt(lambda p: np.asarray([math.nan, 1.0]), [1.0])
+    with pytest.raises(BadInitialization, match="jacobian has shape"):
+        levenberg_marquardt(ok, [1.0], jac=lambda p: np.ones(2))
 
 
 def test_covariance_survives_a_singular_jacobian():
