@@ -291,14 +291,37 @@ def bs_stack(model: BeamSplitterModel, omegas: np.ndarray) -> np.ndarray:
     return np.moveaxis(np.array([top, au, top[_ARM_SWAP], av]), -1, 0)
 
 
-def qubit_rt_many(q: QubitScatterer, omegas: np.ndarray):
-    """Reflection and transmission amplitudes of the scatterer, vectorized."""
-    w = np.asarray(omegas, dtype=float)
+def _lineshape(q: QubitScatterer, w: np.ndarray):
+    """Reflection r = r0 (1 - i delta) / (1 + delta^2 + s) and its terms (delta, s, den).
+
+    delta = (w - omega01)/G2 is the scaled detuning, s = rabi^2/(gamma1 G2)
+    the saturation term and den = 1 + delta^2 + s.
+    """
     g2 = q.gamma2
     detune = (w - q.omega01) / g2
     sat = (q.rabi**2 / (q.gamma1 * g2)) if q.rabi > 0 else 0.0
-    r = q.r0 * (1 - 1j * detune) / (1 + detune**2 + sat)
+    den = 1 + detune**2 + sat
+    return q.r0 * (1 - 1j * detune) / den, detune, sat, den
+
+
+def qubit_rt_many(q: QubitScatterer, omegas: np.ndarray):
+    """Reflection and transmission amplitudes of the scatterer, vectorized."""
+    r = _lineshape(q, np.asarray(omegas, dtype=float))[0]
     return r, 1 - r
+
+
+def _qubit_r_and_grad(q: QubitScatterer, omegas: np.ndarray):
+    """Reflection r and dr/d(omega01, gamma1, gamma_phi, r0), shapes (N,) and (N,4)."""
+    r, detune, sat, den = _lineshape(q, np.asarray(omegas, dtype=float).reshape(-1))
+    g2 = q.gamma2
+    dr_ddetune = q.r0 * (-1j * den - 2 * detune * (1 - 1j * detune)) / den**2
+    dr_dsat = -r / den
+    # G2 = gamma1/2 + gamma_phi scales both delta and s; gamma1 also enters s alone
+    dr_dg2 = -(dr_ddetune * detune + dr_dsat * sat) / g2
+    return r, np.stack([-dr_ddetune / g2,
+                        dr_dg2 / 2 - dr_dsat * sat / q.gamma1,
+                        dr_dg2,
+                        r / q.r0], axis=1)
 
 
 def _transfer_block(r: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -385,15 +408,43 @@ def sweep(spec: CircuitSpec, freqs, drive_port: int = 2, label: str = "") -> Spe
     w = 2 * math.pi * f
     totals = total_matrix_stack(spec, w)
     x = netcore.solve_port_system_many(totals, frequencies=f)
+    return SpectrumTrace(freqs=f, values=_calibrated_paths(spec, w, x, PATHS), noise_sigma=0.0,
+                         label=label, drive_port=drive_port)
+
+
+# the port-solution entry of each path: (output row, drive column)
+_PATH_ENTRY = {"s12": (0, 0), "s32": (1, 0), "s34": (1, 1), "s14": (0, 1)}
+
+
+def _calibrated_paths(spec: CircuitSpec, w: np.ndarray, x: np.ndarray,
+                      paths) -> dict[str, np.ndarray]:
+    """The named paths of the port solutions x, times spec's calibration."""
     cal = spec.cal_scale * np.exp(-1j * w * spec.cal_delay)
-    values = {
-        "s12": x[:, 0, 0] * cal,
-        "s32": x[:, 1, 0] * cal,
-        "s34": x[:, 1, 1] * cal,
-        "s14": x[:, 0, 1] * cal,
-    }
-    return SpectrumTrace(freqs=f, values=values, noise_sigma=0.0, label=label,
-                         drive_port=drive_port)
+    return {p: x[:, i, j] * cal for p in paths for i, j in [_PATH_ENTRY[p]]}
+
+
+def _reflection_embedding(spec: CircuitSpec, freqs: np.ndarray, paths):
+    """spec's calibrated paths as a function of its scatterer's reflection r.
+
+    The scatterer block depends on r alone, and per frequency
+    (1 - r) M(r) = A + r B, with M the total transfer matrix. A is the
+    total at r = 0 and B follows from one more build at r = 1/2, both
+    through total_matrix_stack's chain. Returns solve_at(r): the paths of
+    M(r) through the gated port solve, which are sweep's values for a
+    scatterer that reflects r, to rounding. r is not gated on |t|: the
+    caller keeps |1 - r| clear of 0.
+    """
+    f = np.asarray(freqs, dtype=float).reshape(-1)
+    w = 2 * math.pi * f
+    a_tot = _chain_stack(spec, w, np.zeros(w.size))
+    b_tot = _chain_stack(spec, w, np.full(w.size, 0.5)) - 2 * a_tot
+
+    def solve_at(r: np.ndarray) -> dict[str, np.ndarray]:
+        totals = (a_tot + r[:, None, None] * b_tot) / (1 - r)[:, None, None]
+        return _calibrated_paths(spec, w, netcore.solve_port_system_many(totals, frequencies=f),
+                                 paths)
+
+    return solve_at
 
 
 def synthesize(spec: CircuitSpec, freqs, drive_port: int = 2, noise_sigma: float = 0.0,

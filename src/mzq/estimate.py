@@ -19,10 +19,10 @@ from .components import (
     CircuitSpec,
     QubitScatterer,
     SpectrumTrace,
-    _chain_stack,
+    _qubit_r_and_grad,
+    _reflection_embedding,
     qubit_rt_many,
     sweep,
-    total_matrix_stack,
     write_csv_columns,
 )
 from .leastsq import (
@@ -34,7 +34,6 @@ from .leastsq import (
     levenberg_marquardt,
     t_quantile,
 )
-from .netcore import solve_port_system_many
 from .physics import (BathModel, TransmonParams, _phase_variance_kernel, flux_slope,
                       gamma1_model, gamma_phi_rate)
 
@@ -354,81 +353,47 @@ def _fold_qubit(x: np.ndarray, rabi: float) -> QubitScatterer:
 def _reflection_gradient(x: np.ndarray, rabi: float, w: np.ndarray):
     """Scatterer reflection r at the folded x and dr/dx[:4], shapes (N,) and (N,4).
 
-    r = r0 (1 - i delta) / (1 + delta^2 + s) with delta = (w - omega01)/G2,
-    G2 = gamma1/2 + gamma_phi and s = rabi^2/(gamma1 G2). The chain rule
-    runs through _fold_qubit: each abs contributes its sign, and a clamped
-    gamma1 or r0 has zero derivative.
+    The chain rule runs through _fold_qubit: each abs contributes its sign,
+    + at 0 (the right-hand derivative, so a parameter started at 0 can
+    leave it), and a clamped gamma1 or r0 contributes 0.
     """
-    q = _fold_qubit(x, rabi)
-    r = qubit_rt_many(q, w)[0]
-    g2 = q.gamma2
-    detune = (w - q.omega01) / g2
-    sat = rabi**2 / (q.gamma1 * g2) if rabi > 0 else 0.0
-    den = 1 + detune**2 + sat
-    dr_ddetune = q.r0 * (-1j * den - 2 * detune * (1 - 1j * detune)) / den**2
-    dr_dsat = -r / den
-    dr_dg2 = -(dr_ddetune * detune + dr_dsat * sat) / g2
-    grad = np.stack([-dr_ddetune / g2,
-                     dr_dg2 / 2 - dr_dsat * sat / q.gamma1,
-                     dr_dg2,
-                     r / q.r0], axis=1)
-    fold = np.sign(x[:4]) * [1.0, abs(x[1]) > _GAMMA1_MIN, 1.0,
-                             _R0_MIN < abs(x[3]) < 1 - _R0_MIN]
-    return r, grad * fold
+    r, grad = _qubit_r_and_grad(_fold_qubit(x, rabi), w)
+    sign = np.where(x[:4] < 0, -1.0, 1.0)
+    live = [1.0, abs(x[1]) > _GAMMA1_MIN, 1.0, _R0_MIN < abs(x[3]) < 1 - _R0_MIN]
+    return r, grad * (sign * live)
 
 
-# sweep's port-solution entry of each cross path: (output row, drive column)
-_CROSS_ENTRY = {"s12": (0, 0), "s34": (1, 1)}
-# the fixed reflection at which the embedding is built and, with its
-# negative, the Mobius coefficients are sampled
+# the reflection at which, with 0 and its negative, each path's Mobius form is sampled
 _R_PROBE = 0.5
 
 
-def _cross_path_embedding(template: CircuitSpec, freqs: np.ndarray, paths: list[str]):
-    """Exact dependence of the template's cross paths on a scatterer's reflection r.
+def _mobius_coefficients(solve_at, n: int) -> dict[str, tuple]:
+    """(a, b, d) per path with S(r) = (a + b r)/(1 + d r), from solves at r = 0, +-_R_PROBE.
 
-    Per frequency (1 - r) M(r) = A + r B, with A the empty-arm total and B
-    from one more build at r = 1/2. Returns (solve_at, mobius): solve_at(r)
-    forms M(r) and solves it through the gated port solve, so it is sweep's
-    cross paths, template calibration included, to rounding; mobius maps
-    each path to (a, b, d) with S(r) = (a + b r)/(1 + d r), fitted to the
-    gated solves at r = 0 and r = +-1/2. a is the qubit-free background.
+    a is the qubit-free background.
     """
-    w = 2 * math.pi * freqs
-    cal0 = template.cal_scale * np.exp(-1j * w * template.cal_delay)  # as sweep applies it
-    a_tot = total_matrix_stack(template, w)
-    probe = _chain_stack(template, w, np.full(w.size, _R_PROBE))
-    b_tot = ((1 - _R_PROBE) * probe - a_tot) / _R_PROBE
-
-    def solve(totals) -> dict[str, np.ndarray]:
-        x = solve_port_system_many(totals, frequencies=freqs)
-        return {p: x[:, i, j] * cal0 for p, (i, j) in _CROSS_ENTRY.items() if p in paths}
-
-    def solve_at(r: np.ndarray) -> dict[str, np.ndarray]:
-        return solve((a_tot + r[:, None, None] * b_tot) / (1 - r)[:, None, None])
-
-    s0, s_plus = solve(a_tot), solve(probe)
-    s_minus = solve((a_tot - _R_PROBE * b_tot) / (1 + _R_PROBE))
-    mobius = {}
+    s0, s_plus, s_minus = (solve_at(np.full(n, r)) for r in (0.0, _R_PROBE, -_R_PROBE))
+    out = {}
     for p in s0:
         d = (s_plus[p] + s_minus[p] - 2 * s0[p]) / (_R_PROBE * (s_minus[p] - s_plus[p]))
-        mobius[p] = (s0[p], (s_plus[p] - s0[p]) / _R_PROBE + s_plus[p] * d, d)
-    return solve_at, mobius
+        out[p] = (s0[p], (s_plus[p] - s0[p]) / _R_PROBE + s_plus[p] * d, d)
+    return out
 
 
 def _embedded_spectrum(template: CircuitSpec, freqs: np.ndarray, rabi: float,
                        paths: list[str]):
     """Calibrated cross paths and their Jacobian as functions of the fit vector x.
 
-    Returns (model, jacobian, mobius): model(x) is solve_at of
-    _cross_path_embedding at the folded lineshape's r times the fit
+    Returns (model, jacobian, mobius): model(x) solves the template's
+    reflection embedding at the folded lineshape's r and applies the fit
     calibration; jacobian(x) maps each path to its (N,7) complex derivative,
     dS/dr = (b - a d)/(1 + d r)^2 times dr/dx, and closed-form calibration
-    columns; mobius is the embedding's, whose a is the qubit-free background.
+    columns; mobius holds each path's (a, b, d), whose a is the background.
     """
     w = 2 * math.pi * freqs
     f_ref = float(np.mean(freqs))
-    solve_at, mobius = _cross_path_embedding(template, freqs, paths)
+    solve_at = _reflection_embedding(template, freqs, paths)
+    mobius = _mobius_coefficients(solve_at, w.size)
 
     def model(x) -> dict[str, np.ndarray]:
         # qubit_stack's |t| gate is not needed: the fold keeps r0 <= 1 - _R0_MIN,
@@ -506,13 +471,13 @@ def fit_spectrum(trace: SpectrumTrace, spec_template: CircuitSpec,
 
     The model is sweep's, evaluated through the scatterer's exact embedding:
     with r the scatterer reflection, (1 - r) M(r) = A + r B per frequency,
-    so A and B are built once per trace and no sweep runs inside the loop.
-    Every evaluated point still goes through the port solve and its
-    condition gate, so SingularSystem names the frequency as sweep would;
-    the |t| gate cannot trip because the fold keeps |1 - r| >= 1e-6. The
-    Jacobian is closed form: each cross path is Mobius in r,
-    S = (a + b r)/(1 + d r). The converged point is swept once more, so
-    both of sweep's gates run on the reported estimate.
+    so A and B are built once per trace and the fit runs no sweep.
+    Every evaluated point, the converged one included, still goes through
+    the port solve and its condition gate, so SingularSystem names the
+    frequency as sweep would; sweep's |t| gate cannot trip because the fold
+    keeps |1 - r| >= 1e-6. The Jacobian is closed form: each cross path is
+    Mobius in r, S = (a + b r)/(1 + d r). gamma1 and r0 start off their
+    fold clamps, where their columns are live.
     """
     opts = dict(options or {})
     unknown = set(opts) - {"max_iter", "ftol", "xtol"}
@@ -576,6 +541,10 @@ def fit_spectrum(trace: SpectrumTrace, spec_template: CircuitSpec,
                         max(gamma1_0, 2 * math.pi * 1e5),
                         max(gamma_phi_0, 2 * math.pi * 1e5),
                         0.1, 0.1, 0.1, 1e-9])
+    # start gamma1 and r0 off their clamps: there a column is zero and the
+    # fit could never move the parameter
+    x0[1] = max(x0[1], 1e-6 * x_scale[1])
+    x0[3] = min(max(x0[3], 1e-3), 1 - 1e-3)
 
     def stacked(parts) -> np.ndarray:  # real and imaginary parts, path after path
         return np.concatenate([half for c in parts for half in (c.real, c.imag)])
@@ -587,8 +556,6 @@ def fit_spectrum(trace: SpectrumTrace, spec_template: CircuitSpec,
     if not res.converged:
         raise NoConvergence(
             f"spectrum fit stopped after {res.iterations} iterations, cost {res.cost:.3g}")
-    # the final point goes through sweep itself, so both of its gates run
-    spectrum_curve(template, res.x, rabi, freqs)
 
     qubit = _fold_qubit(res.x, rabi)
     if qubit.r0 in (_R0_MIN, 1 - _R0_MIN):

@@ -44,7 +44,8 @@ from mzq.estimate import (
     write_fit_json,
     write_rates_csv,
 )
-from mzq.estimate import _cross_path_embedding, _embedded_spectrum, _fold_qubit, _ou_sigmas
+from mzq.components import _reflection_embedding
+from mzq.estimate import _embedded_spectrum, _fold_qubit, _mobius_coefficients, _ou_sigmas
 from mzq.leastsq import NoConvergence
 from mzq.netcore import SingularSystem
 from mzq.physics import (
@@ -256,7 +257,8 @@ def test_cross_paths_are_affine_then_mobius_in_the_reflection(kind, arm, delays,
     template = CircuitSpec(BeamSplitterModel(kind, center_frequency=2 * math.pi * center),
                            LineParams(phase_rate=tuple(delays), attenuation=tuple(losses)),
                            qubit_arm=arm)
-    solve_at, mobius = _cross_path_embedding(template, freqs, ["s12", "s34"])
+    solve_at = _reflection_embedding(template, freqs, ["s12", "s34"])
+    mobius = _mobius_coefficients(solve_at, freqs.size)
 
     def given_r(q, omegas):  # the scatterer of spec reflects r, whatever its lineshape
         k = np.searchsorted(w, omegas)
@@ -321,12 +323,51 @@ def test_folded_reflection_stays_clear_of_full_reflection(x, rabi, offsets):
     assert np.abs(t).min() >= 1e-6 > T_DEGENERATE
 
 
-def test_spectrum_fit_sweeps_only_its_converged_point(monkeypatch):
-    calls = []
-    monkeypatch.setattr(estimate, "sweep", lambda *a, **k: calls.append(a) or sweep(*a, **k))
-    result = fit_spectrum(_qubit_trace(noise=0.01, seed=3), make_interferometer(), init=TRUTH)
+def test_spectrum_jacobian_at_a_zero_rate_is_the_right_hand_derivative():
+    # gamma_phi = 0 sits on the fold's kink; the column must not be zero there,
+    # or a fit started at 0 could never leave it
+    trace = _qubit_trace(points=201)
+    model, jacobian, _ = _embedded_spectrum(make_interferometer(), trace.freqs, TRUTH.rabi,
+                                            ["s12", "s34"])
+    x = np.array([TRUTH.omega01, TRUTH.gamma1, 0.0, 0.9, 1.0, 0.0, 0.0])
+    h = 1e-7 * _X_SCALE[2]
+    up, at = model(x + h * np.eye(7)[2]), model(x)
+    for p, cols in jacobian(x).items():
+        forward = (up[p] - at[p]) / h
+        assert cols[:, 2].any()
+        assert np.abs(forward - cols[:, 2]).max() <= 1e-5 * np.abs(cols[:, 2]).max()
+
+
+def test_spectrum_fit_runs_no_sweep(monkeypatch):
+    trace, calls = _qubit_trace(noise=0.01, seed=3), []
+    for module in (estimate, components):
+        monkeypatch.setattr(module, "sweep", lambda *a, **k: calls.append(a) or sweep(*a, **k))
+    result = fit_spectrum(trace, make_interferometer(), init=TRUTH)
     assert result.converged
-    assert 1 <= len(calls) <= 3
+    assert not calls
+
+
+@pytest.mark.parametrize("start", [{"gamma_phi": 0.0}, {"r0": 1.0}, {"r0": 1e-7}],
+                         ids=["gamma_phi-zero", "r0-full", "r0-tiny"])
+def test_spectrum_fit_leaves_a_start_on_a_fold_kink(start):
+    # on a kink or a clamp the column can be zero, and a zero column never moves
+    trace = _qubit_trace(noise=0.01, seed=3)
+    result = fit_spectrum(trace, make_interferometer(), init=replace(TRUTH, **start))
+    assert result.converged
+    for name in ("gamma1", "gamma_phi", "r0"):
+        assert result.params[name] == pytest.approx(getattr(TRUTH, name), rel=0.1)
+
+
+def test_spectrum_fit_leaves_a_zero_relaxation_start():
+    # gamma1 = 0 needs an undriven init, and undriven data fix only
+    # G2 = gamma1/2 + gamma_phi; gamma1 must still leave its floor
+    undriven = replace(TRUTH, rabi=0.0)
+    trace = _qubit_trace(noise=0.01, seed=3, qubit=undriven)
+    result = fit_spectrum(trace, make_interferometer(), init=replace(undriven, gamma1=0.0))
+    assert result.converged
+    assert result.params["gamma1"] > 0.1 * TRUTH.gamma1
+    g2 = result.params["gamma1"] / 2 + result.params["gamma_phi"]
+    assert g2 == pytest.approx(undriven.gamma2, rel=0.02)
 
 
 def test_spectrum_fit_keeps_the_port_gate(monkeypatch):
