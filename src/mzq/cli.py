@@ -35,6 +35,7 @@ from .estimate import (
     IllPosed,
     NoConvergence,
     NoFeature,
+    REL_ERR_MAX_DEFAULT,
     RateDataset,
     classify_regime,
     fit_gamma1,
@@ -373,7 +374,8 @@ def cmd_fit_rates(config: dict, out_dir: Path, quiet: bool) -> int:
     _check_keys(config, "config", _FIT_RATES_KEYS)
     rates_path = Path(_str(config, "rates_csv", "config"))
     transmon = _build_transmon(_obj(config, "transmon", "config"), "config.transmon")
-    rel_err_max = _num(config, "rel_err_max", "config", default=0.33, minimum=0, strict=True)
+    rel_err_max = _num(config, "rel_err_max", "config", default=REL_ERR_MAX_DEFAULT, minimum=0,
+                       strict=True)
     band_points = _int(config, "band_points", "config", default=200, minimum=2)
 
     rates = read_rates_csv(rates_path)

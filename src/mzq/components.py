@@ -519,21 +519,6 @@ def write_csv_columns(fh, header, *columns) -> None:
     writer.writerows(zip(*cells, strict=True))
 
 
-def _write_trace_rows(fh, trace: SpectrumTrace) -> None:
-    write_csv_columns(fh, CSV_HEADER)
-    for path in PATHS:
-        if path in trace.values:
-            vals = trace.values[path]
-            write_csv_columns(fh, None, trace.freqs, vals.real, vals.imag, path, trace.label)
-
-
-def trace_to_csv(trace: SpectrumTrace) -> str:
-    """Render a trace as CSV text with columns freq_hz,re,im,path,label."""
-    buf = io.StringIO()
-    _write_trace_rows(buf, trace)
-    return buf.getvalue()
-
-
 def _csv_rows(text: str):
     """Yield (line, row): the 1-based physical line each record starts on.
 
@@ -551,7 +536,7 @@ def _csv_rows(text: str):
 
 
 def trace_from_csv(text: str) -> SpectrumTrace:
-    """Parse CSV produced by trace_to_csv; errors carry the 1-based line number."""
+    """Parse CSV produced by write_trace_csv; errors carry the 1-based line number."""
     reader = _csv_rows(text)
     try:
         _, header = next(reader)
@@ -598,32 +583,13 @@ def trace_from_csv(text: str) -> SpectrumTrace:
 
 
 def write_trace_csv(path: str | Path, trace: SpectrumTrace) -> None:
-    """Stream the text of trace_to_csv into the file, one path block at a time."""
+    """Write a trace as CSV (freq_hz,re,im,path,label), one path block at a time."""
     with open(path, "w") as fh:
-        _write_trace_rows(fh, trace)
-
-
-def read_trace_csv(path: str | Path) -> SpectrumTrace:
-    return trace_from_csv(Path(path).read_text())
-
-
-def _trace_doc(trace: SpectrumTrace) -> dict:
-    return {
-        "label": trace.label,
-        "noise_sigma": trace.noise_sigma,
-        "drive_port": trace.drive_port,
-        "flux_phi0": trace.flux_phi0,
-        "freq_hz": trace.freqs.tolist(),
-        "paths": {
-            p: {"re": trace.values[p].real.tolist(), "im": trace.values[p].imag.tolist()}
-            for p in PATHS if p in trace.values
-        },
-    }
-
-
-def trace_to_json(trace: SpectrumTrace) -> str:
-    """JSON mirror of the CSV format, including synthesis metadata."""
-    return json.dumps(_trace_doc(trace), indent=1)
+        write_csv_columns(fh, CSV_HEADER)
+        for p in PATHS:
+            if p in trace.values:
+                vals = trace.values[p]
+                write_csv_columns(fh, None, trace.freqs, vals.real, vals.imag, p, trace.label)
 
 
 def trace_from_json(text: str) -> SpectrumTrace:
@@ -661,19 +627,28 @@ def trace_from_json(text: str) -> SpectrumTrace:
 
 
 def write_trace_json(path: str | Path, trace: SpectrumTrace) -> None:
-    """Stream the text of trace_to_json into the file, without building it whole."""
+    """JSON mirror of the CSV format, including synthesis metadata.
+
+    json.dump streams the document into the file without building its text whole.
+    """
+    doc = {
+        "label": trace.label,
+        "noise_sigma": trace.noise_sigma,
+        "drive_port": trace.drive_port,
+        "flux_phi0": trace.flux_phi0,
+        "freq_hz": trace.freqs.tolist(),
+        "paths": {
+            p: {"re": trace.values[p].real.tolist(), "im": trace.values[p].imag.tolist()}
+            for p in PATHS if p in trace.values
+        },
+    }
     with open(path, "w") as fh:
-        json.dump(_trace_doc(trace), fh, indent=1)
-
-
-def read_trace_json(path: str | Path) -> SpectrumTrace:
-    return trace_from_json(Path(path).read_text())
+        json.dump(doc, fh, indent=1)
 
 
 def read_trace(path: str | Path) -> SpectrumTrace:
     """Load a trace from .csv or .json by extension."""
     p = Path(path)
-    if p.suffix.lower() == ".json":
-        return read_trace_json(p)
-    return read_trace_csv(p)
+    parse = trace_from_json if p.suffix.lower() == ".json" else trace_from_csv
+    return parse(p.read_text())
 

@@ -7,7 +7,6 @@ second stage fits rate-vs-frequency models to a table of extracted rates.
 from __future__ import annotations
 
 import enum
-import io
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
@@ -211,17 +210,6 @@ class RateDataset:
                            self.flux[mask], self.rel_err_gamma_phi[mask])
 
 
-def _write_rates_rows(fh, rates: RateDataset) -> None:
-    write_csv_columns(fh, RATES_CSV_HEADER.split(","), rates.omega01, rates.gamma1,
-                      rates.gamma_phi, rates.flux, rates.rel_err_gamma_phi)
-
-
-def rates_to_csv(rates: RateDataset) -> str:
-    buf = io.StringIO()
-    _write_rates_rows(buf, rates)
-    return buf.getvalue()
-
-
 def rates_from_csv(text: str) -> RateDataset:
     lines = [ln for ln in text.splitlines()]
     if not lines or lines[0].strip() != RATES_CSV_HEADER:
@@ -252,7 +240,8 @@ def rates_from_csv(text: str) -> RateDataset:
 
 def write_rates_csv(path, rates: RateDataset) -> None:
     with open(path, "w") as fh:
-        _write_rates_rows(fh, rates)
+        write_csv_columns(fh, RATES_CSV_HEADER.split(","), rates.omega01, rates.gamma1,
+                          rates.gamma_phi, rates.flux, rates.rel_err_gamma_phi)
 
 
 def read_rates_csv(path) -> RateDataset:

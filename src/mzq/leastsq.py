@@ -155,9 +155,8 @@ def covariance(result: LMResult) -> np.ndarray:
 
     A parameter weighing more than sqrt(eps) in a direction whose singular
     value (column-normalised Jacobian) is at most sqrt(eps) of the largest
-    is not identified: its variance is inf and its covariances NaN, as is
-    any variance that comes out negative. The others keep the variance of
-    the directions the data see.
+    is not identified: its variance is inf and its covariances NaN. The
+    others keep the variance of the directions the data see.
     """
     m, n = result.jacobian.shape
     s2 = result.cost / max(m - n, 1)
@@ -166,12 +165,9 @@ def covariance(result: LMResult) -> np.ndarray:
     norms[norms == 0] = 1.0
     _, sv, vt = np.linalg.svd(jac / norms, full_matrices=False)
     null = sv <= SQRT_EPS * sv[0]
-    if not null.any():
-        cov = s2 * np.linalg.inv(jac.T @ jac)
-    else:
-        seen = vt[~null] / sv[~null, None]
-        cov = s2 * (seen.T @ seen) / np.outer(norms, norms)
-    bad = np.any(np.abs(vt[null]) > SQRT_EPS, axis=0) | (np.diag(cov) < 0)
+    seen = vt[~null] / sv[~null, None]
+    cov = s2 * (seen.T @ seen) / np.outer(norms, norms)
+    bad = np.any(np.abs(vt[null]) > SQRT_EPS, axis=0)
     cov[bad, :] = cov[:, bad] = np.nan
     cov[bad, bad] = np.inf
     return cov
@@ -182,9 +178,9 @@ def t_quantile(dof: int, p: float) -> float:
     return stdtrit(max(dof, 1), p)
 
 
-def confidence_half_widths(cov: np.ndarray, dof: int, level: float = 0.95) -> np.ndarray:
-    """Student-t half-widths of the marginal parameter confidence intervals."""
-    return t_quantile(dof, 0.5 + level / 2) * np.sqrt(np.diag(cov))
+def confidence_half_widths(cov: np.ndarray, dof: int) -> np.ndarray:
+    """Student-t half-widths of the marginal 95% parameter confidence intervals."""
+    return t_quantile(dof, 0.975) * np.sqrt(np.diag(cov))
 
 
 def prediction_band(curve: Callable[[np.ndarray, np.ndarray], np.ndarray], pvec: np.ndarray,

@@ -1,6 +1,5 @@
 """End-to-end command-line runs against temporary workspaces."""
 import csv
-import io
 import json
 import math
 
@@ -14,8 +13,7 @@ from mzq.components import (
     make_interferometer,
     read_trace,
     synthesize,
-    trace_to_csv,
-    trace_to_json,
+    write_trace_csv,
     write_trace_json,
 )
 from mzq.estimate import (RateDataset, fit_gamma1, fit_gamma_phi_power, fit_ou, ou_curve,
@@ -178,28 +176,32 @@ def test_corrupt_trace_exits_2(tmp_path):
 
 
 def _bad_csv_sample(trace, tmp_path):
-    lines = trace_to_csv(trace).splitlines()
+    path = tmp_path / "scan.csv"
+    write_trace_csv(path, trace)
+    lines = path.read_text().splitlines()
     row = lines[3].split(",")
     row[1] = "nan"
     lines[3] = ",".join(row)
-    path = tmp_path / "scan.csv"
     path.write_text("\n".join(lines) + "\n")
     return path
 
 
 def _oversized_csv_field(trace, tmp_path):
-    lines = trace_to_csv(trace).splitlines()
-    lines[1] += "x" * 200_000  # past csv's default field size limit
     path = tmp_path / "scan.csv"
+    write_trace_csv(path, trace)
+    lines = path.read_text().splitlines()
+    lines[1] += "x" * 200_000  # past csv's default field size limit
     path.write_text("\n".join(lines) + "\n")
     return path
 
 
 def _bad_sample_after_two_line_labels(trace, tmp_path):
     trace.label = "a\nb"  # quoted, so every record spans two physical lines
-    rows = list(csv.reader(io.StringIO(trace_to_csv(trace))))
-    rows[3][1] = "x"  # the third record starts on physical line 6
     path = tmp_path / "scan.csv"
+    write_trace_csv(path, trace)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[3][1] = "x"  # the third record starts on physical line 6
     with open(path, "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
     return path
@@ -207,13 +209,14 @@ def _bad_sample_after_two_line_labels(trace, tmp_path):
 
 def _bad_json(**edits):
     def make(trace, tmp_path):
-        doc = json.loads(trace_to_json(trace))
+        path = tmp_path / "scan.json"
+        write_trace_json(path, trace)
+        doc = json.loads(path.read_text())
         for key, value in edits.items():
             if key == "re":
                 doc["paths"]["s12"]["re"][5] = value
             else:
                 doc[key] = value
-        path = tmp_path / "scan.json"
         path.write_text(json.dumps(doc))
         return path
     return make
