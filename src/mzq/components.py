@@ -626,24 +626,31 @@ def trace_from_json(text: str) -> SpectrumTrace:
         raise TraceParseError(f"bad trace document: {err}") from None
 
 
+def _json_floats(values: np.ndarray, depth: int) -> str:
+    """A non-empty float array as json.dump(indent=1) lays it out at this depth."""
+    fmt = float.__repr__ if np.isfinite(values).all() else json.dumps  # NaN, Infinity
+    pad = "\n" + " " * depth
+    return "[" + pad + " " + ("," + pad + " ").join(map(fmt, values.tolist())) + pad + "]"
+
+
 def write_trace_json(path: str | Path, trace: SpectrumTrace) -> None:
     """JSON mirror of the CSV format, including synthesis metadata.
 
-    json.dump streams the document into the file without building its text whole.
+    The bytes are those of json.dump(doc, fh, indent=1); each float list is
+    rendered by one float.__repr__ join, which the indenting encoder (pure
+    Python) would do one float at a time.
     """
-    doc = {
-        "label": trace.label,
-        "noise_sigma": trace.noise_sigma,
-        "drive_port": trace.drive_port,
-        "flux_phi0": trace.flux_phi0,
-        "freq_hz": trace.freqs.tolist(),
-        "paths": {
-            p: {"re": trace.values[p].real.tolist(), "im": trace.values[p].imag.tolist()}
-            for p in PATHS if p in trace.values
-        },
-    }
+    head = {"label": trace.label, "noise_sigma": trace.noise_sigma,
+            "drive_port": trace.drive_port, "flux_phi0": trace.flux_phi0}
+    paths = [
+        f'  "{p}": {{\n   "re": {_json_floats(trace.values[p].real, 3)},\n'
+        f'   "im": {_json_floats(trace.values[p].imag, 3)}\n  }}'
+        for p in PATHS if p in trace.values
+    ]
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
+        fh.write("{\n" + "".join(f" {json.dumps(k)}: {json.dumps(v)},\n" for k, v in head.items()))
+        fh.write(f' "freq_hz": {_json_floats(trace.freqs, 1)},\n "paths": {{\n')
+        fh.write(",\n".join(paths) + "\n }\n}")
 
 
 def read_trace(path: str | Path) -> SpectrumTrace:

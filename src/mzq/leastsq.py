@@ -6,15 +6,18 @@ minimizes the sum of squared residuals. The Jacobian comes from a caller's
 closed form when one is passed (the spectrum fit), otherwise from forward
 differences (the rate fits and the prediction bands). The Student-t
 quantile, the parameter intervals and the prediction bands built on a fit
-live here too.
+live here too. The quantile needs no scipy: for integer dof it solves the
+finite series of the t distribution function (Abramowitz & Stegun
+26.7.3-26.7.4) by Newton's method.
 """
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import stdtrit
 
 FD_REL_STEP = 1e-6
 DAMPING_INIT = 1e-3
@@ -174,8 +177,42 @@ def covariance(result: LMResult) -> np.ndarray:
 
 
 def t_quantile(dof: int, p: float) -> float:
-    """Student-t quantile at probability p; a dof below 1 counts as 1."""
-    return stdtrit(max(dof, 1), p)
+    """Student-t quantile at probability 1/2 <= p < 1 for integer dof; a dof below 1 counts as 1.
+
+    A(t) = P(|T| <= t) is a finite series in theta = atan(t / sqrt(nu))
+    (Abramowitz & Stegun 26.7.3-26.7.4), and Newton solves A(t) = 2p - 1 from
+    t = 0. A is concave for t > 0, so every iterate stays below the root and
+    the steps shrink quadratically; after a step below 1e-10 t what is left
+    is far below rounding. At most 10 steps are taken for nu up to 1e5.
+    cos(theta)^(2k) is exp(-k log1p(t^2 / nu)), not a product of rounded
+    factors, which keeps the series at full precision for large nu.
+    """
+    if not 0.5 <= p < 1:
+        raise ValueError(f"p must lie in [0.5, 1), got {p}")
+    nu = max(operator.index(dof), 1)
+    odd = nu % 2
+    # nu // 2 series coefficients: 2*4*..*2k / (3*5*..*(2k+1)) for odd nu,
+    # 1*3*..*(2k-1) / (2*4*..*2k) for even nu
+    j = np.arange(1, nu // 2)
+    coef = np.cumprod(np.concatenate(([1.0], (2 * j - 1 + odd) / (2 * j + odd))))[:nu // 2]
+    k = np.arange(coef.size)
+    slope0 = 2 * math.exp(math.lgamma((nu + 1) / 2) - math.lgamma(nu / 2)) / math.sqrt(math.pi * nu)
+    t = 0.0
+    for _ in range(50):
+        log_cos2 = -math.log1p(t * t / nu)
+        sin = t / math.sqrt(nu + t * t)
+        series = float(coef @ np.exp(k * log_cos2))
+        if odd:
+            theta = math.atan(t / math.sqrt(nu))
+            a = 2 / math.pi * (theta + sin * math.exp(log_cos2 / 2) * series)
+        else:
+            a = sin * series
+        # A'(t) = 2 * (t density) = A'(0) * cos(theta)^(nu + 1)
+        step = (2 * p - 1 - a) / (slope0 * math.exp((nu + 1) / 2 * log_cos2))
+        t += step
+        if step <= 1e-10 * t:
+            return t
+    raise ArithmeticError(f"t quantile did not converge at dof={nu}, p={p}")
 
 
 def confidence_half_widths(cov: np.ndarray, dof: int) -> np.ndarray:

@@ -7,6 +7,7 @@ updates. Production code must agree with these within stated tolerances.
 import cmath
 import csv
 import io
+import json
 import math
 from decimal import Decimal, localcontext
 
@@ -218,6 +219,22 @@ def trace_csv_oracle(trace) -> str:
         vals = trace.values[path]
         for f, v in zip(trace.freqs, vals):
             writer.writerow([_fmt(f), _fmt(v.real), _fmt(v.imag), path, trace.label])
+    return buf.getvalue()
+
+
+def trace_json_oracle(trace) -> str:
+    """Trace JSON text from json.dump(doc, indent=1) of the document as Python lists."""
+    doc = {
+        "label": trace.label,
+        "noise_sigma": trace.noise_sigma,
+        "drive_port": trace.drive_port,
+        "flux_phi0": trace.flux_phi0,
+        "freq_hz": trace.freqs.tolist(),
+        "paths": {p: {"re": trace.values[p].real.tolist(), "im": trace.values[p].imag.tolist()}
+                  for p in PATHS if p in trace.values},
+    }
+    buf = io.StringIO()
+    json.dump(doc, buf, indent=1)
     return buf.getvalue()
 
 

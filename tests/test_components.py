@@ -35,7 +35,8 @@ from mzq.components import (
 )
 from mzq.netcore import SingularSystem, solve_port_system_many
 
-from oracles import splitter_stack_oracle, trace_csv_oracle, transfer_chain_oracle
+from oracles import (splitter_stack_oracle, trace_csv_oracle, trace_json_oracle,
+                     transfer_chain_oracle)
 
 CENTER_HZ = 5.746e9
 W_CENTER = 2 * math.pi * CENTER_HZ
@@ -537,6 +538,28 @@ def test_csv_writer_matches_the_row_by_row_oracle(trace):
         assert back.values.keys() == trace.values.keys()
         for p, v in trace.values.items():
             assert np.array_equal(back.values[p].view(np.int64), v.view(np.int64))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(trace=_odd_traces(), drive=st.sampled_from([None, 2, 4]),
+       flux=st.sampled_from([None, 0.0, -0.0, 0.1875, 5e-324]))
+def test_json_writer_matches_json_dump(trace, drive, flux):
+    trace.drive_port, trace.flux_phi0 = drive, flux
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.json"
+        write_trace_json(path, trace)
+        assert path.read_bytes().decode() == trace_json_oracle(trace)
+
+
+def test_json_writer_keeps_json_dump_bytes_on_four_paths(tmp_path):
+    edges = [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1.7976931348623157e308,
+             1.7976931348623157e308, 1e-5, 1e16, 0.1]
+    trace = _example_trace()
+    for p in PATHS:
+        trace.values[p][:len(edges)] = np.array(edges) - 1j * np.array(edges[::-1])
+    trace.freqs[0] = -0.0
+    write_trace_json(tmp_path / "trace.json", trace)
+    assert (tmp_path / "trace.json").read_bytes() == trace_json_oracle(trace).encode()
 
 
 def test_csv_parse_errors_carry_line_numbers():

@@ -1,25 +1,27 @@
-"""The command-line entry point stays light: no heavy scipy submodule."""
+"""The runtime is numpy only: no scipy module is loaded, imported or declared."""
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
-def test_cli_import_skips_heavy_scipy_modules():
+def test_cli_import_loads_no_scipy_module():
     probe = ("import json, sys; import mzq.cli; "
-             "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy.'))))")
+             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
     out = subprocess.run([sys.executable, "-c", probe], check=True, capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": str(SRC)}).stdout
-    loaded = set(json.loads(out))
-    assert "scipy.special" in loaded
-    assert loaded.isdisjoint({"scipy.stats", "scipy.optimize", "scipy.constants"})
+    assert json.loads(out) == []
 
 
-def test_only_leastsq_imports_scipy():
+def test_no_module_imports_scipy():
     importers = set()
     for path in (SRC / "mzq").glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -31,4 +33,11 @@ def test_only_leastsq_imports_scipy():
                 continue
             if any(name.split(".")[0] == "scipy" for name in names):
                 importers.add(path.name)
-    assert importers == {"leastsq.py"}
+    assert importers == set()
+
+
+def test_runtime_dependencies_are_numpy_only():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert [re.match(r"[\w.-]+", dep)[0] for dep in project["dependencies"]] == ["numpy"]
+    assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["test"])

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import optimize, stats
+from scipy import optimize, special, stats
 
 from mzq.leastsq import (
     BadInitialization,
@@ -248,3 +248,32 @@ def test_t_quantile_counts_a_dof_below_one_as_one():
     for dof in (1, 7, 2400):
         assert t_quantile(dof, 0.975) == pytest.approx(stats.t.ppf(0.975, dof), rel=1e-12)
     assert t_quantile(0, 0.95) == t_quantile(-3, 0.95) == t_quantile(1, 0.95)
+
+
+T_ORACLE_DOFS = [*range(1, 401), 500, 1000, 2397, 5000, 10**4, 3 * 10**4, 99_999, 10**5]
+
+
+@pytest.mark.parametrize("p", [0.95, 0.975])
+def test_t_quantile_matches_stdtrit(p):
+    mine = np.array([t_quantile(dof, p) for dof in T_ORACLE_DOFS])
+    ref = special.stdtrit(np.array(T_ORACLE_DOFS, dtype=float), p)
+    assert np.max(np.abs(mine / ref - 1)) <= 1e-13
+
+
+@pytest.mark.parametrize("p", [0.95, 0.975])
+def test_t_quantile_closed_forms_at_one_and_two_dof(p):
+    assert t_quantile(1, p) == pytest.approx(math.tan(math.pi * (p - 0.5)), rel=1e-14)
+    assert t_quantile(2, p) == pytest.approx((2 * p - 1) / math.sqrt(2 * p * (1 - p)), rel=1e-14)
+
+
+@pytest.mark.parametrize("p", [0.95, 0.975])
+def test_t_quantile_strictly_decreases_in_dof(p):
+    qs = [t_quantile(dof, p) for dof in T_ORACLE_DOFS]
+    assert all(a > b for a, b in zip(qs, qs[1:]))
+
+
+def test_t_quantile_rejects_a_p_outside_its_range():
+    assert t_quantile(5, 0.5) == 0.0
+    for p in (0.4, 1.0, math.nan):
+        with pytest.raises(ValueError):
+            t_quantile(5, p)
