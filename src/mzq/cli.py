@@ -18,7 +18,6 @@ import numpy as np
 
 from .components import (
     CircuitSpec,
-    CROSS_PATHS,
     DegenerateScatterer,
     LineParams,
     QubitScatterer,
@@ -44,8 +43,8 @@ from .estimate import (
     fit_spectrum,
     gamma1_curve,
     ou_curve,
+    power_curve,
     read_rates_csv,
-    spectrum_curve,
     write_fit_json,
     write_rates_csv,
 )
@@ -163,8 +162,9 @@ def _build_circuit(obj: dict | None, where: str) -> CircuitSpec:
                 continue
             vals = lines[key]
             if (not isinstance(vals, list) or len(vals) != 4
-                    or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in vals)):
-                raise ConfigError(f"{lw}.{key}: expected a list of 4 numbers")
+                    or any(isinstance(v, bool) or not isinstance(v, (int, float))
+                           or not math.isfinite(v) for v in vals)):
+                raise ConfigError(f"{lw}.{key}: expected a list of 4 finite numbers")
             if any(v < 0 for v in vals):
                 raise ConfigError(f"{lw}.{key}: entries must be >= 0")
             params[key] = tuple(float(v) * unit for v in vals)
@@ -281,10 +281,9 @@ def _fit_options(config: dict) -> dict | None:
 def _write_residuals(path: Path, trace, model: dict[str, np.ndarray]) -> None:
     with open(path, "w") as fh:
         write_csv_columns(fh, ("freq_hz", "path", "data_re", "data_im", "model_re", "model_im"))
-        for name in CROSS_PATHS:
-            if name in trace.values:
-                d, m = trace.values[name], model[name]
-                write_csv_columns(fh, None, trace.freqs, name, d.real, d.imag, m.real, m.imag)
+        for name, m in model.items():
+            d = trace.values[name]
+            write_csv_columns(fh, None, trace.freqs, name, d.real, d.imag, m.real, m.imag)
 
 
 def _fit_one_trace(trace_path: Path, template: CircuitSpec,
@@ -295,10 +294,8 @@ def _fit_one_trace(trace_path: Path, template: CircuitSpec,
     stem = trace_path.stem
     fit_path = out_dir / f"{stem}_fit.json"
     write_fit_json(fit_path, result)
-    rabi = init.rabi if init is not None else 0.0
-    model = spectrum_curve(template, list(result.params.values()), rabi, trace.freqs)
     resid_path = out_dir / f"{stem}_residuals.csv"
-    _write_residuals(resid_path, trace, model)
+    _write_residuals(resid_path, trace, result.curves)
     _say(quiet, f"wrote {fit_path}")
     _say(quiet, f"wrote {resid_path}")
     flux = trace.flux_phi0 if trace.flux_phi0 is not None else math.nan
@@ -366,10 +363,6 @@ def _write_csv(path: Path, quiet: bool, header, *columns) -> None:
     _say(quiet, f"wrote {path}")
 
 
-def _power_curve(p, x):
-    return abs(p[0]) * x ** p[1]
-
-
 def cmd_fit_rates(config: dict, out_dir: Path, quiet: bool) -> int:
     _check_keys(config, "config", _FIT_RATES_KEYS)
     rates_path = Path(_str(config, "rates_csv", "config"))
@@ -412,7 +405,7 @@ def cmd_fit_rates(config: dict, out_dir: Path, quiet: bool) -> int:
         ("gamma1", lambda: fit_gamma1(rates), gamma1_curve, ws,
          "curve_gamma1.csv", ("omega01_rad_s", "gamma1_rad_s")),
         ("gamma_phi_power", lambda: fit_gamma_phi_power(rates, transmon, rel_err_max),
-         _power_curve, xs, "curve_gamma_phi_power.csv", phi_cols),
+         power_curve, xs, "curve_gamma_phi_power.csv", phi_cols),
         ("ou", lambda: fit_ou(rates, transmon, rel_err_max),
          ou_curve, xs, "curve_gamma_phi_ou.csv", phi_cols),
     )

@@ -597,11 +597,18 @@ def trace_from_json(text: str) -> SpectrumTrace:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise TraceParseError(f"line {err.lineno}: {err.msg}") from None
+
+    def numbers(obj: dict, key: str, where: str = "") -> np.ndarray:
+        a = np.asarray(obj[key])
+        if a.dtype.kind not in "iuf":  # strings, bools and nulls are not samples
+            raise ValueError(f"{where}{key} must be a list of numbers")
+        return a.astype(float)
+
     try:
-        freqs = np.asarray(doc["freq_hz"], dtype=float)
+        freqs = numbers(doc, "freq_hz")
         values = {}
         for p, d in doc["paths"].items():
-            re, im = np.asarray(d["re"], dtype=float), np.asarray(d["im"], dtype=float)
+            re, im = numbers(d, "re", f"path {p!r}: "), numbers(d, "im", f"path {p!r}: ")
             if not re.shape == im.shape == freqs.shape:
                 raise ValueError(f"path {p!r}: re, im and freq_hz differ in length")
             values[p] = re + 1j * im
@@ -614,11 +621,17 @@ def trace_from_json(text: str) -> SpectrumTrace:
         if flux is not None and (isinstance(flux, bool) or not isinstance(flux, (int, float))
                                  or not math.isfinite(flux)):
             raise ValueError(f"flux_phi0 must be null or a finite number, got {flux!r}")
+        noise = doc.get("noise_sigma", 0.0)
+        if isinstance(noise, bool) or not isinstance(noise, (int, float)):
+            raise ValueError(f"noise_sigma must be a number, got {noise!r}")
+        label = doc.get("label", "")
+        if not isinstance(label, str):
+            raise ValueError(f"label must be a string, got {label!r}")
         return SpectrumTrace(
             freqs=freqs,
             values=values,
-            noise_sigma=float(doc.get("noise_sigma", 0.0)),
-            label=str(doc.get("label", "")),
+            noise_sigma=float(noise),
+            label=label,
             drive_port=drive,
             flux_phi0=flux,
         )

@@ -21,6 +21,8 @@ from .components import (
     _qubit_r_and_grad,
     _reflection_embedding,
     qubit_rt_many,
+    # unused: perfbench/test_perfbench.py::test_tracer_records_nested_layers_and_restores_originals
+    # reads mzq.estimate.sweep; ROADMAP item 1 frees it
     sweep,
     write_csv_columns,
 )
@@ -90,7 +92,9 @@ class FitResult:
 
     rel_err maps each ci95 key to ci95/|estimate|. covariance (when present)
     is ordered like the leading params keys; dof is the residual degrees of
-    freedom behind the intervals. Neither is serialized.
+    freedom behind the intervals; curves (spectrum fits) maps each fitted
+    cross path to the calibrated model at the fitted point. None of the
+    three is serialized.
     """
 
     params: dict[str, float]
@@ -101,6 +105,7 @@ class FitResult:
     converged: bool
     covariance: np.ndarray | None = field(default=None, repr=False, compare=False)
     dof: int | None = field(default=None, compare=False)
+    curves: dict[str, np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         for k, hw in self.ci95.items():
@@ -148,20 +153,16 @@ class FitResult:
         )
 
 
-def _make_result(params: dict[str, float], ci95: dict[str, float], residual_rms: float,
-                 iterations: int, cov: np.ndarray, dof: int) -> FitResult:
-    return FitResult(params=params, ci95=ci95, rel_err=_rel_err_map(params, ci95),
-                     residual_rms=residual_rms, iterations=iterations,
-                     converged=True, covariance=cov, dof=dof)
-
-
-def _lm_fit_result(res: LMResult, params: dict[str, float], residual_rms: float) -> FitResult:
+def _lm_fit_result(res: LMResult, params: dict[str, float], residual_rms: float,
+                   curves: dict[str, np.ndarray] | None = None) -> FitResult:
     """Result of a converged LM fit: one covariance, ci95 on the leading params."""
     m, n = res.jacobian.shape
     cov = covariance(res)
     hw = confidence_half_widths(cov, m - n)
     ci95 = {k: float(h) for k, h in zip(params, hw)}
-    return _make_result(params, ci95, residual_rms, res.iterations, cov, m - n)
+    return FitResult(params=params, ci95=ci95, rel_err=_rel_err_map(params, ci95),
+                     residual_rms=residual_rms, iterations=res.iterations, converged=True,
+                     covariance=cov, dof=m - n, curves=curves)
 
 
 def write_fit_json(path, result: FitResult) -> None:
@@ -418,14 +419,6 @@ def calibration_curve(scale_re: float, scale_im: float, phase_slope: float,
     return (scale_re + 1j * scale_im) * np.exp(-2j * np.pi * (freqs - f_ref) * phase_slope)
 
 
-def spectrum_curve(template: CircuitSpec, x, rabi: float,
-                   freqs: np.ndarray) -> dict[str, np.ndarray]:
-    """Calibrated cross paths at the folded fit parameters x (fit_spectrum's order)."""
-    model = sweep(replace(template, qubit=_fold_qubit(x, rabi)), freqs)
-    cal = calibration_curve(x[4], x[5], x[6], freqs, float(np.mean(freqs)))
-    return {p: model.values[p] * cal for p in CROSS_PATHS}
-
-
 def _feature_init(freqs: np.ndarray, values: np.ndarray):
     """Locate the dominant detrended excursion: center (Hz) and FWHM (Hz)."""
     resid, _ = _detrend(freqs, np.abs(values))
@@ -455,8 +448,11 @@ def fit_spectrum(trace: SpectrumTrace, spec_template: CircuitSpec,
 
     init seeds the start and fixes the drive amplitude; an init center that
     lies outside the swept window is replaced by the dominant feature in the
-    data, so one init can serve a whole flux sweep. options may override
-    the max_iter, ftol and xtol defaults of levenberg_marquardt.
+    data, so one init can serve a whole flux sweep. An init whose saturation
+    rabi^2/(gamma1 G2) exceeds 100 would start on a flat line, so gamma1
+    then starts at pi times the feature's FWHM and gamma_phi at half that,
+    as without an init. options may override the max_iter, ftol and xtol
+    defaults of levenberg_marquardt.
 
     The model is sweep's, evaluated through the scatterer's exact embedding:
     with r the scatterer reflection, (1 - r) M(r) = A + r B per frequency,
@@ -467,6 +463,9 @@ def fit_spectrum(trace: SpectrumTrace, spec_template: CircuitSpec,
     keeps |1 - r| >= 1e-6. The Jacobian is closed form: each cross path is
     Mobius in r, S = (a + b r)/(1 + d r). gamma1 and r0 start off their
     fold clamps, where their columns are live.
+
+    The result's curves hold the calibrated model of each fitted cross path
+    at the converged point, from one more evaluation on the same embedding.
     """
     opts = dict(options or {})
     unknown = set(opts) - {"max_iter", "ftol", "xtol"}
@@ -485,20 +484,19 @@ def fit_spectrum(trace: SpectrumTrace, spec_template: CircuitSpec,
     data = {p: np.asarray(trace.values[p], dtype=complex) for p in paths}
 
     rabi = init.rabi if init is not None else 0.0
-    if init is not None:
-        omega01_0, gamma1_0 = init.omega01, init.gamma1
-        gamma_phi_0, r0_0 = init.gamma_phi, init.r0
-        # a shared init cannot carry the right center for every trace of a
-        # flux sweep; when it falls outside the window, start on the feature
-        if not 2 * math.pi * freqs[0] <= omega01_0 <= 2 * math.pi * freqs[-1]:
-            f0, _ = _feature_init(freqs, data[primary])
-            omega01_0 = 2 * math.pi * f0
-    else:
+    # a shared init cannot carry the right center for every trace of a flux
+    # sweep, so a center outside the window starts on the data's feature; a
+    # saturation rabi^2/(gamma1 G2) above 100 holds the reflection below 1 %
+    # of r0, a flat line whose columns vanish, so the widths start from its FWHM
+    w_lo, w_hi = 2 * math.pi * freqs[0], 2 * math.pi * freqs[-1]
+    center_ok = init is not None and w_lo <= init.omega01 <= w_hi
+    widths_ok = init is not None and rabi**2 <= 100 * init.gamma1 * init.gamma2
+    if not (center_ok and widths_ok):
         f0, fwhm = _feature_init(freqs, data[primary])
-        omega01_0 = 2 * math.pi * f0
-        gamma1_0 = math.pi * fwhm
-        gamma_phi_0 = gamma1_0 / 2
-        r0_0 = 0.9
+    omega01_0 = init.omega01 if center_ok else 2 * math.pi * f0
+    gamma1_0, gamma_phi_0 = ((init.gamma1, init.gamma_phi) if widths_ok
+                             else (math.pi * fwhm, math.pi * fwhm / 2))
+    r0_0 = init.r0 if init is not None else 0.9
 
     # calibration start: compare data with the qubit-free background; the
     # line fit uses only the outer bands, away from the scatterer feature
@@ -561,7 +559,7 @@ def fit_spectrum(trace: SpectrumTrace, spec_template: CircuitSpec,
         "phase_slope": float(res.x[6]),
     }
     rms = float(np.sqrt(np.mean(res.residual**2)) / max(np.sqrt(np.mean(data_vec**2)), 1e-300))
-    return _lm_fit_result(res, params, rms)
+    return _lm_fit_result(res, params, rms, curves=model(res.x))
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +573,11 @@ def _fold_bath(x) -> BathModel:
 def gamma1_curve(x, w: np.ndarray) -> np.ndarray:
     """Relaxation model at the folded parameters x = (alpha, center, fwhm, height)."""
     return gamma1_model(_fold_bath(x), w)
+
+
+def power_curve(x, slopes: np.ndarray) -> np.ndarray:
+    """Dephasing power law at x = (amplitude, eta): |amplitude| * slopes**eta."""
+    return abs(x[0]) * slopes ** x[1]
 
 
 def ou_curve(x, slopes: np.ndarray) -> np.ndarray:
@@ -647,36 +650,19 @@ def fit_gamma_phi_power(rates: RateDataset, transmon: TransmonParams,
     x = np.log(slopes)
     y = np.log(kept.gamma_phi)
     rel = kept.rel_err_gamma_phi
-    wgt = 1.0 / rel**2 if np.all(rel > 0) else np.ones_like(y)
-
-    sw = wgt.sum()
-    swx = float(wgt @ x)
-    swxx = float(wgt @ (x * x))
-    swy = float(wgt @ y)
-    swxy = float(wgt @ (x * y))
-    det = sw * swxx - swx**2
-    if det <= 0:
-        raise IllPosed("degenerate flux-sensitivity design")
-    eta = (sw * swxy - swx * swy) / det
-    intercept = (swy - eta * swx) / sw
-
-    resid = y - (intercept + eta * x)
-    dof = len(kept) - 2
-    s2 = float(wgt @ resid**2) / dof
-    cov_fit = s2 / det * np.array([[swxx, -swx], [-swx, sw]])
-    quantile = t_quantile(dof, 0.975)
+    sqrt_w = 1.0 / rel if np.all(rel > 0) else np.ones_like(y)
+    design = sqrt_w[:, None] * np.column_stack([np.ones_like(x), x])
+    (intercept, eta), *_ = np.linalg.lstsq(design, sqrt_w * y, rcond=None)
     amplitude = math.exp(intercept)
-
-    params = {"amplitude": amplitude, "eta": eta}
-    ci95 = {"amplitude": amplitude * quantile * math.sqrt(max(cov_fit[0, 0], 0.0)),
-            "eta": quantile * math.sqrt(max(cov_fit[1, 1], 0.0))}
-    # propagate the log-amplitude variance onto the amplitude itself
-    cov = np.array([
-        [amplitude**2 * cov_fit[0, 0], amplitude * cov_fit[0, 1]],
-        [amplitude * cov_fit[1, 0], cov_fit[1, 1]],
-    ])
-    rms = float(np.sqrt((wgt @ resid**2) / sw))
-    return _make_result(params, ci95, rms, 1, cov, dof)
+    resid = design @ [intercept, eta] - sqrt_w * y
+    cost = float(resid @ resid)
+    # the log residual is linear in (log amplitude, eta), so its Jacobian in
+    # (amplitude, eta) is exact and covariance() carries the delta method
+    res = LMResult(x=np.array([amplitude, eta]), cost=cost, cost_history=[cost],
+                   residual=resid, jacobian=design / [amplitude, 1.0], iterations=1,
+                   converged=True)
+    rms = math.sqrt(cost / float(sqrt_w @ sqrt_w))
+    return _lm_fit_result(res, {"amplitude": amplitude, "eta": float(eta)}, rms)
 
 
 def _ou_sigmas(g: np.ndarray, slopes: np.ndarray, kappa: float) -> np.ndarray:
@@ -747,6 +733,6 @@ def fit_ou(rates: RateDataset, transmon: TransmonParams,
     rms = float(np.sqrt(np.mean(res.residual**2)) /
                 max(np.sqrt(np.mean((g * sqrt_w) ** 2)), 1e-300))
     result = _lm_fit_result(res, {"sigma": abs(res.x[0]), "kappa": abs(res.x[1])}, rms)
-    se_kappa = result.ci95["kappa"] / t_quantile(result.dof, 0.975)
+    se_kappa = math.sqrt(result.covariance[1, 1])
     upper = result.params["kappa"] + t_quantile(result.dof, 0.95) * se_kappa
     return replace(result, params={**result.params, "kappa_upper95": upper})

@@ -246,3 +246,32 @@ def rates_csv_oracle(rates) -> str:
             rates.omega01, rates.gamma1, rates.gamma_phi, rates.flux,
             rates.rel_err_gamma_phi)))
     return "\n".join(lines) + "\n"
+
+
+def power_law_oracle(slopes: np.ndarray, gamma_phi: np.ndarray, rel_err: np.ndarray):
+    """Weighted log-log line fit by its 2x2 normal equations, with a delta-method covariance.
+
+    log gamma_phi = log A + eta log slope, weighted by 1/rel_err^2 when every
+    row has a relative error (unweighted otherwise). The (log A, eta)
+    covariance s^2 (X^T W X)^-1 is carried onto (A, eta) by the Jacobian
+    diag(A, 1). Returns (params, ci95, covariance) like fit_gamma_phi_power.
+    """
+    from mzq.leastsq import t_quantile
+
+    x, y = np.log(slopes), np.log(gamma_phi)
+    wgt = 1.0 / rel_err**2 if np.all(rel_err > 0) else np.ones_like(y)
+    sw, swx, swxx = wgt.sum(), wgt @ x, wgt @ (x * x)
+    swy, swxy = wgt @ y, wgt @ (x * y)
+    det = sw * swxx - swx**2
+    eta = (sw * swxy - swx * swy) / det
+    intercept = (swy - eta * swx) / sw
+    resid = y - (intercept + eta * x)
+    s2 = (wgt @ resid**2) / (x.size - 2)
+    cov_log = s2 / det * np.array([[swxx, -swx], [-swx, sw]])
+    amplitude = math.exp(intercept)
+    carry = np.diag([amplitude, 1.0])
+    cov = carry @ cov_log @ carry
+    quantile = t_quantile(x.size - 2, 0.975)
+    params = {"amplitude": amplitude, "eta": eta}
+    ci95 = {"amplitude": quantile * math.sqrt(cov[0, 0]), "eta": quantile * math.sqrt(cov[1, 1])}
+    return params, ci95, cov

@@ -7,17 +7,18 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mzq import cli
+from mzq import cli, components, estimate
 from mzq.components import (
     QubitScatterer,
     make_interferometer,
     read_trace,
+    sweep,
     synthesize,
     write_trace_csv,
     write_trace_json,
 )
-from mzq.estimate import (RateDataset, fit_gamma1, fit_gamma_phi_power, fit_ou, ou_curve,
-                          read_fit_json, read_rates_csv, write_rates_csv)
+from mzq.estimate import (RateDataset, calibration_curve, fit_gamma1, fit_gamma_phi_power,
+                          fit_ou, ou_curve, read_fit_json, read_rates_csv, write_rates_csv)
 from mzq.leastsq import prediction_band
 from mzq.physics import (
     BathModel,
@@ -152,6 +153,14 @@ def test_config_problems_exit_2(tmp_path, capsys):
         "circuit": {}, "grid": {"start_ghz": 5.0, "stop_ghz": 6.0, "points": 1}})
     assert _run("simulate", "--config", sparse, "--out", out) == 2
 
+    # json.load reads NaN and Infinity; the message must name the config key
+    for key, bad in (("delay_ns", math.nan), ("attenuation", math.inf)):
+        lines = {key: [0.1, bad, 0.1, 0.1]}
+        cfg = _write(tmp_path / f"bad_{key}.json", {"circuit": {"lines": lines},
+                                                     "grid": GRID_CFG})
+        assert _run("simulate", "--config", cfg, "--out", out) == 2
+        assert f"config.circuit.lines.{key}" in capsys.readouterr().err
+
 
 def test_full_reflection_on_grid_exits_3(tmp_path, capsys):
     cfg = _write(tmp_path / "sim.json", {
@@ -213,8 +222,10 @@ def _bad_json(**edits):
         write_trace_json(path, trace)
         doc = json.loads(path.read_text())
         for key, value in edits.items():
-            if key == "re":
-                doc["paths"]["s12"]["re"][5] = value
+            if key in ("re", "im"):
+                doc["paths"]["s12"][key][5] = value
+            elif key == "freq_hz":
+                doc[key][5] = value
             else:
                 doc[key] = value
         path.write_text(json.dumps(doc))
@@ -234,9 +245,21 @@ def _bad_json(**edits):
     # one re with 51 im used to broadcast into 51 samples sharing a real part
     (_bad_json(paths={"s12": {"re": [0.5], "im": [0.1] * 51}}),
      "path 's12': re, im and freq_hz differ in length"),
+    # these used to be coerced: None and 5 into the labels "None" and "5",
+    # true and "0.5" into noise levels, string numbers into samples
+    (_bad_json(label=None), "label must be a string"),
+    (_bad_json(label=5), "label must be a string"),
+    (_bad_json(noise_sigma=True), "noise_sigma must be a number"),
+    (_bad_json(noise_sigma="0.5"), "noise_sigma must be a number"),
+    (_bad_json(freq_hz="5.2e9"), "freq_hz must be a list of numbers"),
+    (_bad_json(re="0.5"), "path 's12': re must be a list of numbers"),
+    (_bad_json(im="0.5"), "path 's12': im must be a list of numbers"),
+    (_bad_json(im=None), "path 's12': im must be a list of numbers"),
 ], ids=["csv-nan-sample", "csv-oversized-field", "csv-multiline-label", "json-inf-sample",
         "json-drive-port-string", "json-drive-port-bool", "json-flux-string", "json-flux-nan",
-        "json-re-im-lengths"])
+        "json-re-im-lengths", "json-label-null", "json-label-number", "json-noise-bool",
+        "json-noise-string", "json-freq-string", "json-re-string", "json-im-string",
+        "json-im-null"])
 def test_bad_trace_input_exits_2(tmp_path, capsys, make_input, message):
     trace = synthesize(make_interferometer(qubit=_truth_qubit()),
                        np.linspace(5.17e9, 5.23e9, 51))
@@ -303,6 +326,40 @@ def test_single_trace_fit_outputs(tmp_path):
     assert row[1] == "s12"
     assert float(row[2]) == pytest.approx(float(row[4]), abs=1e-9)
     assert float(row[3]) == pytest.approx(float(row[5]), abs=1e-9)
+
+
+def test_fitted_curves_come_from_the_fit_model(tmp_path, monkeypatch):
+    trace = synthesize(make_interferometer(qubit=_truth_qubit()),
+                       np.linspace(5.17e9, 5.23e9, 201), noise_sigma=0.01, seed=4)
+    trace_path = tmp_path / "scan.json"
+    write_trace_json(trace_path, trace)
+    cfg = _write(tmp_path / "fit.json", {"input_json": str(trace_path), "init": QUBIT_CFG})
+    calls = []
+    for module in (components, estimate, cli):
+        monkeypatch.setattr(module, "sweep", lambda *a, **k: calls.append(a) or sweep(*a, **k))
+    out = tmp_path / "out"
+    assert _run("fit-spectrum", "--config", cfg, "--out", str(out), "--quiet") == 0
+    assert not calls
+
+    doc = json.loads((out / "scan_fit.json").read_text())
+    assert set(doc) == {"params", "ci95", "rel_err", "residual_rms", "iterations", "converged"}
+    p = doc["params"]
+    # oracle: a sweep of the fitted circuit, calibrated as fit_spectrum does
+    fitted = make_interferometer(qubit=QubitScatterer(
+        omega01=p["omega01"], gamma1=p["gamma1"], gamma_phi=p["gamma_phi"], r0=p["r0"],
+        rabi=_truth_qubit().rabi))
+    cal = calibration_curve(p["scale_re"], p["scale_im"], p["phase_slope"], trace.freqs,
+                            float(np.mean(trace.freqs)))
+    with open(out / "scan_residuals.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for path, want in sweep(fitted, trace.freqs).values.items():
+        if path not in ("s12", "s34"):
+            continue
+        got = np.array([complex(float(r["model_re"]), float(r["model_im"]))
+                        for r in rows if r["path"] == path])
+        want = want * cal
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_batch_fit_collects_rates(tmp_path):

@@ -57,6 +57,7 @@ from mzq.physics import (
     flux_for_omega01,
     gamma1_model,
     gamma_phi_model,
+    flux_slope,
     gamma_phi_rate,
 )
 
@@ -359,6 +360,19 @@ def test_spectrum_fit_leaves_a_start_on_a_fold_kink(start):
         assert result.params[name] == pytest.approx(getattr(TRUTH, name), rel=0.1)
 
 
+@pytest.mark.parametrize("gamma1", [1e-4, 2 * math.pi * 1e3], ids=["1e-4", "1kHz"])
+def test_spectrum_fit_recovers_from_a_saturating_start(gamma1):
+    # at these starts rabi^2/(gamma1 G2) is 3.5e11 and 5.6e3: the start line
+    # is flat, so the widths must come from the data's linewidth
+    trace = _qubit_trace(noise=0.01, seed=3)
+    reference = fit_spectrum(trace, make_interferometer(), init=TRUTH)
+    result = fit_spectrum(trace, make_interferometer(), init=replace(TRUTH, gamma1=gamma1))
+    assert result.converged
+    for name in ("gamma1", "gamma_phi", "r0"):
+        assert result.params[name] == pytest.approx(getattr(TRUTH, name), rel=0.05)
+        assert result.params[name] == pytest.approx(reference.params[name], rel=1e-5)
+
+
 def test_spectrum_fit_leaves_a_zero_relaxation_start():
     # gamma1 = 0 needs an undriven init, and undriven data fix only
     # G2 = gamma1/2 + gamma_phi; gamma1 must still leave its floor
@@ -489,6 +503,28 @@ def test_power_fit_matches_weighted_polyfit():
     slope_ref, icept_ref = np.polyfit(np.log(slopes), np.log(gphi), 1, w=1 / rel)
     assert result.params["eta"] == pytest.approx(slope_ref, rel=1e-10)
     assert result.params["amplitude"] == pytest.approx(math.exp(icept_ref), rel=1e-10)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(4, 40), eta=st.floats(-1.0, 3.0),
+       log_amp=st.floats(-40.0, 0.0), spread=st.floats(0.01, 1.0), weighted=st.booleans())
+def test_power_fit_matches_the_normal_equation_oracle(seed, rows, eta, log_amp, spread,
+                                                      weighted):
+    rng = np.random.default_rng(seed)
+    # the end points put the slopes more than a decade apart
+    flux = np.concatenate([[0.02, 0.45], rng.uniform(0.02, 0.45, rows - 2)])
+    slopes = np.abs(flux_slope(TRANSMON, flux))
+    gphi = math.exp(log_amp) * slopes**eta * np.exp(spread * rng.standard_normal(rows))
+    rel = rng.uniform(0.01, 0.3, rows) if weighted else np.zeros(rows)
+    rates = RateDataset(np.full(rows, 2 * math.pi * 5e9), np.full(rows, 1e5), gphi, flux, rel)
+    result = fit_gamma_phi_power(rates, TRANSMON)
+    params, ci95, cov = oracles.power_law_oracle(slopes, gphi, rel)
+    for name in ("amplitude", "eta"):
+        assert result.params[name] == pytest.approx(params[name], rel=1e-9, abs=1e-12)
+        assert result.ci95[name] == pytest.approx(ci95[name], rel=1e-9)
+    scale = np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
+    assert np.all(np.abs(result.covariance - cov) <= 1e-9 * scale)
+    assert result.dof == rows - 2
 
 
 def test_power_fit_guards():
