@@ -30,6 +30,7 @@ from .components import (
     write_trace_json,
 )
 from .estimate import (
+    FIT_OPTIONS,
     BadInitialization,
     IllPosed,
     NoConvergence,
@@ -37,6 +38,7 @@ from .estimate import (
     REL_ERR_MAX_DEFAULT,
     RateDataset,
     classify_regime,
+    excluded_rows,
     fit_gamma1,
     fit_gamma_phi_power,
     fit_ou,
@@ -55,7 +57,6 @@ from .physics import (
     DegenerateFlux,
     QuasiStaticLimit,
     TransmonParams,
-    flux_slope,
 )
 
 GHZ = 2 * math.pi * 1e9
@@ -268,14 +269,10 @@ def _fit_options(config: dict) -> dict | None:
     obj = _obj(config, "options", "config", default=None)
     if obj is None:
         return None
-    _check_keys(obj, "config.options", {"max_iter", "ftol", "xtol"})
-    opts = {}
-    if "max_iter" in obj:
-        opts["max_iter"] = _int(obj, "max_iter", "config.options", minimum=1)
-    for key in ("ftol", "xtol"):
-        if key in obj:
-            opts[key] = _num(obj, key, "config.options", minimum=0, strict=True)
-    return opts
+    _check_keys(obj, "config.options", set(FIT_OPTIONS))
+    return {key: (_int(obj, key, "config.options", minimum=1) if key == "max_iter"
+                  else _num(obj, key, "config.options", minimum=0, strict=True))
+            for key in FIT_OPTIONS if key in obj}
 
 
 def _write_residuals(path: Path, trace, model: dict[str, np.ndarray]) -> None:
@@ -376,18 +373,14 @@ def cmd_fit_rates(config: dict, out_dir: Path, quiet: bool) -> int:
         raise IllPosed(f"rate table has {len(rates)} rows; need at least 8")
 
     # data points and the 33%-rule sidecar are written before any fit runs
-    slopes = np.abs(flux_slope(transmon, rates.flux))
+    checks, slopes = excluded_rows(rates, transmon, rel_err_max)
     _write_csv(out_dir / "points_gamma1.csv", quiet, ("omega01_rad_s", "gamma1_rad_s"),
                rates.omega01, rates.gamma1)
     _write_csv(out_dir / "points_gamma_phi.csv", quiet,
                ("omega01_rad_s", "slope_rad_s_per_phi0", "gamma_phi_rad_s", "rel_err_gamma_phi"),
                rates.omega01, slopes, rates.gamma_phi, rates.rel_err_gamma_phi)
 
-    flux_known = np.isfinite(rates.flux)
-    checks = (("rel_err_at_or_above_max", rates.rel_err_gamma_phi >= rel_err_max),
-              ("flux_unknown", ~flux_known),
-              ("zero_flux_sensitivity", flux_known & ~(slopes > 0)))
-    reasons = [";".join(name for name, hit in checks if hit[i]) for i in range(len(rates))]
+    reasons = [";".join(name for name, hit in checks.items() if hit[i]) for i in range(len(rates))]
     rows = [i for i, reason in enumerate(reasons) if reason]
     _write_csv(out_dir / "excluded_rows.csv", quiet,
                ("row", "omega01_rad_s", "gamma_phi_rad_s", "rel_err_gamma_phi", "reason"),

@@ -607,7 +607,11 @@ def trace_from_json(text: str) -> SpectrumTrace:
     try:
         freqs = numbers(doc, "freq_hz")
         values = {}
+        if not isinstance(doc["paths"], dict):
+            raise ValueError(f"paths must be an object, got {type(doc['paths']).__name__}")
         for p, d in doc["paths"].items():
+            if not isinstance(d, dict):
+                raise ValueError(f"path {p!r} must be an object, got {type(d).__name__}")
             re, im = numbers(d, "re", f"path {p!r}: "), numbers(d, "im", f"path {p!r}: ")
             if not re.shape == im.shape == freqs.shape:
                 raise ValueError(f"path {p!r}: re, im and freq_hz differ in length")

@@ -9,7 +9,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -48,6 +48,8 @@ __all__ = [
 RATES_CSV_HEADER = "omega01_rad_s,gamma1_rad_s,gamma_phi_rad_s,flux_phi0,rel_err_gamma_phi"
 
 REL_ERR_MAX_DEFAULT = 0.33
+
+FIT_OPTIONS = ("max_iter", "ftol", "xtol")  # levenberg_marquardt settings fit_spectrum takes
 
 
 class IllPosed(ValueError):
@@ -91,10 +93,11 @@ class FitResult:
     """Point estimates with linearized 95% confidence half-widths.
 
     rel_err maps each ci95 key to ci95/|estimate|. covariance (when present)
-    is ordered like the leading params keys; dof is the residual degrees of
-    freedom behind the intervals; curves (spectrum fits) maps each fitted
-    cross path to the calibrated model at the fitted point. None of the
-    three is serialized.
+    is in the coordinates of the leading params keys, in their order, so a
+    band through the reported params reads it as is; dof is the residual
+    degrees of freedom behind the intervals; curves (spectrum fits) maps
+    each fitted cross path to the calibrated model at the fitted point.
+    None of the three is serialized.
     """
 
     params: dict[str, float]
@@ -468,7 +471,7 @@ def fit_spectrum(trace: SpectrumTrace, spec_template: CircuitSpec,
     at the converged point, from one more evaluation on the same embedding.
     """
     opts = dict(options or {})
-    unknown = set(opts) - {"max_iter", "ftol", "xtol"}
+    unknown = set(opts) - set(FIT_OPTIONS)
     if unknown:
         raise ValueError(f"unknown fit options: {sorted(unknown)}")
 
@@ -566,13 +569,9 @@ def fit_spectrum(trace: SpectrumTrace, spec_template: CircuitSpec,
 # rate-model fits
 # ---------------------------------------------------------------------------
 
-def _fold_bath(x) -> BathModel:
-    return BathModel(abs(x[0]), abs(x[1]), max(abs(x[2]), 1.0), abs(x[3]))
-
-
 def gamma1_curve(x, w: np.ndarray) -> np.ndarray:
     """Relaxation model at the folded parameters x = (alpha, center, fwhm, height)."""
-    return gamma1_model(_fold_bath(x), w)
+    return gamma1_model(BathModel(abs(x[0]), abs(x[1]), max(abs(x[2]), 1.0), abs(x[3])), w)
 
 
 def power_curve(x, slopes: np.ndarray) -> np.ndarray:
@@ -583,6 +582,23 @@ def power_curve(x, slopes: np.ndarray) -> np.ndarray:
 def ou_curve(x, slopes: np.ndarray) -> np.ndarray:
     """Dephasing rate at the folded flux-noise parameters x = (sigma, kappa)."""
     return gamma_phi_rate(abs(x[0]) * slopes, abs(x[1]))
+
+
+def _fit_rate_curve(model: str, curve, xs: np.ndarray, y: np.ndarray, sqrt_w: np.ndarray,
+                    x0: np.ndarray, x_scale: np.ndarray, names: list[str]) -> FitResult:
+    """Weighted LM fit of curve(x, xs) to y, reported at the folded point |x|.
+
+    Both rate curves are even in every raw parameter, so at |x| the Jacobian
+    columns of negative entries flip sign and the covariance is that of |x|.
+    """
+    res = levenberg_marquardt(lambda x: (curve(x, xs) - y) * sqrt_w, x0, x_scale=x_scale)
+    if not res.converged:
+        raise NoConvergence(f"{model} fit stopped after {res.iterations} iterations")
+    sign = np.where(res.x < 0, -1.0, 1.0)
+    res = replace(res, x=res.x * sign, jacobian=res.jacobian * sign)
+    rms = float(np.sqrt(np.mean(res.residual**2)) /
+                max(np.sqrt(np.mean((y * sqrt_w) ** 2)), 1e-300))
+    return _lm_fit_result(res, dict(zip(names, map(float, res.x))), rms)
 
 
 def fit_gamma1(rates: RateDataset) -> FitResult:
@@ -604,33 +620,32 @@ def fit_gamma1(rates: RateDataset) -> FitResult:
     bump = g - alpha_0 * w
     i0 = int(np.argmax(bump))
     height_0 = max(float(bump[i0]), 0.0)
-    center_0 = float(w[i0])
-    fwhm_0 = 2 * math.pi * 1.5e9
-
-    def residual(x: np.ndarray) -> np.ndarray:
-        return gamma1_curve(x, w) - g
-
-    x0 = np.array([alpha_0, center_0, fwhm_0, height_0])
+    x0 = np.array([alpha_0, float(w[i0]), 2 * math.pi * 1.5e9, height_0])
     x_scale = np.array([max(alpha_0, 1e-5), 2 * math.pi * 1e9, 2 * math.pi * 1e9,
                         max(height_0, 2 * math.pi * 1e4)])
-    res = levenberg_marquardt(residual, x0, x_scale=x_scale)
-    if not res.converged:
-        raise NoConvergence(
-            f"relaxation-model fit stopped after {res.iterations} iterations")
+    return _fit_rate_curve("relaxation-model", gamma1_curve, w, g, np.ones_like(g), x0, x_scale,
+                           [f.name for f in fields(BathModel)])
 
-    params = asdict(_fold_bath(res.x))  # alpha, lorentz_center, lorentz_fwhm, lorentz_height
-    rms = float(np.sqrt(np.mean(res.residual**2)) / np.sqrt(np.mean(g**2)))
-    return _lm_fit_result(res, params, rms)
+
+def excluded_rows(rates: RateDataset, transmon: TransmonParams, rel_err_max: float):
+    """({reason: row mask}, |domega01/dflux|): why the slope-based fits set rows aside.
+
+    A row goes if its rel_err is at or above rel_err_max, its flux is NaN, or
+    its slope is not > 0 (sweet spot, no transition).
+    """
+    slopes = np.abs(flux_slope(transmon, rates.flux))
+    flux_known = np.isfinite(rates.flux)
+    return {"rel_err_at_or_above_max": rates.rel_err_gamma_phi >= rel_err_max,
+            "flux_unknown": ~flux_known,
+            "zero_flux_sensitivity": flux_known & ~(slopes > 0)}, slopes
 
 
 def _slope_rows(rates: RateDataset, transmon: TransmonParams, rel_err_max: float,
                 require_positive_gamma: bool):
-    """Rows usable for slope-based dephasing fits, with |domega01/dflux|."""
-    keep = np.isfinite(rates.flux) & np.isfinite(rates.gamma_phi)
+    """Rows no exclusion reason hits and whose gamma_phi is finite and > 0 (or >= 0)."""
+    checks, slopes = excluded_rows(rates, transmon, rel_err_max)
+    keep = ~np.logical_or.reduce(list(checks.values())) & np.isfinite(rates.gamma_phi)
     keep &= rates.gamma_phi > 0 if require_positive_gamma else rates.gamma_phi >= 0
-    keep &= ~(rates.rel_err_gamma_phi >= rel_err_max)
-    slopes = np.abs(flux_slope(transmon, rates.flux))
-    keep &= slopes > 0
     return rates.subset(keep), slopes[keep]
 
 
@@ -714,25 +729,13 @@ def fit_ou(rates: RateDataset, transmon: TransmonParams,
 
     g = kept.gamma_phi
     rel = kept.rel_err_gamma_phi
-    if np.all(rel > 0) and np.all(g > 0):
-        sqrt_w = 1.0 / (rel * g)
-    else:
-        sqrt_w = np.ones_like(g)
+    sqrt_w = 1.0 / (rel * g) if np.all(rel > 0) and np.all(g > 0) else np.ones_like(g)
 
     sigma_0, kappa_0 = _ou_start(g, slopes, sqrt_w)
-
-    def residual(x: np.ndarray) -> np.ndarray:
-        return (ou_curve(x, slopes) - g) * sqrt_w
-
     x0 = np.array([sigma_0, kappa_0])
     x_scale = np.array([max(sigma_0, 1e-6), max(kappa_0, 2 * math.pi * 1e6)])
-    res = levenberg_marquardt(residual, x0, x_scale=x_scale)
-    if not res.converged:
-        raise NoConvergence(f"flux-noise fit stopped after {res.iterations} iterations")
-
-    rms = float(np.sqrt(np.mean(res.residual**2)) /
-                max(np.sqrt(np.mean((g * sqrt_w) ** 2)), 1e-300))
-    result = _lm_fit_result(res, {"sigma": abs(res.x[0]), "kappa": abs(res.x[1])}, rms)
+    result = _fit_rate_curve("flux-noise", ou_curve, slopes, g, sqrt_w, x0, x_scale,
+                             ["sigma", "kappa"])
     se_kappa = math.sqrt(result.covariance[1, 1])
     upper = result.params["kappa"] + t_quantile(result.dof, 0.95) * se_kappa
     return replace(result, params={**result.params, "kappa_upper95": upper})

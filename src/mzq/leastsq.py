@@ -222,10 +222,15 @@ def confidence_half_widths(cov: np.ndarray, dof: int) -> np.ndarray:
 
 def prediction_band(curve: Callable[[np.ndarray, np.ndarray], np.ndarray], pvec: np.ndarray,
                     cov: np.ndarray, xs: np.ndarray, dof: int):
-    """Curve over xs with its linearized 95% band, varying the first cov.shape[0] of pvec."""
+    """Curve over xs with its linearized 95% band, varying the first cov.shape[0] of pvec.
+
+    Forward differences step p_i by 1e-6 max(|p_i|, finite standard error, 1e-12),
+    so a parameter near 0 (a quasi-static kappa) is not stepped in rounding noise.
+    """
     p = pvec[:cov.shape[0]]
     y = curve(p, xs)
-    grad = _jacobian(lambda q: curve(q, xs), p, y, np.full(p.size, 1e-12))
+    se = np.nan_to_num(np.sqrt(np.diag(cov)), posinf=0.0)
+    grad = _jacobian(lambda q: curve(q, xs), p, y, np.maximum(se, 1e-12))
     var = np.einsum("ni,ij,nj->n", grad, cov, grad)
     half = t_quantile(dof, 0.975) * np.sqrt(np.maximum(var, 0.0))
     return y, y - half, y + half

@@ -19,7 +19,7 @@ from mzq.components import (
 )
 from mzq.estimate import (RateDataset, calibration_curve, fit_gamma1, fit_gamma_phi_power,
                           fit_ou, ou_curve, read_fit_json, read_rates_csv, write_rates_csv)
-from mzq.leastsq import prediction_band
+from mzq.leastsq import covariance, levenberg_marquardt, prediction_band
 from mzq.physics import (
     BathModel,
     DegenerateFlux,
@@ -255,11 +255,15 @@ def _bad_json(**edits):
     (_bad_json(re="0.5"), "path 's12': re must be a list of numbers"),
     (_bad_json(im="0.5"), "path 's12': im must be a list of numbers"),
     (_bad_json(im=None), "path 's12': im must be a list of numbers"),
+    # these used to raise AttributeError, a traceback and exit 1
+    (_bad_json(paths=[]), "paths must be an object"),
+    (_bad_json(paths=5), "paths must be an object"),
+    (_bad_json(paths={"s12": [1, 2]}), "path 's12' must be an object"),
 ], ids=["csv-nan-sample", "csv-oversized-field", "csv-multiline-label", "json-inf-sample",
         "json-drive-port-string", "json-drive-port-bool", "json-flux-string", "json-flux-nan",
         "json-re-im-lengths", "json-label-null", "json-label-number", "json-noise-bool",
         "json-noise-string", "json-freq-string", "json-re-string", "json-im-string",
-        "json-im-null"])
+        "json-im-null", "json-paths-list", "json-paths-number", "json-path-list"])
 def test_bad_trace_input_exits_2(tmp_path, capsys, make_input, message):
     trace = synthesize(make_interferometer(qubit=_truth_qubit()),
                        np.linspace(5.17e9, 5.23e9, 51))
@@ -560,6 +564,8 @@ def test_degenerate_flux_rows_keep_their_exclusion_reasons(tmp_path):
                 ";".join(reasons))))
     assert (out / "excluded_rows.csv").read_text() == "\n".join(lines) + "\n"
     assert len(lines) == 1 + 2 + 5
+    # the OU fit keeps only unlisted rows, so equal counts make a partition
+    assert len(lines) - 1 + fit_ou(rates, transmon).dof + 2 == len(rates)
 
 
 def test_ou_band_takes_its_dof_from_the_rows_the_fit_keeps(tmp_path):
@@ -633,6 +639,58 @@ def test_band_matches_a_pointwise_reference():
         assert y[j] == curve(pvec, x)
         assert hi[j] - y[j] == pytest.approx(half, rel=1e-9)
         assert y[j] - lo[j] == pytest.approx(half, rel=1e-9)
+
+
+def _quasi_static_table(path, seed):
+    transmon = TransmonParams(ej_max=20.0e9, ec=592.4e6)
+    rng = np.random.default_rng(seed)
+    flux = np.sort(rng.uniform(0.03, 0.43, 40))
+    w01 = np.array([transmon_omega01(transmon, p) for p in flux])
+    slopes = np.array([abs(domega01_dflux(transmon, p)) for p in flux])
+    gp = np.array([gamma_phi_model(OUNoise(80e-6, 0.0, s)) for s in slopes])
+    gp = gp * (1 + 0.1 * rng.standard_normal(40))
+    write_rates_csv(path, RateDataset(w01, 1e-4 * w01, gp, flux, np.full(40, 0.1)))
+    return path
+
+
+@pytest.mark.parametrize("seed", [2, 6, 20])
+def test_ou_band_is_the_delta_method_where_lm_ends_at_a_negative_kappa(tmp_path, monkeypatch,
+                                                                     seed):
+    # quasi-static noise (kappa = 0): on these seeds LM stops at a negative raw kappa
+    raw = []
+
+    def recording(*args, **kwargs):
+        raw.append(levenberg_marquardt(*args, **kwargs))
+        return raw[-1]
+
+    monkeypatch.setattr(estimate, "levenberg_marquardt", recording)
+    cfg = _write(tmp_path / "rates_cfg.json", {
+        "rates_csv": str(_quasi_static_table(tmp_path / "rates.csv", seed)),
+        "transmon": TRANSMON_CFG, "band_points": 40})
+    out = tmp_path / "out"
+    assert _run("fit-rates", "--config", cfg, "--out", str(out), "--quiet") == 0
+
+    res = next(r for r in raw if r.x.size == 2)
+    assert res.x[1] < 0
+    # the delta method in LM's raw coordinates: central differences at the raw
+    # point, with steps well inside |x| so none crosses the fold at 0
+    lines = (out / "curve_gamma_phi_ou.csv").read_text().splitlines()[1:]
+    xs, y, lo, hi = np.array([[float(v) for v in ln.split(",")] for ln in lines]).T
+    grad = np.empty((xs.size, 2))
+    for i in range(2):
+        step = np.zeros(2)
+        step[i] = 1e-4 * abs(res.x[i])
+        grad[:, i] = (ou_curve(res.x + step, xs) - ou_curve(res.x - step, xs)) / (2 * step[i])
+    half = stats.t.ppf(0.975, res.residual.size - 2) * np.sqrt(
+        np.einsum("ni,ij,nj->n", grad, covariance(res), grad))
+    assert np.array_equal(y, ou_curve(res.x, xs))
+    assert np.all(np.abs((hi - y) / half - 1) < 0.01)
+    assert np.all(np.abs((y - lo) / half - 1) < 0.01)
+
+    # the reported covariance is the raw one in the coordinates of |x|
+    ou = fit_ou(read_rates_csv(tmp_path / "rates.csv"), TransmonParams(ej_max=20.0e9, ec=592.4e6))
+    sign = np.sign(res.x)
+    assert np.allclose(ou.covariance, covariance(res) * np.outer(sign, sign), rtol=1e-12, atol=0)
 
 
 def test_fit_rates_needs_eight_rows(tmp_path, capsys):
