@@ -270,9 +270,13 @@ def _fit_options(config: dict) -> dict | None:
     if obj is None:
         return None
     _check_keys(obj, "config.options", set(FIT_OPTIONS))
-    return {key: (_int(obj, key, "config.options", minimum=1) if key == "max_iter"
-                  else _num(obj, key, "config.options", minimum=0, strict=True))
-            for key in FIT_OPTIONS if key in obj}
+    opts = {}
+    if "max_iter" in obj:
+        opts["max_iter"] = _int(obj, "max_iter", "config.options", minimum=1)
+    for key in ("ftol", "xtol"):
+        if key in obj:
+            opts[key] = _num(obj, key, "config.options", minimum=0, strict=True)
+    return opts
 
 
 def _write_residuals(path: Path, trace, model: dict[str, np.ndarray]) -> None:

@@ -32,6 +32,7 @@ from .leastsq import (
     NoConvergence,
     confidence_half_widths,
     covariance,
+    forward_jacobian,
     levenberg_marquardt,
     t_quantile,
 )
@@ -569,9 +570,13 @@ def fit_spectrum(trace: SpectrumTrace, spec_template: CircuitSpec,
 # rate-model fits
 # ---------------------------------------------------------------------------
 
+def _fold_bath(x) -> BathModel:
+    return BathModel(abs(x[0]), abs(x[1]), max(abs(x[2]), 1.0), abs(x[3]))
+
+
 def gamma1_curve(x, w: np.ndarray) -> np.ndarray:
     """Relaxation model at the folded parameters x = (alpha, center, fwhm, height)."""
-    return gamma1_model(BathModel(abs(x[0]), abs(x[1]), max(abs(x[2]), 1.0), abs(x[3])), w)
+    return gamma1_model(_fold_bath(x), w)
 
 
 def power_curve(x, slopes: np.ndarray) -> np.ndarray:
@@ -588,14 +593,19 @@ def _fit_rate_curve(model: str, curve, xs: np.ndarray, y: np.ndarray, sqrt_w: np
                     x0: np.ndarray, x_scale: np.ndarray, names: list[str]) -> FitResult:
     """Weighted LM fit of curve(x, xs) to y, reported at the folded point |x|.
 
-    Both rate curves are even in every raw parameter, so at |x| the Jacobian
-    columns of negative entries flip sign and the covariance is that of |x|.
+    Both rate curves are even in every raw parameter. LM's forward step from a
+    small negative entry can cross 0, so there the Jacobian is taken again at
+    |x|, stepping outward; the covariance is then that of |x|.
     """
-    res = levenberg_marquardt(lambda x: (curve(x, xs) - y) * sqrt_w, x0, x_scale=x_scale)
+    def residual(x: np.ndarray) -> np.ndarray:
+        return (curve(x, xs) - y) * sqrt_w
+
+    res = levenberg_marquardt(residual, x0, x_scale=x_scale)
     if not res.converged:
         raise NoConvergence(f"{model} fit stopped after {res.iterations} iterations")
-    sign = np.where(res.x < 0, -1.0, 1.0)
-    res = replace(res, x=res.x * sign, jacobian=res.jacobian * sign)
+    if np.any(res.x < 0):
+        x = np.abs(res.x)  # residual(x) is res.residual: the curves fold every entry
+        res = replace(res, x=x, jacobian=forward_jacobian(residual, x, res.residual, x_scale))
     rms = float(np.sqrt(np.mean(res.residual**2)) /
                 max(np.sqrt(np.mean((y * sqrt_w) ** 2)), 1e-300))
     return _lm_fit_result(res, dict(zip(names, map(float, res.x))), rms)
@@ -620,7 +630,9 @@ def fit_gamma1(rates: RateDataset) -> FitResult:
     bump = g - alpha_0 * w
     i0 = int(np.argmax(bump))
     height_0 = max(float(bump[i0]), 0.0)
-    x0 = np.array([alpha_0, float(w[i0]), 2 * math.pi * 1.5e9, height_0])
+    center_0 = float(w[i0])
+    fwhm_0 = 2 * math.pi * 1.5e9
+    x0 = np.array([alpha_0, center_0, fwhm_0, height_0])
     x_scale = np.array([max(alpha_0, 1e-5), 2 * math.pi * 1e9, 2 * math.pi * 1e9,
                         max(height_0, 2 * math.pi * 1e4)])
     return _fit_rate_curve("relaxation-model", gamma1_curve, w, g, np.ones_like(g), x0, x_scale,
@@ -642,10 +654,12 @@ def excluded_rows(rates: RateDataset, transmon: TransmonParams, rel_err_max: flo
 
 def _slope_rows(rates: RateDataset, transmon: TransmonParams, rel_err_max: float,
                 require_positive_gamma: bool):
-    """Rows no exclusion reason hits and whose gamma_phi is finite and > 0 (or >= 0)."""
+    """Rows no exclusion reason hits, with gamma_phi finite and > 0 (or >= 0); at least 4."""
     checks, slopes = excluded_rows(rates, transmon, rel_err_max)
     keep = ~np.logical_or.reduce(list(checks.values())) & np.isfinite(rates.gamma_phi)
     keep &= rates.gamma_phi > 0 if require_positive_gamma else rates.gamma_phi >= 0
+    if np.count_nonzero(keep) < 4:
+        raise IllPosed("fewer than 4 usable rows after filtering")
     return rates.subset(keep), slopes[keep]
 
 
@@ -657,8 +671,6 @@ def fit_gamma_phi_power(rates: RateDataset, transmon: TransmonParams,
     are inverse squared relative errors when every kept row has one.
     """
     kept, slopes = _slope_rows(rates, transmon, rel_err_max, require_positive_gamma=True)
-    if len(kept) < 4:
-        raise IllPosed("fewer than 4 usable rows after filtering")
     if slopes.max() / slopes.min() < 10:
         raise IllPosed("flux sensitivity spans less than one decade")
 
@@ -722,14 +734,15 @@ def fit_ou(rates: RateDataset, transmon: TransmonParams,
     meaningful statement when kappa is indistinguishable from zero.
     """
     kept, slopes = _slope_rows(rates, transmon, rel_err_max, require_positive_gamma=False)
-    if len(kept) < 4:
-        raise IllPosed("fewer than 4 usable rows after filtering")
     if slopes.max() / slopes.min() < 1.2:
         raise IllPosed("flux sensitivity is effectively constant across rows")
 
     g = kept.gamma_phi
     rel = kept.rel_err_gamma_phi
-    sqrt_w = 1.0 / (rel * g) if np.all(rel > 0) and np.all(g > 0) else np.ones_like(g)
+    if np.all(rel > 0) and np.all(g > 0):
+        sqrt_w = 1.0 / (rel * g)
+    else:
+        sqrt_w = np.ones_like(g)
 
     sigma_0, kappa_0 = _ou_start(g, slopes, sqrt_w)
     x0 = np.array([sigma_0, kappa_0])

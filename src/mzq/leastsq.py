@@ -44,8 +44,9 @@ class LMResult:
     converged: bool
 
 
-def _jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-              r0: np.ndarray, x_scale: np.ndarray) -> np.ndarray:
+def forward_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+                     r0: np.ndarray, x_scale: np.ndarray) -> np.ndarray:
+    """d fn / dx at x, with r0 = fn(x), by forward steps of FD_REL_STEP max(|x_i|, x_scale_i)."""
     jac = np.empty((r0.size, x.size))
     for i in range(x.size):
         h = FD_REL_STEP * max(abs(x[i]), x_scale[i])
@@ -94,7 +95,7 @@ def levenberg_marquardt(fn: Callable[[np.ndarray], np.ndarray],
 
     def jac_z(zv: np.ndarray, rv: np.ndarray) -> np.ndarray:
         if jac is None:
-            return _jacobian(fn_z, zv, rv, unit)
+            return forward_jacobian(fn_z, zv, rv, unit)
         return np.asarray(jac(zv * scale), dtype=float) * scale
 
     r = fn_z(z)
@@ -230,7 +231,7 @@ def prediction_band(curve: Callable[[np.ndarray, np.ndarray], np.ndarray], pvec:
     p = pvec[:cov.shape[0]]
     y = curve(p, xs)
     se = np.nan_to_num(np.sqrt(np.diag(cov)), posinf=0.0)
-    grad = _jacobian(lambda q: curve(q, xs), p, y, np.maximum(se, 1e-12))
+    grad = forward_jacobian(lambda q: curve(q, xs), p, y, np.maximum(se, 1e-12))
     var = np.einsum("ni,ij,nj->n", grad, cov, grad)
     half = t_quantile(dof, 0.975) * np.sqrt(np.maximum(var, 0.0))
     return y, y - half, y + half

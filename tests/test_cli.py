@@ -19,7 +19,7 @@ from mzq.components import (
 )
 from mzq.estimate import (RateDataset, calibration_curve, fit_gamma1, fit_gamma_phi_power,
                           fit_ou, ou_curve, read_fit_json, read_rates_csv, write_rates_csv)
-from mzq.leastsq import covariance, levenberg_marquardt, prediction_band
+from mzq.leastsq import levenberg_marquardt, prediction_band
 from mzq.physics import (
     BathModel,
     DegenerateFlux,
@@ -653,15 +653,24 @@ def _quasi_static_table(path, seed):
     return path
 
 
+def _central_jacobian(fn, x, rel_step=1e-3):
+    cols = []
+    for i in range(x.size):
+        step = np.zeros(x.size)
+        step[i] = rel_step * abs(x[i])
+        cols.append((fn(x + step) - fn(x - step)) / (2 * step[i]))
+    return np.column_stack(cols)
+
+
 @pytest.mark.parametrize("seed", [2, 6, 20])
 def test_ou_band_is_the_delta_method_where_lm_ends_at_a_negative_kappa(tmp_path, monkeypatch,
                                                                      seed):
     # quasi-static noise (kappa = 0): on these seeds LM stops at a negative raw kappa
     raw = []
 
-    def recording(*args, **kwargs):
-        raw.append(levenberg_marquardt(*args, **kwargs))
-        return raw[-1]
+    def recording(fn, *args, **kwargs):
+        raw.append((fn, levenberg_marquardt(fn, *args, **kwargs)))
+        return raw[-1][1]
 
     monkeypatch.setattr(estimate, "levenberg_marquardt", recording)
     cfg = _write(tmp_path / "rates_cfg.json", {
@@ -670,27 +679,27 @@ def test_ou_band_is_the_delta_method_where_lm_ends_at_a_negative_kappa(tmp_path,
     out = tmp_path / "out"
     assert _run("fit-rates", "--config", cfg, "--out", str(out), "--quiet") == 0
 
-    res = next(r for r in raw if r.x.size == 2)
+    residual, res = next((fn, r) for fn, r in raw if r.x.size == 2)
     assert res.x[1] < 0
-    # the delta method in LM's raw coordinates: central differences at the raw
-    # point, with steps well inside |x| so none crosses the fold at 0
+    # the delta method at the folded point, built without LM's Jacobian:
+    # central differences with steps well inside |x|, so none crosses 0
+    x = np.abs(res.x)
+    jac = _central_jacobian(residual, x)
+    dof = res.residual.size - 2
+    cov = res.cost / dof * np.linalg.inv(jac.T @ jac)
     lines = (out / "curve_gamma_phi_ou.csv").read_text().splitlines()[1:]
     xs, y, lo, hi = np.array([[float(v) for v in ln.split(",")] for ln in lines]).T
-    grad = np.empty((xs.size, 2))
-    for i in range(2):
-        step = np.zeros(2)
-        step[i] = 1e-4 * abs(res.x[i])
-        grad[:, i] = (ou_curve(res.x + step, xs) - ou_curve(res.x - step, xs)) / (2 * step[i])
-    half = stats.t.ppf(0.975, res.residual.size - 2) * np.sqrt(
-        np.einsum("ni,ij,nj->n", grad, covariance(res), grad))
-    assert np.array_equal(y, ou_curve(res.x, xs))
+    grad = _central_jacobian(lambda p: ou_curve(p, xs), x)
+    half = stats.t.ppf(0.975, dof) * np.sqrt(np.einsum("ni,ij,nj->n", grad, cov, grad))
+    assert np.array_equal(y, ou_curve(x, xs))
     assert np.all(np.abs((hi - y) / half - 1) < 0.01)
     assert np.all(np.abs((y - lo) / half - 1) < 0.01)
 
-    # the reported covariance is the raw one in the coordinates of |x|
+    # the reported covariance is that reference, cross term and its sign included
     ou = fit_ou(read_rates_csv(tmp_path / "rates.csv"), TransmonParams(ej_max=20.0e9, ec=592.4e6))
-    sign = np.sign(res.x)
-    assert np.allclose(ou.covariance, covariance(res) * np.outer(sign, sign), rtol=1e-12, atol=0)
+    scale = np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
+    assert np.all(np.abs(ou.covariance - cov) < 1e-3 * scale)
+    assert np.sign(ou.covariance[0, 1]) == np.sign(cov[0, 1])
 
 
 def test_fit_rates_needs_eight_rows(tmp_path, capsys):
