@@ -18,7 +18,6 @@ import numpy as np
 
 from .components import (
     CircuitSpec,
-    DegenerateScatterer,
     LineParams,
     QubitScatterer,
     make_interferometer,
@@ -53,7 +52,6 @@ from .estimate import (
 from .leastsq import prediction_band
 from .netcore import SingularSystem
 from .physics import (
-    BathModel,
     DegenerateFlux,
     QuasiStaticLimit,
     TransmonParams,
@@ -128,17 +126,24 @@ def _str(parent: dict, key: str, where: str, default=_REQUIRED, choices=None) ->
     return val
 
 
+def _construct(where: str, build, *args, **kwargs):
+    """build(*args, **kwargs), with its ValueError re-raised as a ConfigError naming where."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
 def _build_qubit(obj: dict | None, where: str) -> QubitScatterer | None:
     if obj is None:
         return None
     _check_keys(obj, where, {"omega01_ghz", "gamma1_mhz", "gamma_phi_mhz", "r0", "rabi_mhz"})
-    return QubitScatterer(
-        omega01=_num(obj, "omega01_ghz", where, minimum=0, strict=True) * GHZ,
-        gamma1=_num(obj, "gamma1_mhz", where, minimum=0) * MHZ,
-        gamma_phi=_num(obj, "gamma_phi_mhz", where, minimum=0) * MHZ,
-        r0=_num(obj, "r0", where, minimum=0, strict=True),
-        rabi=_num(obj, "rabi_mhz", where, default=0.0, minimum=0) * MHZ,
-    )
+    return _construct(where, QubitScatterer,
+                      omega01=_num(obj, "omega01_ghz", where, minimum=0, strict=True) * GHZ,
+                      gamma1=_num(obj, "gamma1_mhz", where, minimum=0) * MHZ,
+                      gamma_phi=_num(obj, "gamma_phi_mhz", where, minimum=0) * MHZ,
+                      r0=_num(obj, "r0", where, minimum=0, strict=True),
+                      rabi=_num(obj, "rabi_mhz", where, default=0.0, minimum=0) * MHZ)
 
 
 def _build_circuit(obj: dict | None, where: str) -> CircuitSpec:
@@ -150,8 +155,8 @@ def _build_circuit(obj: dict | None, where: str) -> CircuitSpec:
     center_hz = _num(obj, "center_ghz", where, default=5.746, minimum=0, strict=True) * 1e9
     arm = _str(obj, "qubit_arm", where, default="a", choices={"a", "b"})
     qubit = _build_qubit(_obj(obj, "qubit", where, default=None), f"{where}.qubit")
-    spec = make_interferometer(center_hz=center_hz, qubit=qubit, qubit_arm=arm,
-                               splitter_kind=kind)
+    spec = _construct(where, make_interferometer, center_hz=center_hz, qubit=qubit,
+                      qubit_arm=arm, splitter_kind=kind)
 
     lines = _obj(obj, "lines", where, default=None)
     if lines is not None:
@@ -177,9 +182,7 @@ def _build_circuit(obj: dict | None, where: str) -> CircuitSpec:
     scale = complex(_num(obj, "cal_scale_re", where, default=1.0),
                     _num(obj, "cal_scale_im", where, default=0.0))
     delay = _num(obj, "cal_delay_ns", where, default=0.0) * 1e-9
-    if scale == 0:
-        raise ConfigError(f"{where}: calibration scale must be nonzero")
-    return replace(spec, cal_scale=scale, cal_delay=delay)
+    return _construct(where, replace, spec, cal_scale=scale, cal_delay=delay)
 
 
 def _build_grid(obj: dict, where: str) -> np.ndarray:
@@ -189,15 +192,16 @@ def _build_grid(obj: dict, where: str) -> np.ndarray:
     points = _int(obj, "points", where, minimum=2)
     if stop <= start:
         raise ConfigError(f"{where}.stop_ghz: must exceed start_ghz")
+    if not math.isfinite(stop * GHZ):  # then start, below stop, is finite in rad/s too
+        raise ConfigError(f"{where}.stop_ghz: {stop:g} GHz overflows in rad/s")
     return np.linspace(start * 1e9, stop * 1e9, points)
 
 
 def _build_transmon(obj: dict, where: str) -> TransmonParams:
     _check_keys(obj, where, {"ej_max_ghz", "ec_mhz"})
-    return TransmonParams(
-        ej_max=_num(obj, "ej_max_ghz", where, minimum=0, strict=True) * 1e9,
-        ec=_num(obj, "ec_mhz", where, minimum=0, strict=True) * 1e6,
-    )
+    return _construct(where, TransmonParams,
+                      ej_max=_num(obj, "ej_max_ghz", where, minimum=0, strict=True) * 1e9,
+                      ec=_num(obj, "ec_mhz", where, minimum=0, strict=True) * 1e6)
 
 
 def _say(quiet: bool, message: str) -> None:
@@ -249,7 +253,9 @@ def cmd_synth(config: dict, out_dir: Path, quiet: bool, seed: int | None = None)
     spec, freqs, drive, label, basename, flux = _trace_common(config, synth=True)
     noise = _num(config, "noise_sigma", "config", minimum=0)
     if seed is None:
-        seed = _int(config, "seed", "config", default=0)
+        seed = _int(config, "seed", "config", default=0, minimum=0)
+    elif seed < 0:
+        raise ConfigError("--seed: must be >= 0")
     trace = synthesize(spec, freqs, drive_port=drive, noise_sigma=noise,
                        seed=seed, label=label)
     trace.flux_phi0 = flux
@@ -263,6 +269,8 @@ def cmd_synth(config: dict, out_dir: Path, quiet: bool, seed: int | None = None)
 
 _FIT_SPECTRUM_KEYS = {"input_csv", "input_json", "input_dir", "circuit", "init",
                       "options", "rates_csv"}
+# the endings of the two files _fit_one_trace writes for each trace
+_FIT_OUTPUTS = ("_fit.json", "_residuals.csv")
 
 
 def _fit_options(config: dict) -> dict | None:
@@ -292,10 +300,8 @@ def _fit_one_trace(trace_path: Path, template: CircuitSpec,
                    out_dir: Path, quiet: bool):
     trace = read_trace(trace_path)
     result = fit_spectrum(trace, template, init=init, options=options)
-    stem = trace_path.stem
-    fit_path = out_dir / f"{stem}_fit.json"
+    fit_path, resid_path = (out_dir / f"{trace_path.stem}{end}" for end in _FIT_OUTPUTS)
     write_fit_json(fit_path, result)
-    resid_path = out_dir / f"{stem}_residuals.csv"
     _write_residuals(resid_path, trace, result.curves)
     _say(quiet, f"wrote {fit_path}")
     _say(quiet, f"wrote {resid_path}")
@@ -323,10 +329,14 @@ def cmd_fit_spectrum(config: dict, out_dir: Path, quiet: bool) -> int:
     if not batch_dir.is_dir():
         raise ConfigError(f"config.input_dir: {batch_dir} is not a directory")
     rates_name = _str(config, "rates_csv", "config", default="rates.csv")
+    if (Path(rates_name).name != rates_name or rates_name in ("", "..")
+            or rates_name.endswith(_FIT_OUTPUTS)):
+        raise ConfigError(f"config.rates_csv: {rates_name!r} must be a file name in --out "
+                          f"that ends in neither of {_FIT_OUTPUTS}")
     # a directory that also receives --out holds this command's own outputs
     files = sorted(p for p in batch_dir.iterdir()
                    if p.suffix in (".csv", ".json") and p.is_file() and p.name != rates_name
-                   and not p.name.endswith(("_fit.json", "_residuals.csv")))
+                   and not p.name.endswith(_FIT_OUTPUTS))
     # synth writes <stem>.csv and <stem>.json; only the JSON twin keeps
     # flux_phi0 and drive_port, so it is the one fitted
     json_stems = {p.stem for p in files if p.suffix == ".json"}
@@ -487,9 +497,8 @@ def main(argv: list[str] | None = None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         extra = {"seed": args.seed} if args.command == "synth" else {}
         return _COMMANDS[args.command](config, out_dir, args.quiet, **extra)
-    except (DegenerateScatterer, SingularSystem) as exc:
-        freq = getattr(exc, "frequency", None)
-        detail = f" at frequency {freq:.6g} Hz" if freq is not None else ""
+    except SingularSystem as exc:
+        detail = "" if exc.frequency is None else f" at frequency {exc.frequency:.6g} Hz"
         print(f"error: forward model degenerate{detail}: {exc}", file=sys.stderr)
         return 3
     except (DegenerateFlux, QuasiStaticLimit) as exc:

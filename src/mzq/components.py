@@ -27,21 +27,14 @@ from .netcore import SingularSystem
 # Canonical path order used everywhere traces are stored or serialized.
 PATHS = ("s12", "s32", "s34", "s14")
 CROSS_PATHS = ("s12", "s34")
-THROUGH_PATHS = ("s32", "s14")
 
 # Below this transmission magnitude the scatterer's transfer block is
 # numerically meaningless (entries scale as 1/t).
 T_DEGENERATE = 1e-9
 
 
-class DegenerateScatterer(ArithmeticError):
+class DegenerateScatterer(SingularSystem):
     """Raised when the two-level scatterer is fully reflecting (|t| ~ 0)."""
-
-    def __init__(self, message: str, frequency: float | None = None):
-        if frequency is not None:
-            message = f"{message} (at {frequency:.9g} Hz)"
-        super().__init__(message)
-        self.frequency = frequency
 
 
 class TraceParseError(ValueError):
@@ -95,8 +88,8 @@ class BeamSplitterModel:
     def __post_init__(self):
         if self.kind not in ("ideal", "branchline"):
             raise ValueError(f"unknown splitter kind {self.kind!r}")
-        if self.kind == "branchline" and not self.center_frequency > 0:
-            raise ValueError("branchline splitter needs center_frequency > 0")
+        if self.kind == "branchline" and not 0 < self.center_frequency < math.inf:
+            raise ValueError("branchline splitter needs a finite center_frequency > 0")
 
 
 @dataclass(frozen=True)
@@ -343,8 +336,13 @@ def qubit_stack(q: QubitScatterer, omegas: np.ndarray) -> np.ndarray:
     return _transfer_block(r, t)
 
 
-def total_matrix_stack(spec: CircuitSpec, omegas: np.ndarray) -> np.ndarray:
+def total_matrix_stack(spec: CircuitSpec, omegas: np.ndarray,
+                       r: np.ndarray | None = None) -> np.ndarray:
     """Total transfer matrix splitter.line.scatterer.line.splitter per frequency.
+
+    The scatterer block is qubit_stack of spec.qubit, or the arm is empty.
+    A given r, the scatterer's reflection per frequency, replaces spec.qubit
+    and is not gated: the caller keeps |1 - r| clear of 0.
 
     line.scatterer.line is block diagonal: d_k^2 on the empty arm and
     d_k * Q_kl * d_l on the scatterer arm, with d the line factors and Q the
@@ -352,16 +350,7 @@ def total_matrix_stack(spec: CircuitSpec, omegas: np.ndarray) -> np.ndarray:
     left splitter multiplies the result. The work runs frequency-last; the
     (N,4,4) result is a view of that layout.
     """
-    return _chain_stack(spec, np.asarray(omegas, dtype=float).reshape(-1), None)
-
-
-def _chain_stack(spec: CircuitSpec, w: np.ndarray, r: np.ndarray | None) -> np.ndarray:
-    """total_matrix_stack, with the scatterer's reflection r per frequency when given.
-
-    Without r the block is qubit_stack of spec.qubit, or the arm is empty.
-    A given r replaces spec.qubit and is not gated: the caller keeps
-    |1 - r| clear of 0.
-    """
+    w = np.asarray(omegas, dtype=float).reshape(-1)
     bs = np.moveaxis(bs_stack(spec.splitter, w), 0, -1)
     d = tl_stack(spec.lines, w).T
     inner_bs = (d * d)[:, None] * bs
@@ -395,8 +384,8 @@ def sweep(spec: CircuitSpec, freqs, drive_port: int = 2, label: str = "") -> Spe
         label: free-text tag stored on the trace.
 
     Raises:
-        DegenerateScatterer, SingularSystem: degenerate model, with the
-            offending frequency attached.
+        SingularSystem: degenerate model (DegenerateScatterer for a fully
+            reflecting scatterer), with the offending frequency attached.
     """
     if drive_port not in (2, 4):
         raise ValueError("drive_port must be 2 or 4")
@@ -428,16 +417,16 @@ def _reflection_embedding(spec: CircuitSpec, freqs: np.ndarray, paths):
 
     The scatterer block depends on r alone, and per frequency
     (1 - r) M(r) = A + r B, with M the total transfer matrix. A is the
-    total at r = 0 and B follows from one more build at r = 1/2, both
-    through total_matrix_stack's chain. Returns solve_at(r): the paths of
+    total at r = 0 and B follows from one more build at r = 1/2, both by
+    total_matrix_stack. Returns solve_at(r): the paths of
     M(r) through the gated port solve, which are sweep's values for a
     scatterer that reflects r, to rounding. r is not gated on |t|: the
     caller keeps |1 - r| clear of 0.
     """
     f = np.asarray(freqs, dtype=float).reshape(-1)
     w = 2 * math.pi * f
-    a_tot = _chain_stack(spec, w, np.zeros(w.size))
-    b_tot = _chain_stack(spec, w, np.full(w.size, 0.5)) - 2 * a_tot
+    a_tot = total_matrix_stack(spec, w, np.zeros(w.size))
+    b_tot = total_matrix_stack(spec, w, np.full(w.size, 0.5)) - 2 * a_tot
 
     def solve_at(r: np.ndarray) -> dict[str, np.ndarray]:
         totals = (a_tot + r[:, None, None] * b_tot) / (1 - r)[:, None, None]

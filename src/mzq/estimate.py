@@ -67,19 +67,6 @@ class RegimeLabel(str, enum.Enum):
     DIP_PEAK = "DipPeak"
 
 
-def _rel_err_map(params: dict[str, float], ci95: dict[str, float]) -> dict[str, float]:
-    out = {}
-    for k, hw in ci95.items():
-        p = params[k]
-        if hw == 0:
-            out[k] = 0.0
-        elif p == 0:
-            out[k] = math.inf
-        else:
-            out[k] = hw / abs(p)
-    return out
-
-
 def _json_float(x: float) -> float | str:
     x = float(x)
     return x if math.isfinite(x) else str(x)  # float() reads the string back
@@ -93,17 +80,16 @@ def _json_floats(values: dict[str, float]) -> dict[str, float | str]:
 class FitResult:
     """Point estimates with linearized 95% confidence half-widths.
 
-    rel_err maps each ci95 key to ci95/|estimate|. covariance (when present)
-    is in the coordinates of the leading params keys, in their order, so a
-    band through the reported params reads it as is; dof is the residual
-    degrees of freedom behind the intervals; curves (spectrum fits) maps
-    each fitted cross path to the calibrated model at the fitted point.
-    None of the three is serialized.
+    rel_err is derived, never stored: it maps each ci95 key to
+    ci95/|estimate|. covariance (when present) is in the coordinates of the
+    leading params keys, in their order, so a band through the reported
+    params reads it as is; dof is the residual degrees of freedom behind the
+    intervals; curves (spectrum fits) maps each fitted cross path to the
+    calibrated model at the fitted point. None of the three is serialized.
     """
 
     params: dict[str, float]
     ci95: dict[str, float]
-    rel_err: dict[str, float]
     residual_rms: float
     iterations: int
     converged: bool
@@ -117,15 +103,20 @@ class FitResult:
                 raise ValueError(f"ci95 key {k!r} missing from params")
             if not hw >= 0:
                 raise ValueError(f"ci95[{k!r}] must be >= 0")
-        expected = _rel_err_map(self.params, self.ci95)
-        for k, v in expected.items():
-            got = self.rel_err.get(k)
-            if got is None:
-                raise ValueError(f"rel_err missing key {k!r}")
-            if v == got:
-                continue
-            if not math.isfinite(v) or not math.isfinite(got) or abs(got - v) > 1e-12 * max(abs(v), 1e-300):
-                raise ValueError(f"rel_err[{k!r}] inconsistent with ci95/|params|")
+
+    @property
+    def rel_err(self) -> dict[str, float]:
+        """ci95/|estimate| per ci95 key: 0 for a zero interval, inf for a zero estimate."""
+        out = {}
+        for k, hw in self.ci95.items():
+            p = self.params[k]
+            if hw == 0:
+                out[k] = 0.0
+            elif p == 0:
+                out[k] = math.inf
+            else:
+                out[k] = hw / abs(p)
+        return out
 
     def to_json_dict(self) -> dict:
         """Plain-JSON form; a non-finite float becomes the string "inf", "-inf" or "nan"."""
@@ -147,14 +138,22 @@ class FitResult:
         missing = keys - set(doc)
         if missing:
             raise ValueError(f"missing fit-result keys: {sorted(missing)}")
-        return cls(
+        result = cls(
             params={k: float(v) for k, v in doc["params"].items()},
             ci95={k: float(v) for k, v in doc["ci95"].items()},
-            rel_err={k: float(v) for k, v in doc["rel_err"].items()},
             residual_rms=float(doc["residual_rms"]),
             iterations=int(doc["iterations"]),
             converged=bool(doc["converged"]),
         )
+        # the stored rel_err must be the derived one: an extra key would be dropped silently
+        stored = {k: float(v) for k, v in doc["rel_err"].items()}
+        if set(stored) != set(result.ci95):
+            raise ValueError(f"rel_err keys {sorted(stored)} differ from ci95 keys "
+                             f"{sorted(result.ci95)}")
+        for k, v in result.rel_err.items():
+            if not math.isclose(stored[k], v, rel_tol=1e-12):
+                raise ValueError(f"rel_err[{k!r}] inconsistent with ci95/|params|")
+        return result
 
 
 def _lm_fit_result(res: LMResult, params: dict[str, float], residual_rms: float,
@@ -164,9 +163,9 @@ def _lm_fit_result(res: LMResult, params: dict[str, float], residual_rms: float,
     cov = covariance(res)
     hw = confidence_half_widths(cov, m - n)
     ci95 = {k: float(h) for k, h in zip(params, hw)}
-    return FitResult(params=params, ci95=ci95, rel_err=_rel_err_map(params, ci95),
-                     residual_rms=residual_rms, iterations=res.iterations, converged=True,
-                     covariance=cov, dof=m - n, curves=curves)
+    return FitResult(params=params, ci95=ci95, residual_rms=residual_rms,
+                     iterations=res.iterations, converged=True, covariance=cov, dof=m - n,
+                     curves=curves)
 
 
 def write_fit_json(path, result: FitResult) -> None:
@@ -258,9 +257,8 @@ def read_rates_csv(path) -> RateDataset:
 # background detrending and regime classification
 # ---------------------------------------------------------------------------
 
-def _detrend(freqs: np.ndarray, mag: np.ndarray, degree: int = 3,
-             clip: float = 3.5, iters: int = 6):
-    """Fit a polynomial baseline with sigma clipping to skip the feature.
+def _detrend(freqs: np.ndarray, mag: np.ndarray):
+    """Fit a cubic baseline, up to 6 times with 3.5-sigma clipping, to skip the feature.
 
     Returns (residual, noise_floor). The noise floor is the scaled median
     absolute deviation of the kept points with a small absolute floor so a
@@ -270,15 +268,15 @@ def _detrend(freqs: np.ndarray, mag: np.ndarray, degree: int = 3,
     mask = np.ones(freqs.size, dtype=bool)
     resid = mag - np.median(mag)
     sigma = 0.0
-    for _ in range(iters):
-        coef = np.polyfit(x[mask], mag[mask], degree)
+    for _ in range(6):
+        coef = np.polyfit(x[mask], mag[mask], 3)
         resid = mag - np.polyval(coef, x)
         med = np.median(resid[mask])
         sigma = 1.4826 * np.median(np.abs(resid[mask] - med))
         if sigma == 0:
             break
-        new_mask = np.abs(resid - med) < clip * sigma
-        if new_mask.sum() < max(degree + 2, mask.size // 4):
+        new_mask = np.abs(resid - med) < 3.5 * sigma
+        if new_mask.sum() < max(5, mask.size // 4):  # a cubic plus one spare point
             break
         if np.array_equal(new_mask, mask):
             break

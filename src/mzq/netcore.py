@@ -29,7 +29,7 @@ class NonFinite(ValueError):
 
 
 class SingularSystem(ArithmeticError):
-    """Raised when the port system is singular or numerically unusable."""
+    """Raised when the forward model is singular or numerically unusable, naming the frequency."""
 
     def __init__(self, message: str, frequency: float | None = None):
         if frequency is not None:

@@ -161,6 +161,34 @@ def test_config_problems_exit_2(tmp_path, capsys):
         assert _run("simulate", "--config", cfg, "--out", out) == 2
         assert f"config.circuit.lines.{key}" in capsys.readouterr().err
 
+    # a value the model rejects, or one that overflows in rad/s, names where it sits
+    def qubit(**changes):
+        return {"circuit": {"qubit": {**QUBIT_CFG, **changes}}, "grid": GRID_CFG}
+
+    synth = {"circuit": {}, "grid": GRID_CFG, "noise_sigma": 0.01}
+    cases = [
+        ("simulate", qubit(r0=1.5), [], "config.circuit.qubit: r0"),
+        ("simulate", qubit(rabi_mhz=1.0, gamma1_mhz=0), [], "config.circuit.qubit: saturation"),
+        ("simulate", qubit(omega01_ghz=1e300), [], "config.circuit.qubit: omega01"),
+        ("fit-spectrum", {"input_csv": "a.csv",
+                          "init": {**QUBIT_CFG, "gamma1_mhz": 0, "gamma_phi_mhz": 0}},
+         [], "config.init: gamma1/2"),
+        ("fit-rates", {"rates_csv": "a.csv", "transmon": {**TRANSMON_CFG, "ej_max_ghz": 1.0}},
+         [], "config.transmon: transmon regime"),
+        ("synth", {**synth, "seed": -3}, [], "config.seed"),
+        ("synth", synth, ["--seed", "-1"], "--seed"),
+        ("simulate", {"circuit": {"splitter": "branchline", "center_ghz": 1e300},
+                      "grid": GRID_CFG}, [], "config.circuit: branchline"),
+        ("simulate", {"circuit": {}, "grid": {**GRID_CFG, "stop_ghz": 1e300}}, [],
+         "config.grid.stop_ghz"),
+        ("simulate", {"circuit": {"cal_scale_re": 0}, "grid": GRID_CFG}, [],
+         "config.circuit: cal_scale"),
+    ]
+    for k, (command, doc, extra, where) in enumerate(cases):
+        cfg = _write(tmp_path / f"model_{k}.json", doc)
+        assert _run(command, "--config", cfg, "--out", out, *extra) == 2, where
+        assert capsys.readouterr().err.startswith(f"error: {where}")
+
 
 def test_full_reflection_on_grid_exits_3(tmp_path, capsys):
     cfg = _write(tmp_path / "sim.json", {
@@ -449,6 +477,26 @@ def test_repeated_batch_fit_into_its_input_dir_skips_its_own_outputs(tmp_path):
         "sweep_rates.csv", "trace.csv", "trace.json", "trace_fit.json", "trace_residuals.csv"]
     assert _run("fit-spectrum", "--config", fit_cfg, "--out", str(batch), "--quiet") == 0
     assert (batch / "sweep_rates.csv").read_bytes() == first
+
+
+def test_rates_csv_cannot_overwrite_a_fit_output_or_leave_out(tmp_path, capsys):
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    trace = synthesize(make_interferometer(qubit=_truth_qubit()),
+                       np.linspace(5.17e9, 5.23e9, 201), noise_sigma=0.005)
+    write_trace_json(batch / "a.json", trace)
+    write_trace_json(batch / "b.json", trace)
+    out = tmp_path / "out"
+    cfg = _write(tmp_path / "fit.json", {"input_dir": str(batch), "init": QUBIT_CFG})
+    assert _run("fit-spectrum", "--config", cfg, "--out", str(out), "--quiet") == 0
+    fitted = (out / "a_fit.json").read_bytes()
+    for name in ("a_fit.json", "b_residuals.csv", "../rates.csv", "sub/rates.csv", ".."):
+        cfg = _write(tmp_path / "fit.json", {"input_dir": str(batch), "init": QUBIT_CFG,
+                                             "rates_csv": name})
+        assert _run("fit-spectrum", "--config", cfg, "--out", str(out), "--quiet") == 2, name
+        assert capsys.readouterr().err.startswith("error: config.rates_csv")
+    assert (out / "a_fit.json").read_bytes() == fitted
+    assert not (tmp_path / "rates.csv").exists()
 
 
 def test_fit_spectrum_needs_exactly_one_input(tmp_path):

@@ -212,6 +212,7 @@ def test_full_reflection_on_resonance_is_degenerate():
     q = QubitScatterer(omega01=W_CENTER, gamma1=2e6, gamma_phi=1e6, r0=1.0)
     with pytest.raises(DegenerateScatterer) as err:
         qubit_stack(q, np.array([W_CENTER]))
+    assert isinstance(err.value, SingularSystem)  # one handler covers every degeneracy
     assert err.value.frequency == pytest.approx(CENTER_HZ, rel=1e-12)
     assert f"{CENTER_HZ:.9g}" in str(err.value)
 

@@ -628,14 +628,11 @@ def test_fit_result_json_round_trip(tmp_path):
 
 def test_fit_result_validation():
     with pytest.raises(ValueError, match="missing from params"):
-        FitResult(params={"a": 1.0}, ci95={"b": 0.1}, rel_err={"b": 0.1},
-                  residual_rms=0.0, iterations=1, converged=True)
+        FitResult(params={"a": 1.0}, ci95={"b": 0.1}, residual_rms=0.0, iterations=1,
+                  converged=True)
     with pytest.raises(ValueError, match="must be >= 0"):
-        FitResult(params={"a": 1.0}, ci95={"a": -0.1}, rel_err={"a": 0.1},
-                  residual_rms=0.0, iterations=1, converged=True)
-    with pytest.raises(ValueError, match="inconsistent"):
-        FitResult(params={"a": 2.0}, ci95={"a": 0.5}, rel_err={"a": 0.9},
-                  residual_rms=0.0, iterations=1, converged=True)
+        FitResult(params={"a": 1.0}, ci95={"a": -0.1}, residual_rms=0.0, iterations=1,
+                  converged=True)
     with pytest.raises(ValueError, match="unknown fit-result keys"):
         FitResult.from_json_dict({"params": {}, "ci95": {}, "rel_err": {},
                                   "residual_rms": 0.0, "iterations": 1,
@@ -644,9 +641,21 @@ def test_fit_result_validation():
         FitResult.from_json_dict({"params": {}})
 
 
+def test_fit_json_rel_err_must_be_the_derived_one():
+    doc = {"params": {"a": 2.0, "b": 1.0}, "ci95": {"a": 0.5}, "rel_err": {"a": 0.25},
+           "residual_rms": 0.0, "iterations": 1, "converged": True}
+    assert FitResult.from_json_dict(doc).rel_err == {"a": 0.25}
+    with pytest.raises(ValueError, match="inconsistent"):
+        FitResult.from_json_dict({**doc, "rel_err": {"a": 0.9}})
+    with pytest.raises(ValueError, match="differ from ci95 keys"):
+        FitResult.from_json_dict({**doc, "rel_err": {}})
+    # a derived rel_err has no "b": a stored one would be dropped without a word
+    with pytest.raises(ValueError, match="differ from ci95 keys"):
+        FitResult.from_json_dict({**doc, "rel_err": {"a": 0.25, "b": 0.1}})
+
+
 def test_zero_estimate_maps_to_infinite_relative_error():
-    result = FitResult(params={"a": 0.0}, ci95={"a": 0.3},
-                       rel_err={"a": math.inf}, residual_rms=0.0,
+    result = FitResult(params={"a": 0.0}, ci95={"a": 0.3}, residual_rms=0.0,
                        iterations=1, converged=True)
     assert result.rel_err["a"] == math.inf
 

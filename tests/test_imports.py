@@ -1,4 +1,4 @@
-"""The runtime is numpy only: no scipy module is loaded, imported or declared."""
+"""Imports: the runtime is numpy only, and every name a module imports is used."""
 import ast
 import json
 import os
@@ -41,3 +41,29 @@ def test_runtime_dependencies_are_numpy_only():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert [re.match(r"[\w.-]+", dep)[0] for dep in project["dependencies"]] == ["numpy"]
     assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["test"])
+
+
+# (module, name) pairs imported for a reader outside the module. perfbench's
+# tracer test reads mzq.estimate.sweep (ROADMAP items 1-2 free it).
+IMPORTED_FOR_OTHERS = {("estimate.py", "sweep")}
+
+
+def test_every_imported_name_is_used_or_exported():
+    unused = set()
+    for path in sorted((SRC / "mzq").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {alias.asname or alias.name for alias in node.names}
+            elif isinstance(node, ast.Import):
+                imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+                used |= set(ast.literal_eval(node.value))
+        unused |= {(path.name, name) for name in imported - used}
+    assert unused == IMPORTED_FOR_OTHERS
