@@ -34,6 +34,7 @@ from .estimate import (
     IllPosed,
     NoConvergence,
     NoFeature,
+    RATES_CSV_HEADER,
     REL_ERR_MAX_DEFAULT,
     RateDataset,
     classify_regime,
@@ -333,6 +334,11 @@ def cmd_fit_spectrum(config: dict, out_dir: Path, quiet: bool) -> int:
             or rates_name.endswith(_FIT_OUTPUTS)):
         raise ConfigError(f"config.rates_csv: {rates_name!r} must be a file name in --out "
                           f"that ends in neither of {_FIT_OUTPUTS}")
+    taken = batch_dir / rates_name
+    if taken.is_file():  # the listing skips it, so it may only be an earlier rate table
+        with open(taken, errors="replace") as fh:
+            if fh.readline().strip() != RATES_CSV_HEADER:
+                raise ConfigError(f"config.rates_csv: {taken} is in input_dir, not a rate table")
     # a directory that also receives --out holds this command's own outputs
     files = sorted(p for p in batch_dir.iterdir()
                    if p.suffix in (".csv", ".json") and p.is_file() and p.name != rates_name
@@ -498,8 +504,7 @@ def main(argv: list[str] | None = None) -> int:
         extra = {"seed": args.seed} if args.command == "synth" else {}
         return _COMMANDS[args.command](config, out_dir, args.quiet, **extra)
     except SingularSystem as exc:
-        detail = "" if exc.frequency is None else f" at frequency {exc.frequency:.6g} Hz"
-        print(f"error: forward model degenerate{detail}: {exc}", file=sys.stderr)
+        print(f"error: forward model degenerate: {exc}", file=sys.stderr)
         return 3
     except (DegenerateFlux, QuasiStaticLimit) as exc:
         print(f"error: model degenerate: {exc}", file=sys.stderr)

@@ -293,7 +293,8 @@ def _lineshape(q: QubitScatterer, w: np.ndarray):
     g2 = q.gamma2
     detune = (w - q.omega01) / g2
     sat = (q.rabi**2 / (q.gamma1 * g2)) if q.rabi > 0 else 0.0
-    den = 1 + detune**2 + sat
+    with np.errstate(over="ignore"):  # far off resonance den is inf and r its limit 0
+        den = 1 + detune**2 + sat
     return q.r0 * (1 - 1j * detune) / den, detune, sat, den
 
 

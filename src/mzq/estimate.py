@@ -32,12 +32,10 @@ from .leastsq import (
     NoConvergence,
     confidence_half_widths,
     covariance,
-    forward_jacobian,
     levenberg_marquardt,
     t_quantile,
 )
-from .physics import (BathModel, TransmonParams, _phase_variance_kernel, flux_slope,
-                      gamma1_model, gamma_phi_rate)
+from .physics import BathModel, TransmonParams, flux_slope, gamma1_model, gamma_phi_rate
 
 __all__ = [
     "FitResult", "RateDataset", "RegimeLabel", "IllPosed", "NoFeature",
@@ -591,9 +589,8 @@ def _fit_rate_curve(model: str, curve, xs: np.ndarray, y: np.ndarray, sqrt_w: np
                     x0: np.ndarray, x_scale: np.ndarray, names: list[str]) -> FitResult:
     """Weighted LM fit of curve(x, xs) to y, reported at the folded point |x|.
 
-    Both rate curves are even in every raw parameter. LM's forward step from a
-    small negative entry can cross 0, so there the Jacobian is taken again at
-    |x|, stepping outward; the covariance is then that of |x|.
+    Both rate curves fold every entry with abs, and LM's steps point away from
+    0, so its Jacobian column at -|x_i| is exactly minus the one at |x_i|.
     """
     def residual(x: np.ndarray) -> np.ndarray:
         return (curve(x, xs) - y) * sqrt_w
@@ -601,9 +598,8 @@ def _fit_rate_curve(model: str, curve, xs: np.ndarray, y: np.ndarray, sqrt_w: np
     res = levenberg_marquardt(residual, x0, x_scale=x_scale)
     if not res.converged:
         raise NoConvergence(f"{model} fit stopped after {res.iterations} iterations")
-    if np.any(res.x < 0):
-        x = np.abs(res.x)  # residual(x) is res.residual: the curves fold every entry
-        res = replace(res, x=x, jacobian=forward_jacobian(residual, x, res.residual, x_scale))
+    flip = np.where(np.signbit(res.x), -1.0, 1.0)
+    res = replace(res, x=np.abs(res.x), jacobian=res.jacobian * flip)
     rms = float(np.sqrt(np.mean(res.residual**2)) /
                 max(np.sqrt(np.mean((y * sqrt_w) ** 2)), 1e-300))
     return _lm_fit_result(res, dict(zip(names, map(float, res.x))), rms)
@@ -690,38 +686,6 @@ def fit_gamma_phi_power(rates: RateDataset, transmon: TransmonParams,
     return _lm_fit_result(res, {"amplitude": amplitude, "eta": float(eta)}, rms)
 
 
-def _ou_sigmas(g: np.ndarray, slopes: np.ndarray, kappa: float) -> np.ndarray:
-    """Per-row OU scale sigma_i with 1/e time 1/g_i: (s_i*sigma_i)^2 K(kappa, 1/g_i) = 1."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return 1.0 / (slopes * np.sqrt(_phase_variance_kernel(kappa, 1.0 / g)))
-
-
-def _ou_start(g: np.ndarray, slopes: np.ndarray, sqrt_w: np.ndarray):
-    """Starting point for the flux-noise fit over a coarse kappa grid.
-
-    The model has a near-degenerate valley in the motionally narrowed regime
-    (only sigma^2/kappa is sharply constrained there), so each trial kappa is
-    paired with the median of the per-row scales that reproduce each rate
-    exactly, and the lowest-cost pair seeds the optimizer.
-    """
-    sigma_qs = math.sqrt(2) * float(np.median(g / slopes))
-    if not sigma_qs > 0:
-        return max(sigma_qs, 0.0), 0.0
-    v_med = sigma_qs * float(np.median(slopes))
-    best = None
-    for kappa in [0.0] + [c * v_med for c in (0.3, 1.0, 3.0, 10.0, 30.0)]:
-        sigma = float(np.median(_ou_sigmas(g, slopes, kappa)))
-        if not sigma_qs / 100 <= sigma <= sigma_qs * 100:
-            continue
-        model = gamma_phi_rate(sigma * slopes, kappa)
-        cost = float(np.sum(((model - g) * sqrt_w) ** 2))
-        if best is None or cost < best[0]:
-            best = (cost, sigma, kappa)
-    if best is None:
-        return sigma_qs, 0.0
-    return best[1], best[2]
-
-
 def fit_ou(rates: RateDataset, transmon: TransmonParams,
            rel_err_max: float = REL_ERR_MAX_DEFAULT) -> FitResult:
     """Fit the flux-noise amplitude and rate through the dephasing model.
@@ -729,7 +693,8 @@ def fit_ou(rates: RateDataset, transmon: TransmonParams,
     gamma_phi rows are weighted by their inverse variance when relative
     errors are available. Reports sigma and kappa with 95% intervals plus
     kappa_upper95, the one-sided 95% upper bound for kappa, which is the
-    meaningful statement when kappa is indistinguishable from zero.
+    meaningful statement when kappa is indistinguishable from zero. The search
+    starts at the quasi-static point kappa = 0, sigma = sqrt(2) median(gamma_phi/slope).
     """
     kept, slopes = _slope_rows(rates, transmon, rel_err_max, require_positive_gamma=False)
     if slopes.max() / slopes.min() < 1.2:
@@ -742,9 +707,9 @@ def fit_ou(rates: RateDataset, transmon: TransmonParams,
     else:
         sqrt_w = np.ones_like(g)
 
-    sigma_0, kappa_0 = _ou_start(g, slopes, sqrt_w)
-    x0 = np.array([sigma_0, kappa_0])
-    x_scale = np.array([max(sigma_0, 1e-6), max(kappa_0, 2 * math.pi * 1e6)])
+    sigma_0 = math.sqrt(2) * float(np.median(g / slopes))
+    x0 = np.array([sigma_0, 0.0])
+    x_scale = np.array([max(sigma_0, 1e-6), 2 * math.pi * 1e6])
     result = _fit_rate_curve("flux-noise", ou_curve, slopes, g, sqrt_w, x0, x_scale,
                              ["sigma", "kappa"])
     se_kappa = math.sqrt(result.covariance[1, 1])

@@ -3,7 +3,7 @@
 Small Levenberg-Marquardt engine used by the estimation layer. The residual
 function maps a parameter vector to a 1-d residual array; the engine
 minimizes the sum of squared residuals. The Jacobian comes from a caller's
-closed form when one is passed (the spectrum fit), otherwise from forward
+closed form when one is passed (the spectrum fit), otherwise from one-sided
 differences (the rate fits and the prediction bands). The Student-t
 quantile, the parameter intervals and the prediction bands built on a fit
 live here too. The quantile needs no scipy: for integer dof it solves the
@@ -44,12 +44,15 @@ class LMResult:
     converged: bool
 
 
-def forward_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-                     r0: np.ndarray, x_scale: np.ndarray) -> np.ndarray:
-    """d fn / dx at x, with r0 = fn(x), by forward steps of FD_REL_STEP max(|x_i|, x_scale_i)."""
+def _jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+              r0: np.ndarray, x_scale: np.ndarray) -> np.ndarray:
+    """d fn / dx at x, with r0 = fn(x), by one-sided steps of FD_REL_STEP max(|x_i|, x_scale_i).
+
+    Each step points away from 0, so none crosses the kink of a curve even in x_i.
+    """
     jac = np.empty((r0.size, x.size))
     for i in range(x.size):
-        h = FD_REL_STEP * max(abs(x[i]), x_scale[i])
+        h = math.copysign(FD_REL_STEP * max(abs(x[i]), x_scale[i]), x[i])
         xp = x.copy()
         xp[i] += h
         jac[:, i] = (fn(xp) - r0) / h
@@ -95,7 +98,7 @@ def levenberg_marquardt(fn: Callable[[np.ndarray], np.ndarray],
 
     def jac_z(zv: np.ndarray, rv: np.ndarray) -> np.ndarray:
         if jac is None:
-            return forward_jacobian(fn_z, zv, rv, unit)
+            return _jacobian(fn_z, zv, rv, unit)
         return np.asarray(jac(zv * scale), dtype=float) * scale
 
     r = fn_z(z)
@@ -225,13 +228,13 @@ def prediction_band(curve: Callable[[np.ndarray, np.ndarray], np.ndarray], pvec:
                     cov: np.ndarray, xs: np.ndarray, dof: int):
     """Curve over xs with its linearized 95% band, varying the first cov.shape[0] of pvec.
 
-    Forward differences step p_i by 1e-6 max(|p_i|, finite standard error, 1e-12),
+    One-sided differences step p_i by 1e-6 max(|p_i|, finite standard error, 1e-12),
     so a parameter near 0 (a quasi-static kappa) is not stepped in rounding noise.
     """
     p = pvec[:cov.shape[0]]
     y = curve(p, xs)
     se = np.nan_to_num(np.sqrt(np.diag(cov)), posinf=0.0)
-    grad = forward_jacobian(lambda q: curve(q, xs), p, y, np.maximum(se, 1e-12))
+    grad = _jacobian(lambda q: curve(q, xs), p, y, np.maximum(se, 1e-12))
     var = np.einsum("ni,ij,nj->n", grad, cov, grad)
     half = t_quantile(dof, 0.975) * np.sqrt(np.maximum(var, 0.0))
     return y, y - half, y + half

@@ -198,7 +198,20 @@ def test_full_reflection_on_grid_exits_3(tmp_path, capsys):
     })
     assert _run("simulate", "--config", cfg, "--out", str(tmp_path / "out")) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: forward model degenerate at frequency")
+    assert err.startswith("error: forward model degenerate: ")
+    assert err.count("5.2e+09") == 1 and err.count(" Hz") == 1
+
+
+def test_a_far_grid_simulates_to_the_off_resonance_limit(tmp_path):
+    # the scaled detuning squared overflows there; r -> 0 is the right limit
+    # and pytest turns any numpy warning into an error
+    cfg = _write(tmp_path / "sim.json", {"circuit": {"qubit": QUBIT_CFG},
+                                         "grid": {"start_ghz": 5.15, "stop_ghz": 1e200,
+                                                  "points": 5}})
+    out = tmp_path / "out"
+    assert _run("simulate", "--config", cfg, "--out", str(out), "--quiet") == 0
+    trace = read_trace(out / "trace.json")
+    assert all(np.all(np.isfinite(v)) for v in trace.values.values())
 
 
 def test_corrupt_trace_exits_2(tmp_path):
@@ -477,6 +490,21 @@ def test_repeated_batch_fit_into_its_input_dir_skips_its_own_outputs(tmp_path):
         "sweep_rates.csv", "trace.csv", "trace.json", "trace_fit.json", "trace_residuals.csv"]
     assert _run("fit-spectrum", "--config", fit_cfg, "--out", str(batch), "--quiet") == 0
     assert (batch / "sweep_rates.csv").read_bytes() == first
+
+
+def test_rates_csv_cannot_hide_or_replace_an_input_trace(tmp_path, capsys):
+    batch = tmp_path / "in"
+    for name, flux in (("t1", 0.17), ("t2", 0.21)):
+        cfg = _write(tmp_path / f"{name}.json", {"circuit": {"qubit": QUBIT_CFG},
+                                                 "grid": GRID_CFG, "noise_sigma": 0.005,
+                                                 "flux_phi0": flux, "basename": name})
+        assert _run("synth", "--config", cfg, "--out", str(batch), "--quiet") == 0
+    before = {p.name: p.read_bytes() for p in batch.iterdir()}
+    cfg = _write(tmp_path / "fit.json", {"input_dir": str(batch), "init": QUBIT_CFG,
+                                         "rates_csv": "t1.json"})
+    assert _run("fit-spectrum", "--config", cfg, "--out", str(batch), "--quiet") == 2
+    assert capsys.readouterr().err.startswith("error: config.rates_csv")
+    assert {p.name: p.read_bytes() for p in batch.iterdir()} == before
 
 
 def test_rates_csv_cannot_overwrite_a_fit_output_or_leave_out(tmp_path, capsys):

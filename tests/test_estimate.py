@@ -46,7 +46,7 @@ from mzq.estimate import (
     write_rates_csv,
 )
 from mzq.components import _reflection_embedding
-from mzq.estimate import _embedded_spectrum, _fold_qubit, _mobius_coefficients, _ou_sigmas
+from mzq.estimate import _embedded_spectrum, _fold_qubit, _mobius_coefficients
 from mzq.leastsq import NoConvergence
 from mzq.netcore import SingularSystem
 from mzq.physics import (
@@ -58,7 +58,6 @@ from mzq.physics import (
     gamma1_model,
     gamma_phi_model,
     flux_slope,
-    gamma_phi_rate,
 )
 
 from oracles import port_solution_oracle, rates_csv_oracle, transfer_chain_oracle
@@ -574,21 +573,20 @@ def test_finite_noise_bandwidth_is_recovered():
     assert abs(result.params["kappa"] - kappa) / kappa < 0.20
 
 
-def test_start_scales_reproduce_each_rate():
-    # the fit's seed pairs each trial kappa with per-row scales in closed
-    # form; each must give its own row's rate back through the model
-    _, _, slopes = _flux_grid(40)
-    rng = np.random.default_rng(5)
-    g = gamma_phi_rate(200e-6 * slopes, 2 * math.pi * 2e6) * np.exp(0.3 * rng.standard_normal(40))
-    g[7] = 0.0
-    v_med = float(np.median(g))
-    for kappa in [0.0] + [c * v_med for c in (0.3, 1.0, 3.0, 10.0, 30.0)]:
-        sigmas = _ou_sigmas(g, slopes, kappa)
-        assert sigmas[7] == 0.0
-        back = gamma_phi_rate(sigmas * slopes, kappa)
-        assert back[7] == 0.0
-        rows = g > 0
-        assert np.max(np.abs(back[rows] / g[rows] - 1)) <= 1e-10
+def test_motionally_narrowed_noise_is_fit_from_the_quasi_static_start():
+    # kappa is several times s*sigma on every row, so the data fix sigma^2/kappa
+    # sharply and sigma and kappa only loosely; the fit starts at kappa = 0
+    sigma, kappa = 1e-3, 2 * math.pi * 50e6
+    targets, flux, slopes = _flux_grid(48)
+    assert np.all(kappa > 1.5 * sigma * slopes)
+    gphi = np.array([gamma_phi_model(OUNoise(sigma, kappa, s)) for s in slopes])
+    gphi = gphi * (1 + 0.1 * np.random.default_rng(3).standard_normal(48))
+    rates = RateDataset(targets, np.full(48, 1e5), gphi, flux, np.full(48, 0.1))
+    result = fit_ou(rates, TRANSMON)
+    assert result.converged
+    narrowed = result.params["sigma"] ** 2 / result.params["kappa"]
+    assert abs(narrowed / (sigma**2 / kappa) - 1) < 0.05
+    assert abs(result.params["kappa"] - kappa) < result.ci95["kappa"]
 
 
 def test_flux_noise_fit_handles_missing_weights():

@@ -6,8 +6,10 @@ import pytest
 from scipy import optimize, special, stats
 
 from mzq.leastsq import (
+    FD_REL_STEP,
     BadInitialization,
     LMResult,
+    _jacobian,
     confidence_half_widths,
     covariance,
     levenberg_marquardt,
@@ -156,6 +158,24 @@ def test_an_exact_jacobian_spends_no_residual_evaluations_on_columns(monkeypatch
         columns = 3 * jacobians if jac is None else 0
         assert len(evals) == 1 + len(solves) + columns
         assert len(jac_calls) == (0 if jac is None else jacobians)
+
+
+def test_difference_steps_never_cross_zero():
+    # a residual even in each entry, as the rate curves are: within one step
+    # of 0 the column at -a must be minus the column at a, bit for bit
+    t = np.linspace(0.0, 5.0, 30)
+
+    def fn(p):
+        return abs(p[0]) * np.exp(-abs(p[1]) * t) - 1.0
+
+    scale = np.ones(2)
+    for a in (0.3 * FD_REL_STEP, 0.9 * FD_REL_STEP):
+        plus, minus = np.array([2.0, a]), np.array([2.0, -a])
+        jp = _jacobian(fn, plus, fn(plus), scale)
+        jm = _jacobian(fn, minus, fn(minus), scale)
+        assert np.array_equal(jm[:, 1], -jp[:, 1])
+        assert np.array_equal(jm[:, 0], jp[:, 0])
+        assert np.all(jp[1:, 1] < 0)
 
 
 def test_exact_data_drives_cost_to_zero():
