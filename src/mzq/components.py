@@ -497,16 +497,31 @@ def write_csv_columns(fh, header, *columns) -> None:
     A float array is written with 17 significant digits, enough to round-trip
     float64 exactly, spelled as format(float(x), ".17g") spells it (nan, inf,
     -0). A str is repeated on every row; any other column is written as given.
+
+    A block of only float arrays and strs is rendered from one row template:
+    csv.writer quotes each str once, each float field is %.17g, and a single %
+    fills the template repeated once per row. A block with any other column
+    (ints, a list of str) goes through csv.writer row by row. Columns of
+    unequal length raise ValueError before anything is written.
     """
-    rows = max((len(c) for c in columns if not isinstance(c, str)), default=0)
-    cells = [[c] * rows if isinstance(c, str)
-             else map("{:.17g}".format, c.tolist())
-             if isinstance(c, np.ndarray) and c.dtype.kind == "f" else c
-             for c in columns]
+    lengths = {len(c) for c in columns if not isinstance(c, str)}
+    if len(lengths) > 1:
+        raise ValueError(f"columns differ in length: {sorted(lengths)}")
+    rows = lengths.pop() if lengths else 0
     writer = csv.writer(fh, lineterminator="\n")
     if header is not None:
         writer.writerow(header)
-    writer.writerows(zip(*cells, strict=True))
+    is_float = [isinstance(c, np.ndarray) and c.dtype.kind == "f" for c in columns]
+    if any(is_float) and all(f or isinstance(c, str) for c, f in zip(columns, is_float)):
+        template = io.StringIO()
+        csv.writer(template, lineterminator="\n").writerow(
+            ["%.17g" if f else c.replace("%", "%%") for c, f in zip(columns, is_float)])
+        floats = np.column_stack([c for c, f in zip(columns, is_float) if f])
+        fh.write((template.getvalue() * rows) % tuple(floats.ravel().tolist()))
+        return
+    writer.writerows(zip(*([c] * rows if isinstance(c, str)
+                           else map("{:.17g}".format, c.tolist()) if f else c
+                           for c, f in zip(columns, is_float))))
 
 
 def _csv_rows(text: str):

@@ -227,6 +227,8 @@ def rates_from_csv(text: str) -> RateDataset:
             vals = [float(p) for p in parts]
         except ValueError:
             raise ValueError(f"line {num}: non-numeric field") from None
+        if not 0 < vals[0] < math.inf:
+            raise ValueError(f"line {num}: omega01 must be finite and > 0")
         # flux may be NaN (unknown) and rel_err NaN or inf (no weight)
         if not (math.isfinite(vals[1]) and math.isfinite(vals[2])):
             raise ValueError(f"line {num}: gamma1 and gamma_phi must be finite")
@@ -234,10 +236,7 @@ def rates_from_csv(text: str) -> RateDataset:
             c.append(v)
     if not cols[0]:
         raise ValueError("line 2: no data rows")
-    try:
-        return RateDataset(*[np.array(c) for c in cols])
-    except ValueError as exc:
-        raise ValueError(f"invalid rate table: {exc}") from None
+    return RateDataset(*[np.array(c) for c in cols])
 
 
 def write_rates_csv(path, rates: RateDataset) -> None:

@@ -208,6 +208,24 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def csv_columns_oracle(header, *columns) -> str:
+    """write_csv_columns text written row by row: one writerow per sample.
+
+    A float array's entries go through _fmt, a str repeats on every row and
+    any other column's entries are written as given.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    if header is not None:
+        writer.writerow(header)
+    rows = max((len(c) for c in columns if not isinstance(c, str)), default=0)
+    for i in range(rows):
+        writer.writerow([c if isinstance(c, str)
+                         else _fmt(c[i]) if isinstance(c, np.ndarray) and c.dtype.kind == "f"
+                         else c[i] for c in columns])
+    return buf.getvalue()
+
+
 def trace_csv_oracle(trace) -> str:
     """Trace CSV text written row by row: one writerow and three _fmt calls per sample."""
     buf = io.StringIO()

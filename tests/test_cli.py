@@ -696,6 +696,18 @@ def test_non_finite_rate_exits_2(tmp_path, capsys, column, value):
     assert "line 7: gamma1 and gamma_phi must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+def test_bad_omega01_exits_2_naming_its_line(tmp_path, capsys, value):
+    path = _rates_table(tmp_path)
+    lines = path.read_text().splitlines()
+    lines[6] = ",".join([value] + lines[6].split(",")[1:])
+    path.write_text("\n".join(lines) + "\n")
+    cfg = _write(tmp_path / "cfg.json", {"rates_csv": str(path),
+                                         "transmon": TRANSMON_CFG})
+    assert _run("fit-rates", "--config", cfg, "--out", str(tmp_path / "out")) == 2
+    assert "line 7: omega01 must be finite and > 0" in capsys.readouterr().err
+
+
 def test_band_matches_a_pointwise_reference():
     def curve(p, x):
         return gamma_phi_rate(abs(p[0]) * x, abs(p[1]))

@@ -1,4 +1,5 @@
 """Component factories, the swept forward model, and trace serialization."""
+import io
 import math
 import tempfile
 from dataclasses import replace
@@ -30,13 +31,14 @@ from mzq.components import (
     total_matrix_stack,
     trace_from_csv,
     trace_from_json,
+    write_csv_columns,
     write_trace_csv,
     write_trace_json,
 )
 from mzq.netcore import SingularSystem, solve_port_system_many
 
-from oracles import (splitter_stack_oracle, trace_csv_oracle, trace_json_oracle,
-                     transfer_chain_oracle)
+from oracles import (csv_columns_oracle, splitter_stack_oracle, trace_csv_oracle,
+                     trace_json_oracle, transfer_chain_oracle)
 
 CENTER_HZ = 5.746e9
 W_CENTER = 2 * math.pi * CENTER_HZ
@@ -518,7 +520,7 @@ def _odd_traces(draw):
     samples = st.lists(st.floats() | _ODD_FLOATS, min_size=2 * len(freqs),
                        max_size=2 * len(freqs))
     paths = draw(st.lists(st.sampled_from(PATHS), min_size=1, unique=True))
-    label = draw(st.text(st.sampled_from(list('ab 7,"\n;')), max_size=8))
+    label = draw(st.text(st.sampled_from(list('ab 7,"\n;%\'')), max_size=8))
     return SpectrumTrace(freqs=np.array(freqs), label=label,
                          values={p: np.array(draw(samples)).view(complex) for p in paths})
 
@@ -539,6 +541,45 @@ def test_csv_writer_matches_the_row_by_row_oracle(trace):
         assert back.values.keys() == trace.values.keys()
         for p, v in trace.values.items():
             assert np.array_equal(back.values[p].view(np.int64), v.view(np.int64))
+
+
+_CSV_TEXT = st.text(st.sampled_from(list('a%",\n\' ')), max_size=6)
+
+
+@st.composite
+def _csv_blocks(draw):
+    """(header, columns) for write_csv_columns: float arrays and strs take the
+    row template, int arrays and lists of str send the block through csv.writer."""
+    n = draw(st.integers(0, 8))
+    column = st.one_of(
+        st.lists(st.floats() | _ODD_FLOATS, min_size=n, max_size=n).map(np.array),
+        _CSV_TEXT,
+        st.lists(st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n)
+        .map(lambda v: np.array(v, dtype=np.int64)),
+        st.lists(_CSV_TEXT, min_size=n, max_size=n))
+    columns = draw(st.lists(column, max_size=6))
+    header = draw(st.none() | st.lists(_CSV_TEXT, min_size=len(columns),
+                                       max_size=len(columns)))
+    return header, columns
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(block=_csv_blocks())
+def test_csv_columns_match_the_row_by_row_oracle(block):
+    header, columns = block
+    buf = io.StringIO()
+    write_csv_columns(buf, header, *columns)
+    assert buf.getvalue() == csv_columns_oracle(header, *columns)
+
+
+@pytest.mark.parametrize("columns", [(np.ones(3), np.ones(2)),
+                                     (np.ones(3), "p", np.arange(2))],
+                         ids=["template", "csv-writer"])
+def test_unequal_columns_raise_before_anything_is_written(columns):
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match="columns differ in length"):
+        write_csv_columns(buf, ("a", "b", "c")[:len(columns)], *columns)
+    assert buf.getvalue() == ""
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

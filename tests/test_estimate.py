@@ -708,7 +708,7 @@ def test_rate_table_parse_errors():
         rates_from_csv("\n".join([lines[0], lines[1].replace(lines[1].split(",")[0], "x", 1)]))
     with pytest.raises(ValueError, match="line 2: no data rows"):
         rates_from_csv(lines[0] + "\n")
-    with pytest.raises(ValueError, match="invalid rate table"):
+    with pytest.raises(ValueError, match="line 2: omega01"):
         rates_from_csv("\n".join([lines[0], "-1,2,3,0.1,0.1"]))
 
 
