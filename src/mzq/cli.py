@@ -17,9 +17,17 @@ from pathlib import Path
 import numpy as np
 
 from .components import (
+    DRIVE_PORTS,
     CircuitSpec,
+    ConfigError,
     LineParams,
     QubitScatterer,
+    _check_keys,
+    _int,
+    _is_number,
+    _num,
+    _obj,
+    _str,
     make_interferometer,
     read_trace,
     sweep,
@@ -61,77 +69,23 @@ from .physics import (
 GHZ = 2 * math.pi * 1e9
 MHZ = 2 * math.pi * 1e6
 
-_REQUIRED = object()
-
-
-class ConfigError(ValueError):
-    """Raised for structurally or semantically invalid run configs."""
-
-
-def _check_keys(obj: dict, where: str, allowed: set[str]) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-
-
-def _obj(parent: dict, key: str, where: str, default=_REQUIRED) -> dict | None:
-    if key not in parent:
-        if default is _REQUIRED:
-            raise ConfigError(f"{where}: missing required key {key!r}")
-        return default
-    val = parent[key]
-    if val is not None and not isinstance(val, dict):
-        raise ConfigError(f"{where}.{key}: expected an object")
-    return val
-
-
-def _num(parent: dict, key: str, where: str, default=_REQUIRED,
-         minimum=None, strict=False) -> float:
-    if key not in parent:
-        if default is _REQUIRED:
-            raise ConfigError(f"{where}: missing required key {key!r}")
-        return default
-    val = parent[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)) or not math.isfinite(val):
-        raise ConfigError(f"{where}.{key}: expected a finite number")
-    val = float(val)
-    if minimum is not None and (val < minimum or (strict and val == minimum)):
-        op = ">" if strict else ">="
-        raise ConfigError(f"{where}.{key}: must be {op} {minimum}")
-    return val
-
-
-def _int(parent: dict, key: str, where: str, default=_REQUIRED, minimum=None) -> int:
-    if key not in parent:
-        if default is _REQUIRED:
-            raise ConfigError(f"{where}: missing required key {key!r}")
-        return default
-    val = parent[key]
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ConfigError(f"{where}.{key}: expected an integer")
-    if minimum is not None and val < minimum:
-        raise ConfigError(f"{where}.{key}: must be >= {minimum}")
-    return val
-
-
-def _str(parent: dict, key: str, where: str, default=_REQUIRED, choices=None) -> str:
-    if key not in parent:
-        if default is _REQUIRED:
-            raise ConfigError(f"{where}: missing required key {key!r}")
-        return default
-    val = parent[key]
-    if not isinstance(val, str):
-        raise ConfigError(f"{where}.{key}: expected a string")
-    if choices is not None and val not in choices:
-        raise ConfigError(f"{where}.{key}: expected one of {sorted(choices)}")
-    return val
-
-
 def _construct(where: str, build, *args, **kwargs):
     """build(*args, **kwargs), with its ValueError re-raised as a ConfigError naming where."""
     try:
         return build(*args, **kwargs)
     except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _linspace(where: str, start: float, stop: float, points: int) -> np.ndarray:
+    """np.linspace, with its refusal of a size re-raised as a ConfigError naming where.
+
+    numpy refuses a size it cannot allocate with MemoryError or ValueError,
+    and one from 2**63 to 2**64 with IndexError, before allocating anything.
+    """
+    try:
+        return np.linspace(start, stop, points)
+    except (MemoryError, ValueError, IndexError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
 
@@ -168,9 +122,7 @@ def _build_circuit(obj: dict | None, where: str) -> CircuitSpec:
             if key not in lines:
                 continue
             vals = lines[key]
-            if (not isinstance(vals, list) or len(vals) != 4
-                    or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                           or not math.isfinite(v) for v in vals)):
+            if not isinstance(vals, list) or len(vals) != 4 or not all(map(_is_number, vals)):
                 raise ConfigError(f"{lw}.{key}: expected a list of 4 finite numbers")
             if any(v < 0 for v in vals):
                 raise ConfigError(f"{lw}.{key}: entries must be >= 0")
@@ -195,7 +147,7 @@ def _build_grid(obj: dict, where: str) -> np.ndarray:
         raise ConfigError(f"{where}.stop_ghz: must exceed start_ghz")
     if not math.isfinite(stop * GHZ):  # then start, below stop, is finite in rad/s too
         raise ConfigError(f"{where}.stop_ghz: {stop:g} GHz overflows in rad/s")
-    return np.linspace(start * 1e9, stop * 1e9, points)
+    return _linspace(f"{where}.points", start * 1e9, stop * 1e9, points)
 
 
 def _build_transmon(obj: dict, where: str) -> TransmonParams:
@@ -222,14 +174,10 @@ def _trace_common(config: dict, synth: bool):
     _check_keys(config, "config", allowed)
     spec = _build_circuit(_obj(config, "circuit", "config"), "config.circuit")
     freqs = _build_grid(_obj(config, "grid", "config"), "config.grid")
-    drive = _int(config, "drive_port", "config", default=2)
-    if drive not in (2, 4):
-        raise ConfigError("config.drive_port: must be 2 or 4")
+    drive = _int(config, "drive_port", "config", default=2, choices=DRIVE_PORTS)
     label = _str(config, "label", "config", default="")
     basename = _str(config, "basename", "config", default="trace")
-    flux = config.get("flux_phi0")
-    if flux is not None:
-        flux = _num(config, "flux_phi0", "config")
+    flux = _num(config, "flux_phi0", "config", default=None)
     return spec, freqs, drive, label, basename, flux
 
 
@@ -391,6 +339,7 @@ def cmd_fit_rates(config: dict, out_dir: Path, quiet: bool) -> int:
     rates = read_rates_csv(rates_path)
     if len(rates) < 8:
         raise IllPosed(f"rate table has {len(rates)} rows; need at least 8")
+    ws = _linspace("config.band_points", rates.omega01.min(), rates.omega01.max(), band_points)
 
     # data points and the 33%-rule sidecar are written before any fit runs
     checks, slopes = excluded_rows(rates, transmon, rel_err_max)
@@ -412,7 +361,6 @@ def cmd_fit_rates(config: dict, out_dir: Path, quiet: bool) -> int:
         xs = np.linspace(kept_slopes.min(), kept_slopes.max(), band_points)
     else:
         xs = None
-    ws = np.linspace(rates.omega01.min(), rates.omega01.max(), band_points)
     phi_cols = ("slope_rad_s_per_phi0", "gamma_phi_rad_s")
     reports = (  # name, fit, model curve, grid, curve file, its x and y columns
         ("gamma1", lambda: fit_gamma1(rates), gamma1_curve, ws,
@@ -497,8 +445,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with open(args.config) as fh:
             config = json.load(fh)
-        if not isinstance(config, dict):
-            raise ConfigError("config: top level must be a JSON object")
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         extra = {"seed": args.seed} if args.command == "synth" else {}

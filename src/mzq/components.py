@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from .netcore import SingularSystem
 # Canonical path order used everywhere traces are stored or serialized.
 PATHS = ("s12", "s32", "s34", "s14")
 CROSS_PATHS = ("s12", "s34")
+DRIVE_PORTS = (2, 4)
 
 # Below this transmission magnitude the scatterer's transfer block is
 # numerically meaningless (entries scale as 1/t).
@@ -388,7 +390,7 @@ def sweep(spec: CircuitSpec, freqs, drive_port: int = 2, label: str = "") -> Spe
         SingularSystem: degenerate model (DegenerateScatterer for a fully
             reflecting scatterer), with the offending frequency attached.
     """
-    if drive_port not in (2, 4):
+    if drive_port not in DRIVE_PORTS:
         raise ValueError("drive_port must be 2 or 4")
     f = np.asarray(freqs, dtype=float).reshape(-1)
     if f.size == 0 or (f.size > 1 and not np.all(np.diff(f) > 0)):
@@ -597,6 +599,69 @@ def write_trace_csv(path: str | Path, trace: SpectrumTrace) -> None:
                 write_csv_columns(fh, None, trace.freqs, vals.real, vals.imag, p, trace.label)
 
 
+# ---------------------------------------------------------------------------
+# typed reads of JSON values, shared by run configs and trace documents
+# ---------------------------------------------------------------------------
+
+_REQUIRED = object()
+
+
+class ConfigError(ValueError):
+    """Raised for a JSON value of the wrong type or range, naming where it sits."""
+
+
+def _is_number(v) -> bool:
+    """A JSON number: a finite int or float, not a bool. Never raises, also on 10**330."""
+    return not isinstance(v, bool) and isinstance(v, (int, float)) and abs(v) <= sys.float_info.max
+
+
+def _check_keys(obj, where: str, allowed: set[str]) -> None:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected an object")
+    unknown = set(obj) - allowed
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+
+
+def _read(parent: dict, key: str, where: str, default, accepts, expected: str,
+          choices=None, minimum=None, strict=False):
+    """parent[key], refused unless accepts(it), in choices and >= (or > if strict) minimum.
+
+    An absent key reads as default, and so does a null where default is None;
+    a key whose default is _REQUIRED must be present.
+    """
+    val = parent.get(key)
+    if key not in parent or (val is None and default is None):
+        if default is _REQUIRED:
+            raise ConfigError(f"{where}: missing required key {key!r}")
+        return default
+    if not accepts(val):
+        raise ConfigError(f"{where}.{key}: expected {expected}")
+    if choices is not None and val not in choices:
+        raise ConfigError(f"{where}.{key}: expected one of {sorted(choices)}")
+    if minimum is not None and (val < minimum or (strict and val == minimum)):
+        raise ConfigError(f"{where}.{key}: must be {'>' if strict else '>='} {minimum}")
+    return val
+
+
+def _obj(parent: dict, key: str, where: str, default=_REQUIRED) -> dict | None:
+    """An object, or None for null; _check_keys refuses anything else where its keys are read."""
+    return _read(parent, key, where, default, lambda v: True, "an object")
+
+
+def _num(parent: dict, key: str, where: str, default=_REQUIRED, **limits) -> float | None:
+    val = _read(parent, key, where, default, _is_number, "a finite number", **limits)
+    return None if val is None else float(val)
+
+
+def _int(parent: dict, key: str, where: str, default=_REQUIRED, **limits) -> int | None:
+    return _read(parent, key, where, default, lambda v: type(v) is int, "an integer", **limits)
+
+
+def _str(parent: dict, key: str, where: str, default=_REQUIRED, choices=None) -> str:
+    return _read(parent, key, where, default, lambda v: isinstance(v, str), "a string", choices)
+
+
 def trace_from_json(text: str) -> SpectrumTrace:
     try:
         doc = json.loads(text)
@@ -623,26 +688,13 @@ def trace_from_json(text: str) -> SpectrumTrace:
             values[p] = re + 1j * im
             if not np.isfinite(values[p]).all():
                 raise ValueError(f"path {p!r} has a non-finite sample")
-        drive = doc.get("drive_port")
-        if drive is not None and (type(drive) is not int or drive not in (2, 4)):
-            raise ValueError(f"drive_port must be null, 2 or 4, got {drive!r}")
-        flux = doc.get("flux_phi0")
-        if flux is not None and (isinstance(flux, bool) or not isinstance(flux, (int, float))
-                                 or not math.isfinite(flux)):
-            raise ValueError(f"flux_phi0 must be null or a finite number, got {flux!r}")
-        noise = doc.get("noise_sigma", 0.0)
-        if isinstance(noise, bool) or not isinstance(noise, (int, float)):
-            raise ValueError(f"noise_sigma must be a number, got {noise!r}")
-        label = doc.get("label", "")
-        if not isinstance(label, str):
-            raise ValueError(f"label must be a string, got {label!r}")
         return SpectrumTrace(
             freqs=freqs,
             values=values,
-            noise_sigma=float(noise),
-            label=label,
-            drive_port=drive,
-            flux_phi0=flux,
+            noise_sigma=_num(doc, "noise_sigma", "trace", default=0.0, minimum=0),
+            label=_str(doc, "label", "trace", default=""),
+            drive_port=_int(doc, "drive_port", "trace", default=None, choices=DRIVE_PORTS),
+            flux_phi0=_num(doc, "flux_phi0", "trace", default=None),
         )
     except (KeyError, TypeError, ValueError) as err:
         raise TraceParseError(f"bad trace document: {err}") from None

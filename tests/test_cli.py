@@ -288,10 +288,10 @@ def _bad_json(**edits):
      "path 's12': re, im and freq_hz differ in length"),
     # these used to be coerced: None and 5 into the labels "None" and "5",
     # true and "0.5" into noise levels, string numbers into samples
-    (_bad_json(label=None), "label must be a string"),
-    (_bad_json(label=5), "label must be a string"),
-    (_bad_json(noise_sigma=True), "noise_sigma must be a number"),
-    (_bad_json(noise_sigma="0.5"), "noise_sigma must be a number"),
+    (_bad_json(label=None), "trace.label: expected a string"),
+    (_bad_json(label=5), "trace.label: expected a string"),
+    (_bad_json(noise_sigma=True), "trace.noise_sigma: expected a finite number"),
+    (_bad_json(noise_sigma="0.5"), "trace.noise_sigma: expected a finite number"),
     (_bad_json(freq_hz="5.2e9"), "freq_hz must be a list of numbers"),
     (_bad_json(re="0.5"), "path 's12': re must be a list of numbers"),
     (_bad_json(im="0.5"), "path 's12': im must be a list of numbers"),
@@ -314,6 +314,60 @@ def test_bad_trace_input_exits_2(tmp_path, capsys, make_input, message):
     cfg = _write(tmp_path / "fit.json", {key: str(path), "init": QUBIT_CFG})
     assert _run("fit-spectrum", "--config", cfg, "--out", str(tmp_path / "out")) == 2
     assert message in capsys.readouterr().err
+
+
+_HUGE = 10**330  # a JSON integer beyond float range: float() of it raises OverflowError
+
+
+def _trace_config(command, **edits):
+    def make(tmp_path):
+        trace = synthesize(make_interferometer(qubit=_truth_qubit()),
+                           np.linspace(5.17e9, 5.23e9, 51))
+        doc = {"input_json": str(_bad_json(**edits)(trace, tmp_path))}
+        return {**doc, "init": QUBIT_CFG} if command == "fit-spectrum" else doc
+    return make
+
+
+# values a type check alone lets through: float() overflows on them, numpy refuses
+# their size, or a required object is null
+@pytest.mark.parametrize("command, make_config, key", [
+    ("simulate", lambda tmp: {"circuit": {"cal_scale_re": _HUGE}, "grid": GRID_CFG},
+     "config.circuit.cal_scale_re"),
+    ("simulate", lambda tmp: {"circuit": {"lines": {"delay_ns": [_HUGE, 0, 0, 0]}},
+                              "grid": GRID_CFG},
+     "config.circuit.lines.delay_ns"),
+    ("simulate", lambda tmp: {"circuit": {}, "grid": GRID_CFG, "flux_phi0": _HUGE},
+     "config.flux_phi0"),
+    ("synth", lambda tmp: {"circuit": {}, "grid": GRID_CFG, "noise_sigma": _HUGE},
+     "config.noise_sigma"),
+    ("classify", _trace_config("classify", flux_phi0=_HUGE), "trace.flux_phi0"),
+    ("fit-spectrum", _trace_config("fit-spectrum", flux_phi0=_HUGE), "trace.flux_phi0"),
+    ("classify", _trace_config("classify", noise_sigma=_HUGE), "trace.noise_sigma"),
+    ("fit-spectrum", _trace_config("fit-spectrum", noise_sigma=_HUGE), "trace.noise_sigma"),
+    # sizes numpy refuses without allocating: MemoryError, then "Maximum allowed size"
+    ("simulate", lambda tmp: {"circuit": {}, "grid": {**GRID_CFG, "points": 10**17}},
+     "config.grid.points"),
+    ("simulate", lambda tmp: {"circuit": {}, "grid": {**GRID_CFG, "points": 10**30}},
+     "config.grid.points"),
+    ("fit-rates", lambda tmp: {"rates_csv": str(_rates_table(tmp)), "transmon": TRANSMON_CFG,
+                               "band_points": 10**17}, "config.band_points"),
+    ("fit-rates", lambda tmp: {"rates_csv": str(_rates_table(tmp)), "transmon": TRANSMON_CFG,
+                               "band_points": 10**30}, "config.band_points"),
+    # a required object given as null
+    ("simulate", lambda tmp: {"circuit": {}, "grid": None}, "config.grid"),
+    ("fit-rates", lambda tmp: {"rates_csv": "rates.csv", "transmon": None}, "config.transmon"),
+], ids=["cal-scale-huge", "lines-delay-huge", "flux-huge", "noise-huge",
+        "classify-trace-flux-huge", "fit-spectrum-trace-flux-huge",
+        "classify-trace-noise-huge", "fit-spectrum-trace-noise-huge",
+        "grid-points-1e17", "grid-points-1e30", "band-points-1e17", "band-points-1e30",
+        "grid-null", "transmon-null"])
+def test_value_out_of_range_exits_2_naming_its_key(tmp_path, capsys, command, make_config, key):
+    cfg = _write(tmp_path / "cfg.json", make_config(tmp_path))
+    out = tmp_path / "out"
+    assert _run(command, "--config", cfg, "--out", str(out), "--quiet") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{key}: " in err
+    assert not any(out.iterdir())
 
 
 # ---------------------------------------------------------------------------
