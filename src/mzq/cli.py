@@ -157,6 +157,15 @@ def _build_transmon(obj: dict, where: str) -> TransmonParams:
                       ec=_num(obj, "ec_mhz", where, minimum=0, strict=True) * 1e6)
 
 
+def _out_name(config: dict, key: str, default: str, endings: tuple[str, ...] = ()) -> str:
+    """config[key] as the name of a file in --out: no directory part, not '' or '..'."""
+    name = _str(config, key, "config", default=default)
+    if Path(name).name != name or name in ("", "..") or name.endswith(endings):
+        tail = f" that ends in neither of {endings}" if endings else ""
+        raise ConfigError(f"config.{key}: {name!r} must be a file name in --out{tail}")
+    return name
+
+
 def _say(quiet: bool, message: str) -> None:
     if not quiet:
         print(message)
@@ -176,7 +185,7 @@ def _trace_common(config: dict, synth: bool):
     freqs = _build_grid(_obj(config, "grid", "config"), "config.grid")
     drive = _int(config, "drive_port", "config", default=2, choices=DRIVE_PORTS)
     label = _str(config, "label", "config", default="")
-    basename = _str(config, "basename", "config", default="trace")
+    basename = _out_name(config, "basename", "trace")
     flux = _num(config, "flux_phi0", "config", default=None)
     return spec, freqs, drive, label, basename, flux
 
@@ -277,11 +286,7 @@ def cmd_fit_spectrum(config: dict, out_dir: Path, quiet: bool) -> int:
     batch_dir = Path(_str(config, "input_dir", "config"))
     if not batch_dir.is_dir():
         raise ConfigError(f"config.input_dir: {batch_dir} is not a directory")
-    rates_name = _str(config, "rates_csv", "config", default="rates.csv")
-    if (Path(rates_name).name != rates_name or rates_name in ("", "..")
-            or rates_name.endswith(_FIT_OUTPUTS)):
-        raise ConfigError(f"config.rates_csv: {rates_name!r} must be a file name in --out "
-                          f"that ends in neither of {_FIT_OUTPUTS}")
+    rates_name = _out_name(config, "rates_csv", "rates.csv", _FIT_OUTPUTS)
     taken = batch_dir / rates_name
     if taken.is_file():  # the listing skips it, so it may only be an earlier rate table
         with open(taken, errors="replace") as fh:

@@ -8,7 +8,10 @@ differences (the rate fits and the prediction bands). The Student-t
 quantile, the parameter intervals and the prediction bands built on a fit
 live here too. The quantile needs no scipy: for integer dof it solves the
 finite series of the t distribution function (Abramowitz & Stegun
-26.7.3-26.7.4) by Newton's method.
+26.7.3-26.7.4) by Newton's method. The covariance's SVD runs on the stacked
+R factors of row blocks of the Jacobian (TSQR, Demmel et al., SIAM J. Sci.
+Comput. 34, A206 (2012)): one LAPACK call on a whole spectrum Jacobian wakes
+OpenBLAS's worker threads to spin; a block keeps it on one thread.
 """
 from __future__ import annotations
 
@@ -23,6 +26,9 @@ FD_REL_STEP = 1e-6
 DAMPING_INIT = 1e-3
 DAMPING_MAX = 1e14
 SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
+# OpenBLAS runs dger, the rank-1 update of Householder QR, on one thread up
+# to rows x columns = 2048 * GEMM_MULTITHREAD_THRESHOLD = 8192 (interface/ger.c)
+QR_BLOCK_ELEMENTS = 8192
 
 
 class BadInitialization(ValueError):
@@ -164,13 +170,23 @@ def covariance(result: LMResult) -> np.ndarray:
     value (column-normalised Jacobian) is at most sqrt(eps) of the largest
     is not identified: its variance is inf and its covariances NaN. The
     others keep the variance of the directions the data see.
+
+    A Jacobian taller than one block of QR_BLOCK_ELEMENTS // n rows (at
+    least 2n, so each pass shrinks it) reaches the SVD as the stacked R
+    factors of its blocks, which keep its singular values and right
+    singular vectors to rounding.
     """
     m, n = result.jacobian.shape
     s2 = result.cost / max(m - n, 1)
     jac = result.jacobian
     norms = np.linalg.norm(jac, axis=0)
     norms[norms == 0] = 1.0
-    _, sv, vt = np.linalg.svd(jac / norms, full_matrices=False)
+    a = jac / norms
+    rows = max(QR_BLOCK_ELEMENTS // n, 2 * n)
+    while a.shape[0] > rows:
+        a = np.concatenate([np.linalg.qr(a[i:i + rows], mode="r")
+                            for i in range(0, a.shape[0], rows)])
+    _, sv, vt = np.linalg.svd(a, full_matrices=False)
     null = sv <= SQRT_EPS * sv[0]
     seen = vt[~null] / sv[~null, None]
     cov = s2 * (seen.T @ seen) / np.outer(norms, norms)

@@ -16,6 +16,7 @@ import numpy as np
 from mzq.components import (CSV_HEADER, PATHS, _IDEAL_BS, _branchline_coefficients,
                             qubit_rt_many)
 from mzq.estimate import RATES_CSV_HEADER
+from mzq.leastsq import SQRT_EPS
 from mzq.netcore import SingularSystem
 
 
@@ -293,3 +294,24 @@ def power_law_oracle(slopes: np.ndarray, gamma_phi: np.ndarray, rel_err: np.ndar
     params = {"amplitude": amplitude, "eta": eta}
     ci95 = {"amplitude": quantile * math.sqrt(cov[0, 0]), "eta": quantile * math.sqrt(cov[1, 1])}
     return params, ci95, cov
+
+
+def covariance_svd_oracle(result) -> np.ndarray:
+    """leastsq.covariance by one SVD of the whole column-normalised Jacobian.
+
+    The same identifiability rule: a parameter weighing more than sqrt(eps)
+    in a direction whose singular value is at most sqrt(eps) of the largest
+    gets an inf variance and NaN covariances.
+    """
+    m, n = result.jacobian.shape
+    s2 = result.cost / max(m - n, 1)
+    norms = np.linalg.norm(result.jacobian, axis=0)
+    norms[norms == 0] = 1.0
+    _, sv, vt = np.linalg.svd(result.jacobian / norms, full_matrices=False)
+    null = sv <= SQRT_EPS * sv[0]
+    seen = vt[~null] / sv[~null, None]
+    cov = s2 * (seen.T @ seen) / np.outer(norms, norms)
+    bad = np.any(np.abs(vt[null]) > SQRT_EPS, axis=0)
+    cov[bad, :] = cov[:, bad] = np.nan
+    cov[bad, bad] = np.inf
+    return cov

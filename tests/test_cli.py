@@ -356,18 +356,25 @@ def _trace_config(command, **edits):
     # a required object given as null
     ("simulate", lambda tmp: {"circuit": {}, "grid": None}, "config.grid"),
     ("fit-rates", lambda tmp: {"rates_csv": "rates.csv", "transmon": None}, "config.transmon"),
+    # a trace name that would put the trace outside --out
+    ("simulate", lambda tmp: {"circuit": {}, "grid": GRID_CFG, "basename": "../escaped"},
+     "config.basename"),
+    ("synth", lambda tmp: {"circuit": {}, "grid": GRID_CFG, "noise_sigma": 0.01,
+                           "basename": str(tmp / "abs")}, "config.basename"),
 ], ids=["cal-scale-huge", "lines-delay-huge", "flux-huge", "noise-huge",
         "classify-trace-flux-huge", "fit-spectrum-trace-flux-huge",
         "classify-trace-noise-huge", "fit-spectrum-trace-noise-huge",
         "grid-points-1e17", "grid-points-1e30", "band-points-1e17", "band-points-1e30",
-        "grid-null", "transmon-null"])
+        "grid-null", "transmon-null", "basename-parent-dir", "basename-absolute"])
 def test_value_out_of_range_exits_2_naming_its_key(tmp_path, capsys, command, make_config, key):
     cfg = _write(tmp_path / "cfg.json", make_config(tmp_path))
     out = tmp_path / "out"
+    before = set(tmp_path.iterdir())
     assert _run(command, "--config", cfg, "--out", str(out), "--quiet") == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"{key}: " in err
     assert not any(out.iterdir())
+    assert set(tmp_path.iterdir()) == before | {out}
 
 
 # ---------------------------------------------------------------------------

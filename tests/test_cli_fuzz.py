@@ -1,9 +1,10 @@
 """A fuzz property of the command line (MacIver et al., JOSS 4, 1891 (2019)).
 
 Each example runs one command in-process on inputs that are valid but for
-one value, replaced by a huge integer, a nested list, a string, a bool, NaN
-or an empty object. Whatever the value, the command ends with exit 0, 2, 3
-or 4 and at most one line on stderr, and writes nothing outside --out.
+one value, replaced by a huge integer, a nested list, a string, a relative
+path that leaves its folder, a bool, NaN or an empty object. Whatever the
+value, the command ends with exit 0, 2, 3 or 4 and at most one line on
+stderr, and writes nothing outside --out.
 """
 import contextlib
 import csv
@@ -26,7 +27,7 @@ from mzq.estimate import RateDataset, write_rates_csv
 GHZ = 2 * math.pi * 1e9
 MHZ = 2 * math.pi * 1e6
 
-MUTATIONS = [10**17, 2**64, 10**330, [[1, 2], [3]], "s", True, math.nan, {}]
+MUTATIONS = [10**17, 2**64, 10**330, [[1, 2], [3]], "s", "../escaped", True, math.nan, {}]
 
 QUBIT = {"omega01_ghz": 5.2, "gamma1_mhz": 1.0, "gamma_phi_mhz": 0.4, "r0": 0.9, "rabi_mhz": 1.5}
 CIRCUIT = {"splitter": "ideal", "center_ghz": 5.746, "qubit_arm": "a", "qubit": QUBIT,

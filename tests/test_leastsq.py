@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize, special, stats
 
 from mzq.leastsq import (
     FD_REL_STEP,
+    QR_BLOCK_ELEMENTS,
     BadInitialization,
     LMResult,
     _jacobian,
@@ -15,6 +18,7 @@ from mzq.leastsq import (
     levenberg_marquardt,
     t_quantile,
 )
+from oracles import covariance_svd_oracle
 
 
 def _exp_problem(seed=7):
@@ -262,6 +266,64 @@ def test_covariance_survives_a_singular_jacobian():
     exact = LMResult(x=np.ones(3), cost=0.0, cost_history=[0.0], residual=np.zeros(12),
                      jacobian=jac, iterations=1, converged=True)
     assert list(confidence_half_widths(covariance(exact), t.size - 3)) == [np.inf, np.inf, 0.0]
+
+
+def _result_of(jac: np.ndarray) -> LMResult:
+    m, n = jac.shape
+    return LMResult(x=np.ones(n), cost=1.0, cost_history=[1.0], residual=np.zeros(m),
+                    jacobian=jac, iterations=1, converged=True)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_blocked_covariance_matches_one_svd(data):
+    n = data.draw(st.integers(2, 7), label="n")
+    block = QR_BLOCK_ELEMENTS // n
+    m = data.draw(st.sampled_from([8, block - 1, block, block + 1, 3 * block + 5]), label="m")
+    kind = data.draw(st.sampled_from(["random", "zero column", "duplicate columns"]), label="kind")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    jac = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-9, 9, n)
+    i, j = rng.choice(n, 2, replace=False)
+    if kind == "zero column":
+        jac[:, i] = 0.0
+    elif kind == "duplicate columns":
+        jac[:, j] = jac[:, i]
+    got, want = covariance(_result_of(jac)), covariance_svd_oracle(_result_of(jac))
+    if m <= block:
+        assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    # each entry relative to its scale sqrt(|c_ii c_jj|), so a covariance
+    # near 0 is not held to more digits than the variances carry
+    finite = np.isfinite(want)
+    scale = np.sqrt(np.abs(np.outer(np.diag(want), np.diag(want))))
+    assert np.all(np.abs(got[finite] - want[finite]) <= 1e-12 * scale[finite])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("m", [8, QR_BLOCK_ELEMENTS // 7 + 1, 3 * (QR_BLOCK_ELEMENTS // 7) + 5])
+def test_a_non_finite_jacobian_raises_on_both_routes(m, value):
+    jac = np.random.default_rng(m).standard_normal((m, 7))
+    jac[-1, 3] = value  # in the last block once there are blocks
+    raised = []
+    for route in (covariance, covariance_svd_oracle):
+        with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError) as err:
+            route(_result_of(jac))
+        raised.append(str(err.value))
+    assert raised[0] == raised[1]
+
+
+def test_no_lapack_call_in_covariance_sees_more_than_one_block(monkeypatch):
+    # a flux-sweep spectrum Jacobian: 601 points x 4 paths, 7 parameters
+    shapes = []
+    for name in ("qr", "svd"):
+        def record(a, *args, _call=getattr(np.linalg, name), **kwargs):
+            shapes.append(a.shape)
+            return _call(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, record)
+    covariance(_result_of(np.random.default_rng(1).standard_normal((2404, 7))))
+    assert len(shapes) > 1
+    assert all(rows * cols <= QR_BLOCK_ELEMENTS for rows, cols in shapes), shapes
 
 
 def test_t_quantile_counts_a_dof_below_one_as_one():
