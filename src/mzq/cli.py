@@ -52,8 +52,11 @@ from .estimate import (
     fit_ou,
     fit_spectrum,
     gamma1_curve,
+    gamma1_jacobian,
     ou_curve,
+    ou_jacobian,
     power_curve,
+    power_jacobian,
     read_rates_csv,
     write_fit_json,
     write_rates_csv,
@@ -367,17 +370,17 @@ def cmd_fit_rates(config: dict, out_dir: Path, quiet: bool) -> int:
     else:
         xs = None
     phi_cols = ("slope_rad_s_per_phi0", "gamma_phi_rad_s")
-    reports = (  # name, fit, model curve, grid, curve file, its x and y columns
-        ("gamma1", lambda: fit_gamma1(rates), gamma1_curve, ws,
+    reports = (  # name, fit, model curve and its Jacobian, grid, curve file, its x and y columns
+        ("gamma1", lambda: fit_gamma1(rates), gamma1_curve, gamma1_jacobian, ws,
          "curve_gamma1.csv", ("omega01_rad_s", "gamma1_rad_s")),
         ("gamma_phi_power", lambda: fit_gamma_phi_power(rates, transmon, rel_err_max),
-         power_curve, xs, "curve_gamma_phi_power.csv", phi_cols),
+         power_curve, power_jacobian, xs, "curve_gamma_phi_power.csv", phi_cols),
         ("ou", lambda: fit_ou(rates, transmon, rel_err_max),
-         ou_curve, xs, "curve_gamma_phi_ou.csv", phi_cols),
+         ou_curve, ou_jacobian, xs, "curve_gamma_phi_ou.csv", phi_cols),
     )
 
     failures = []
-    for name, fit, curve, grid, curve_name, cols in reports:
+    for name, fit, curve, jacobian, grid, curve_name, cols in reports:
         try:
             result = fit()
         except Exception as exc:
@@ -388,7 +391,7 @@ def cmd_fit_rates(config: dict, out_dir: Path, quiet: bool) -> int:
         if grid is not None:
             pvec = np.array(list(result.params.values()))
             _write_csv(out_dir / curve_name, quiet, (*cols, "lo95_rad_s", "hi95_rad_s"), grid,
-                       *prediction_band(curve, pvec, result.covariance, grid, result.dof))
+                       *prediction_band(curve, jacobian, pvec, result.covariance, grid, result.dof))
 
     for name, err in failures:
         print(f"{name} fit failed: {err}", file=sys.stderr)

@@ -702,17 +702,17 @@ def trace_from_json(text: str) -> SpectrumTrace:
 
 def _json_floats(values: np.ndarray, depth: int) -> str:
     """A non-empty float array as json.dump(indent=1) lays it out at this depth."""
-    fmt = float.__repr__ if np.isfinite(values).all() else json.dumps  # NaN, Infinity
     pad = "\n" + " " * depth
-    return "[" + pad + " " + ("," + pad + " ").join(map(fmt, values.tolist())) + pad + "]"
+    flat = json.dumps(values.tolist(), separators=("," + pad + " ", ":"))[1:-1]
+    return "[" + pad + " " + flat + pad + "]"
 
 
 def write_trace_json(path: str | Path, trace: SpectrumTrace) -> None:
     """JSON mirror of the CSV format, including synthesis metadata.
 
     The bytes are those of json.dump(doc, fh, indent=1); each float list is
-    rendered by one float.__repr__ join, which the indenting encoder (pure
-    Python) would do one float at a time.
+    one flat json.dumps (its C encoder) with the indent in the separator,
+    where the indenting encoder (pure Python) goes one float at a time.
     """
     head = {"label": trace.label, "noise_sigma": trace.noise_sigma,
             "drive_port": trace.drive_port, "flux_phi0": trace.flux_phi0}

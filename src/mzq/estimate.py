@@ -35,7 +35,8 @@ from .leastsq import (
     levenberg_marquardt,
     t_quantile,
 )
-from .physics import BathModel, TransmonParams, flux_slope, gamma1_model, gamma_phi_rate
+from .physics import (BathModel, TransmonParams, flux_slope, gamma1_model, gamma_phi_rate,
+                      gamma_phi_rate_partials)
 
 __all__ = [
     "FitResult", "RateDataset", "RegimeLabel", "IllPosed", "NoFeature",
@@ -339,17 +340,16 @@ def _fold_qubit(x: np.ndarray, rabi: float) -> QubitScatterer:
     )
 
 
-def _reflection_gradient(x: np.ndarray, rabi: float, w: np.ndarray):
-    """Scatterer reflection r at the folded x and dr/dx[:4], shapes (N,) and (N,4).
+def _fold_derivative(x: np.ndarray, live=1.0) -> np.ndarray:
+    """d|x|/dx times live: the sign of x, + at 0 (where fit_ou starts kappa), 0 on a clamp."""
+    return np.where(x < 0, -1.0, 1.0) * live
 
-    The chain rule runs through _fold_qubit: each abs contributes its sign,
-    + at 0 (the right-hand derivative, so a parameter started at 0 can
-    leave it), and a clamped gamma1 or r0 contributes 0.
-    """
+
+def _reflection_gradient(x: np.ndarray, rabi: float, w: np.ndarray):
+    """Reflection r at the folded x and dr/dx[:4] by _fold_derivative, shapes (N,) and (N,4)."""
     r, grad = _qubit_r_and_grad(_fold_qubit(x, rabi), w)
-    sign = np.where(x[:4] < 0, -1.0, 1.0)
     live = [1.0, abs(x[1]) > _GAMMA1_MIN, 1.0, _R0_MIN < abs(x[3]) < 1 - _R0_MIN]
-    return r, grad * (sign * live)
+    return r, grad * _fold_derivative(x[:4], live)
 
 
 # the reflection at which, with 0 and its negative, each path's Mobius form is sampled
@@ -584,21 +584,35 @@ def ou_curve(x, slopes: np.ndarray) -> np.ndarray:
     return gamma_phi_rate(abs(x[0]) * slopes, abs(x[1]))
 
 
-def _fit_rate_curve(model: str, curve, xs: np.ndarray, y: np.ndarray, sqrt_w: np.ndarray,
-                    x0: np.ndarray, x_scale: np.ndarray, names: list[str]) -> FitResult:
-    """Weighted LM fit of curve(x, xs) to y, reported at the folded point |x|.
+def gamma1_jacobian(x, w: np.ndarray) -> np.ndarray:
+    """d gamma1_curve / dx, shape (N, 4); the fwhm column is 0 on its clamp at 1 rad/s."""
+    bath = _fold_bath(x)
+    h, hw, dw = bath.lorentz_height, bath.lorentz_fwhm / 2, w - bath.lorentz_center
+    den = dw**2 + hw**2
+    cols = [w, 2 * h * hw**2 * dw / den**2, h * hw * dw**2 / den**2, hw**2 / den]
+    return np.column_stack(cols) * _fold_derivative(x[:4], [1, 1, abs(x[2]) > 1.0, 1])
 
-    Both rate curves fold every entry with abs, and LM's steps point away from
-    0, so its Jacobian column at -|x_i| is exactly minus the one at |x_i|.
-    """
-    def residual(x: np.ndarray) -> np.ndarray:
-        return (curve(x, xs) - y) * sqrt_w
 
-    res = levenberg_marquardt(residual, x0, x_scale=x_scale)
+def power_jacobian(x, slopes: np.ndarray) -> np.ndarray:
+    """d power_curve / dx, shape (N, 2)."""
+    return np.column_stack([slopes ** x[1] * _fold_derivative(x[0]),
+                            power_curve(x, slopes) * np.log(slopes)])
+
+
+def ou_jacobian(x, slopes: np.ndarray) -> np.ndarray:
+    """d ou_curve / dx, shape (N, 2), from physics.gamma_phi_rate_partials."""
+    d_v, d_kappa = gamma_phi_rate_partials(abs(x[0]) * slopes, abs(x[1]))
+    return np.column_stack([d_v * slopes, d_kappa]) * _fold_derivative(x[:2])
+
+
+def _fit_rate_curve(model: str, names: list[str], curve, jacobian, xs: np.ndarray, y: np.ndarray,
+                    sqrt_w: np.ndarray, x0: np.ndarray, x_scale: np.ndarray) -> FitResult:
+    """Weighted LM fit of curve(x, xs), even in each x_i, to y with jac=jacobian; reports |x|."""
+    res = levenberg_marquardt(lambda x: (curve(x, xs) - y) * sqrt_w, x0, x_scale=x_scale,
+                              jac=lambda x: jacobian(x, xs) * sqrt_w[:, None])
     if not res.converged:
         raise NoConvergence(f"{model} fit stopped after {res.iterations} iterations")
-    flip = np.where(np.signbit(res.x), -1.0, 1.0)
-    res = replace(res, x=np.abs(res.x), jacobian=res.jacobian * flip)
+    res = replace(res, x=np.abs(res.x), jacobian=jacobian(np.abs(res.x), xs) * sqrt_w[:, None])
     rms = float(np.sqrt(np.mean(res.residual**2)) /
                 max(np.sqrt(np.mean((y * sqrt_w) ** 2)), 1e-300))
     return _lm_fit_result(res, dict(zip(names, map(float, res.x))), rms)
@@ -628,8 +642,8 @@ def fit_gamma1(rates: RateDataset) -> FitResult:
     x0 = np.array([alpha_0, center_0, fwhm_0, height_0])
     x_scale = np.array([max(alpha_0, 1e-5), 2 * math.pi * 1e9, 2 * math.pi * 1e9,
                         max(height_0, 2 * math.pi * 1e4)])
-    return _fit_rate_curve("relaxation-model", gamma1_curve, w, g, np.ones_like(g), x0, x_scale,
-                           [f.name for f in fields(BathModel)])
+    return _fit_rate_curve("relaxation-model", [f.name for f in fields(BathModel)], gamma1_curve,
+                           gamma1_jacobian, w, g, np.ones_like(g), x0, x_scale)
 
 
 def excluded_rows(rates: RateDataset, transmon: TransmonParams, rel_err_max: float):
@@ -709,8 +723,8 @@ def fit_ou(rates: RateDataset, transmon: TransmonParams,
     sigma_0 = math.sqrt(2) * float(np.median(g / slopes))
     x0 = np.array([sigma_0, 0.0])
     x_scale = np.array([max(sigma_0, 1e-6), 2 * math.pi * 1e6])
-    result = _fit_rate_curve("flux-noise", ou_curve, slopes, g, sqrt_w, x0, x_scale,
-                             ["sigma", "kappa"])
+    result = _fit_rate_curve("flux-noise", ["sigma", "kappa"], ou_curve, ou_jacobian, slopes, g,
+                             sqrt_w, x0, x_scale)
     se_kappa = math.sqrt(result.covariance[1, 1])
     upper = result.params["kappa"] + t_quantile(result.dof, 0.95) * se_kappa
     return replace(result, params={**result.params, "kappa_upper95": upper})

@@ -1,17 +1,16 @@
 """Damped least-squares minimization.
 
-Small Levenberg-Marquardt engine used by the estimation layer. The residual
-function maps a parameter vector to a 1-d residual array; the engine
-minimizes the sum of squared residuals. The Jacobian comes from a caller's
-closed form when one is passed (the spectrum fit), otherwise from one-sided
-differences (the rate fits and the prediction bands). The Student-t
-quantile, the parameter intervals and the prediction bands built on a fit
-live here too. The quantile needs no scipy: for integer dof it solves the
-finite series of the t distribution function (Abramowitz & Stegun
-26.7.3-26.7.4) by Newton's method. The covariance's SVD runs on the stacked
-R factors of row blocks of the Jacobian (TSQR, Demmel et al., SIAM J. Sci.
-Comput. 34, A206 (2012)): one LAPACK call on a whole spectrum Jacobian wakes
-OpenBLAS's worker threads to spin; a block keeps it on one thread.
+Small Levenberg-Marquardt engine of the estimation layer: it minimizes the
+sum of squares of a 1-d residual of a parameter vector, with the caller's
+closed-form Jacobian (every fit in mzq passes one) or one-sided differences.
+The Student-t quantile, the parameter intervals and the delta-method
+prediction bands, which take the model's Jacobian, live here too. The
+quantile needs no scipy: for integer dof it solves the finite series of the
+t distribution function (Abramowitz & Stegun 26.7.3-26.7.4) by Newton's
+method. The covariance's SVD runs on the stacked R factors of row blocks of
+the Jacobian (TSQR, Demmel et al., SIAM J. Sci. Comput. 34, A206 (2012)):
+one LAPACK call on a whole spectrum Jacobian wakes OpenBLAS's worker
+threads to spin; a block keeps it on one thread.
 """
 from __future__ import annotations
 
@@ -51,14 +50,14 @@ class LMResult:
 
 
 def _jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-              r0: np.ndarray, x_scale: np.ndarray) -> np.ndarray:
-    """d fn / dx at x, with r0 = fn(x), by one-sided steps of FD_REL_STEP max(|x_i|, x_scale_i).
+              r0: np.ndarray) -> np.ndarray:
+    """d fn / dx at x, with r0 = fn(x), by one-sided steps of FD_REL_STEP max(|x_i|, 1).
 
     Each step points away from 0, so none crosses the kink of a curve even in x_i.
     """
     jac = np.empty((r0.size, x.size))
     for i in range(x.size):
-        h = math.copysign(FD_REL_STEP * max(abs(x[i]), x_scale[i]), x[i])
+        h = math.copysign(FD_REL_STEP * max(abs(x[i]), 1.0), x[i])
         xp = x.copy()
         xp[i] += h
         jac[:, i] = (fn(xp) - r0) / h
@@ -86,8 +85,7 @@ def levenberg_marquardt(fn: Callable[[np.ndarray], np.ndarray],
     jac, when given, returns d fn / dx at x as an (m, n) array in x units;
     it is called once at x0 and once per accepted step, and fn is then
     evaluated only at trial steps. Without it, each Jacobian costs n more
-    fn evaluations by forward differences. That path stays the default:
-    the rate models have no closed-form derivatives yet.
+    fn evaluations by forward differences.
     """
     x = np.asarray(x0, dtype=float).copy()
     if x.ndim != 1 or x.size == 0:
@@ -97,14 +95,13 @@ def levenberg_marquardt(fn: Callable[[np.ndarray], np.ndarray],
         raise BadInitialization("x_scale must be positive, finite, same length as x0")
 
     z = x / scale
-    unit = np.ones_like(z)
 
     def fn_z(zv: np.ndarray) -> np.ndarray:
         return np.asarray(fn(zv * scale), dtype=float)
 
     def jac_z(zv: np.ndarray, rv: np.ndarray) -> np.ndarray:
         if jac is None:
-            return _jacobian(fn_z, zv, rv, unit)
+            return _jacobian(fn_z, zv, rv)
         return np.asarray(jac(zv * scale), dtype=float) * scale
 
     r = fn_z(z)
@@ -240,17 +237,15 @@ def confidence_half_widths(cov: np.ndarray, dof: int) -> np.ndarray:
     return t_quantile(dof, 0.975) * np.sqrt(np.diag(cov))
 
 
-def prediction_band(curve: Callable[[np.ndarray, np.ndarray], np.ndarray], pvec: np.ndarray,
+def prediction_band(curve: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                    jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray], pvec: np.ndarray,
                     cov: np.ndarray, xs: np.ndarray, dof: int):
-    """Curve over xs with its linearized 95% band, varying the first cov.shape[0] of pvec.
+    """Curve over xs with its delta-method 95% band, varying the first cov.shape[0] of pvec.
 
-    One-sided differences step p_i by 1e-6 max(|p_i|, finite standard error, 1e-12),
-    so a parameter near 0 (a quasi-static kappa) is not stepped in rounding noise.
+    jacobian(p, xs) is d curve(p, xs) / dp, shape (len(xs), len(p)).
     """
     p = pvec[:cov.shape[0]]
-    y = curve(p, xs)
-    se = np.nan_to_num(np.sqrt(np.diag(cov)), posinf=0.0)
-    grad = _jacobian(lambda q: curve(q, xs), p, y, np.maximum(se, 1e-12))
+    y, grad = curve(p, xs), jacobian(p, xs)
     var = np.einsum("ni,ij,nj->n", grad, cov, grad)
     half = t_quantile(dof, 0.975) * np.sqrt(np.maximum(var, 0.0))
     return y, y - half, y + half

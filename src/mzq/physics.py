@@ -316,6 +316,23 @@ def gamma_phi_rate(v, kappa) -> np.ndarray:
     return np.where(v == 0, 0.0, np.where(kappa == 0, v / math.sqrt(2), rate))
 
 
+def gamma_phi_rate_partials(v, kappa) -> tuple[np.ndarray, np.ndarray]:
+    """(d rate/dv, d rate/dkappa) of gamma_phi_rate, elementwise in v, kappa >= 0.
+
+    Implicitly from u - 1 + exp(-u) = x^2, with e = 1 - exp(-u) and s = rate/v: d/dv = 2 s^2 x/e,
+    d/dkappa = 1/u - 2 s^2/e, or its series -1/6 + u^2/360 below u = 1e-2, where that cancels.
+    kappa = 0 gives exactly 1/sqrt(2) and -1/6; v = 0 < kappa gives 0 and 0.
+    """
+    v, kappa = np.asarray(v, dtype=float), np.asarray(kappa, dtype=float)
+    rate = gamma_phi_rate(v, kappa)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u, s, e = kappa / rate, rate / v, -np.expm1(-kappa / rate)
+        d_v = 2 * s * (s * kappa / v) / e
+        d_kappa = np.where(u < 1e-2, -1 / 6 + u**2 / 360, rate / kappa - 2 * s * s / e)
+    return (np.where(kappa == 0, 1 / math.sqrt(2), np.where(v == 0, 0.0, d_v)),
+            np.where(kappa == 0, -1 / 6, np.where(v == 0, 0.0, d_kappa)))
+
+
 def gamma_phi_model(noise: OUNoise) -> float:
     """Scalar gamma_phi_rate: v/sqrt(2) at kappa = 0, v^2/kappa for kappa >> v."""
     return float(gamma_phi_rate(noise.v, noise.kappa))

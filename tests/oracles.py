@@ -209,6 +209,21 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def richardson_jacobian(fn, x, steps) -> np.ndarray:
+    """d fn / dx by central differences at steps h and h/2, Richardson-extrapolated.
+
+    Column k steps x[k] by steps[k]; the extrapolation (4 D(h/2) - D(h))/3
+    cancels the h^2 term, so the truncation error is O(h^4).
+    """
+    x = np.asarray(x, dtype=float)
+    cols = []
+    for k, h in enumerate(steps):
+        e = np.eye(x.size)[k]
+        wide, narrow = ((fn(x + s * e) - fn(x - s * e)) / (2 * s) for s in (h, h / 2))
+        cols.append((4 * narrow - wide) / 3)
+    return np.column_stack(cols)
+
+
 def csv_columns_oracle(header, *columns) -> str:
     """write_csv_columns text written row by row: one writerow per sample.
 

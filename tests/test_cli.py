@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from oracles import richardson_jacobian
 from scipy import stats
 
-from mzq import cli, components, estimate
+from mzq import cli, components, estimate, leastsq
 from mzq.components import (
     QubitScatterer,
     make_interferometer,
@@ -18,7 +19,8 @@ from mzq.components import (
     write_trace_json,
 )
 from mzq.estimate import (RateDataset, calibration_curve, fit_gamma1, fit_gamma_phi_power,
-                          fit_ou, ou_curve, read_fit_json, read_rates_csv, write_rates_csv)
+                          fit_ou, ou_curve, ou_jacobian, read_fit_json, read_rates_csv,
+                          write_rates_csv)
 from mzq.leastsq import levenberg_marquardt, prediction_band
 from mzq.physics import (
     BathModel,
@@ -28,7 +30,6 @@ from mzq.physics import (
     domega01_dflux,
     gamma1_model,
     gamma_phi_model,
-    gamma_phi_rate,
     omega01 as transmon_omega01,
 )
 
@@ -723,9 +724,9 @@ def test_ou_band_takes_its_dof_from_the_rows_the_fit_keeps(tmp_path):
     ou = fit_ou(read_rates_csv(rates_path), TransmonParams(ej_max=20.0e9, ec=592.4e6))
     pvec = np.array(list(ou.params.values()))
     kept = len(rates) - 3  # less the noisy row, the untagged row and the negative one
-    band = prediction_band(ou_curve, pvec, ou.covariance, xs, kept - 2)
+    band = prediction_band(ou_curve, ou_jacobian, pvec, ou.covariance, xs, kept - 2)
     assert np.array_equal(np.array([y, lo, hi]), np.array(band))
-    _, _, hi_usable = prediction_band(ou_curve, pvec, ou.covariance, xs, kept - 1)
+    _, _, hi_usable = prediction_band(ou_curve, ou_jacobian, pvec, ou.covariance, xs, kept - 1)
     assert not np.allclose(hi_usable - y, hi - y, rtol=1e-4, atol=0)
 
 
@@ -770,22 +771,17 @@ def test_bad_omega01_exits_2_naming_its_line(tmp_path, capsys, value):
 
 
 def test_band_matches_a_pointwise_reference():
-    def curve(p, x):
-        return gamma_phi_rate(abs(p[0]) * x, abs(p[1]))
-
     pvec = np.array([200e-6, 2 * MHZ])
     cov = np.array([[1e-11, 2e-2], [2e-2, 4e10]])
     xs = np.linspace(1e9, 3e10, 40)
-    y, lo, hi = prediction_band(curve, pvec, cov, xs, 30)
+    y, lo, hi = prediction_band(ou_curve, ou_jacobian, pvec, cov, xs, 30)
     quantile = stats.t.ppf(0.975, 30)
     for j, x in enumerate(xs):
-        grad = np.empty(2)
-        for i in range(2):
-            stepped = pvec.copy()
-            stepped[i] += 1e-6 * abs(pvec[i])
-            grad[i] = (curve(stepped, x) - curve(pvec, x)) / (1e-6 * abs(pvec[i]))
+        # the exact delta method: a gradient by Richardson-extrapolated central
+        # differences, accurate to about 1e-11 here
+        grad = richardson_jacobian(lambda p: ou_curve(p, x), pvec, 1e-4 * pvec)[0]
         half = quantile * math.sqrt(grad @ cov @ grad)
-        assert y[j] == curve(pvec, x)
+        assert y[j] == ou_curve(pvec, x)
         assert hi[j] - y[j] == pytest.approx(half, rel=1e-9)
         assert y[j] - lo[j] == pytest.approx(half, rel=1e-9)
 
@@ -849,6 +845,46 @@ def test_ou_band_is_the_delta_method_where_lm_ends_at_a_negative_kappa(tmp_path,
     scale = np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
     assert np.all(np.abs(ou.covariance - cov) < 1e-3 * scale)
     assert np.sign(ou.covariance[0, 1]) == np.sign(cov[0, 1])
+
+
+def test_no_fit_or_band_takes_finite_differences(tmp_path, monkeypatch):
+    # every fit and band has a closed-form Jacobian; only a caller without
+    # one reaches levenberg_marquardt's difference fallback
+    def refuse(*args, **kwargs):
+        raise AssertionError("finite-difference Jacobian")
+
+    monkeypatch.setattr(leastsq, "_jacobian", refuse)
+    transmon = TransmonParams(ej_max=20.0e9, ec=592.4e6)
+    bath = BathModel(alpha=1e-4, lorentz_center=6.0 * GHZ, lorentz_fwhm=1.5 * GHZ,
+                     lorentz_height=2.0 * MHZ)
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    for i, flux in enumerate(np.linspace(0.03, 0.41, 10)):
+        w01 = transmon_omega01(transmon, flux)
+        slope = abs(domega01_dflux(transmon, flux))
+        qubit = QubitScatterer(omega01=w01, gamma1=gamma1_model(bath, w01),
+                               gamma_phi=gamma_phi_model(OUNoise(300e-6, 0.1 * MHZ, slope)),
+                               r0=0.9, rabi=1.5 * MHZ)
+        f01 = w01 / (2 * math.pi)
+        spec = make_interferometer(center_hz=5.746e9, qubit=qubit, splitter_kind="branchline")
+        trace = synthesize(spec, np.linspace(f01 - 30e6, f01 + 30e6, 201), noise_sigma=0.01,
+                           seed=i)
+        trace.flux_phi0 = float(flux)
+        write_trace_json(batch / f"trace_{i:02d}.json", trace)
+
+    # the circuit and shared init of the flux_sweep benchmark, on 10 traces of 201 points
+    fit_cfg = _write(tmp_path / "fit.json", {
+        "input_dir": str(batch), "circuit": {"splitter": "branchline", "center_ghz": 5.746},
+        "init": {**QUBIT_CFG, "omega01_ghz": 10.0}})
+    assert _run("fit-spectrum", "--config", fit_cfg, "--out", str(tmp_path / "fit"),
+                "--quiet") == 0
+    rates_cfg = _write(tmp_path / "rates_cfg.json", {
+        "rates_csv": str(tmp_path / "fit" / "rates.csv"), "transmon": TRANSMON_CFG,
+        "band_points": 20})
+    out = tmp_path / "rates"
+    assert _run("fit-rates", "--config", rates_cfg, "--out", str(out), "--quiet") == 0
+    for name in ("gamma1", "gamma_phi_power", "gamma_phi_ou"):
+        assert len((out / f"curve_{name}.csv").read_text().splitlines()) == 21
 
 
 def test_fit_rates_needs_eight_rows(tmp_path, capsys):

@@ -103,6 +103,12 @@ def _replace(doc, where, value):
     return doc
 
 
+def _at(doc, where):
+    for key in where:
+        doc = doc[key]
+    return doc
+
+
 def _files(folder: Path) -> dict[str, bytes]:
     return {str(p.relative_to(folder)): p.read_bytes() for p in folder.rglob("*") if p.is_file()}
 
@@ -113,6 +119,8 @@ def _run_in(folder: Path, command: str, config, name: str | None, data) -> tuple
     Asserts that no file outside folder/out was written.
     """
     (folder / "config.json").write_text(json.dumps(config))
+    if name is not None:
+        (folder / name).parent.mkdir(exist_ok=True)
     if name is not None and name.endswith(".json"):
         (folder / name).write_text(json.dumps(data))
     elif name is not None:
@@ -153,3 +161,24 @@ def test_one_bad_value_never_ends_in_a_traceback(data):
         code, err = _run_in(Path(tmp), command, config, name, inputs)
     assert code in (0, 2, 3, 4), err
     assert err.count("\n") <= 1 and (not err or err.endswith("\n")), err
+
+
+# a batch fit is the one place fit-spectrum takes an output name, rates_csv
+PATH_CASES = CASES + [("fit-spectrum", {"input_dir": "batch", "rates_csv": "rates.csv", **FIT},
+                       "batch/t.json", TRACE)]
+
+
+@pytest.mark.parametrize("command, config, name, data", PATH_CASES)
+def test_a_path_at_any_config_string_stays_inside_out(command, config, name, data):
+    # every string of the config, not a sample: a path there names an input
+    # or is refused, and never puts an output outside --out
+    strings = [where for where in _locations(config) if isinstance(_at(config, where), str)]
+    assert strings
+    for where in strings:
+        for escape in ("../escaped", "{folder}/escaped"):
+            with tempfile.TemporaryDirectory() as tmp:
+                value = escape.format(folder=tmp)
+                code, err = _run_in(Path(tmp), command, _replace(config, where, value), name,
+                                    data)
+            assert code in (0, 2, 3, 4), (where, value, err)
+            assert err.count("\n") <= 1 and (not err or err.endswith("\n")), (where, value, err)

@@ -39,6 +39,12 @@ from mzq.estimate import (
     fit_gamma_phi_power,
     fit_ou,
     fit_spectrum,
+    gamma1_curve,
+    gamma1_jacobian,
+    ou_curve,
+    ou_jacobian,
+    power_curve,
+    power_jacobian,
     rates_from_csv,
     read_fit_json,
     read_rates_csv,
@@ -457,6 +463,53 @@ def test_relaxation_fit_guards():
                       np.full(10, np.nan), np.full(10, np.nan))
     with pytest.raises(IllPosed, match="finite"):
         fit_gamma1(bad)
+
+
+# ---------------------------------------------------------------------------
+# rate-model Jacobians
+# ---------------------------------------------------------------------------
+
+_BATH_X = np.array([1.7e-4, 2 * math.pi * 8.3e9, 2 * math.pi * 1.5e9, 2 * math.pi * 2.0e6])
+_W = 2 * math.pi * np.linspace(4.0e9, 9.0e9, 40)
+_SLOPES = np.linspace(1e9, 3e10, 30)
+
+
+@pytest.mark.parametrize("curve, jacobian, x, xs", [
+    (gamma1_curve, gamma1_jacobian, _BATH_X, _W),
+    # every abs in the fold flips the sign of its column
+    (gamma1_curve, gamma1_jacobian, -_BATH_X, _W),
+    (gamma1_curve, gamma1_jacobian, _BATH_X * [1, 1, 0, 1] + [0, 0, 0.5, 0], _W),  # fwhm clamp
+    (power_curve, power_jacobian, np.array([3.0, 1.4]), _SLOPES),
+    (power_curve, power_jacobian, np.array([-3.0, 0.7]), _SLOPES),
+    (ou_curve, ou_jacobian, np.array([200e-6, 2 * math.pi * 2e6]), _SLOPES),
+    (ou_curve, ou_jacobian, np.array([-200e-6, -2 * math.pi * 2e6]), _SLOPES),
+], ids=["gamma1", "gamma1-negative", "gamma1-fwhm-clamp", "power", "power-negative", "ou",
+        "ou-negative"])
+def test_rate_jacobians_match_richardson_differences(curve, jacobian, x, xs):
+    want = oracles.richardson_jacobian(lambda p: curve(p, xs), x, 1e-4 * np.abs(x))
+    got = jacobian(x, xs)
+    assert got.shape == (xs.size, x.size)
+    # scaled columns, as a fit sees them, against the curve's size
+    err = np.abs(got - want).max(axis=0) * np.abs(x)
+    assert np.all(err <= 1e-9 * np.abs(curve(x, xs)).max())
+
+
+def test_rate_jacobian_folds_are_the_right_hand_derivative_at_zero():
+    # + at 0: fit_ou starts kappa there, and a zero column would pin it
+    for zero in (0.0, -0.0):
+        g1 = gamma1_jacobian(np.array([zero, *_BATH_X[1:3], zero]), _W)
+        assert np.all(g1[:, 0] == _W) and np.all(g1[:, 3] > 0)
+        power = power_jacobian(np.array([zero, 1.4]), _SLOPES)
+        assert np.all(power[:, 0] == _SLOPES**1.4)
+        ou = ou_jacobian(np.array([200e-6, zero]), _SLOPES)
+        assert np.all(ou[:, 1] == -1 / 6)
+
+
+def test_fwhm_column_is_zero_on_its_clamp():
+    for fwhm in (0.0, -0.5, 1.0):
+        x = np.array([*_BATH_X[:2], fwhm, _BATH_X[3]])
+        jac = gamma1_jacobian(x, _W)
+        assert not jac[:, 2].any() and jac[:, 3].all()
 
 
 # ---------------------------------------------------------------------------

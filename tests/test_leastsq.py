@@ -172,11 +172,10 @@ def test_difference_steps_never_cross_zero():
     def fn(p):
         return abs(p[0]) * np.exp(-abs(p[1]) * t) - 1.0
 
-    scale = np.ones(2)
     for a in (0.3 * FD_REL_STEP, 0.9 * FD_REL_STEP):
         plus, minus = np.array([2.0, a]), np.array([2.0, -a])
-        jp = _jacobian(fn, plus, fn(plus), scale)
-        jm = _jacobian(fn, minus, fn(minus), scale)
+        jp = _jacobian(fn, plus, fn(plus))
+        jm = _jacobian(fn, minus, fn(minus))
         assert np.array_equal(jm[:, 1], -jp[:, 1])
         assert np.array_equal(jm[:, 0], jp[:, 0])
         assert np.all(jp[1:, 1] < 0)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import dephasing_rate_oracle
+from oracles import dephasing_rate_oracle, richardson_jacobian
 from scipy.integrate import quad
 
 from mzq.physics import (
@@ -26,6 +26,7 @@ from mzq.physics import (
     gamma1_model,
     gamma_phi_model,
     gamma_phi_rate,
+    gamma_phi_rate_partials,
     kondo_alpha,
     omega01,
     ou_coherence,
@@ -320,6 +321,56 @@ def test_dephasing_rate_array_limits():
     assert list(rate) == [0.0, 0.0, 3.0 / math.sqrt(2), 2.5 / math.sqrt(2)]
     # beyond any realistic kappa/v the rate stays finite: v^2/kappa
     assert gamma_phi_rate(1.0, 1e200) == pytest.approx(1e-200, rel=1e-15)
+
+
+_V = 2 * math.pi * 1e6
+
+
+def test_dephasing_partials_satisfy_euler_identity():
+    # the rate is homogeneous of degree 1 in (v, kappa)
+    kappa = _V * np.concatenate(([0.0], np.logspace(-9, 12, 169)))
+    d_v, d_kappa = gamma_phi_rate_partials(_V, kappa)
+    rate = gamma_phi_rate(_V, kappa)
+    assert np.max(np.abs(_V * d_v + kappa * d_kappa - rate) / rate) <= 1e-12
+
+
+def test_dephasing_partials_at_the_quasi_static_point_are_exact():
+    d_v, d_kappa = gamma_phi_rate_partials(np.array([0.0, 1e-300, 3.0, _V]), 0.0)
+    assert np.all(d_v == 1 / math.sqrt(2))
+    assert np.all(d_kappa == -1 / 6)
+
+
+def test_dephasing_partials_reach_the_narrowed_limit():
+    # kappa >> v: the rate is v^2/kappa
+    kappa = _V * np.array([1e8, 3e9, 1e12, 1e50])
+    d_v, d_kappa = gamma_phi_rate_partials(_V, kappa)
+    assert np.allclose(d_v, 2 * _V / kappa, rtol=1e-12, atol=0)
+    assert np.allclose(d_kappa, -(_V / kappa) ** 2, rtol=1e-12, atol=0)
+
+
+def test_dephasing_partials_are_continuous_across_the_series_switch():
+    # d/dkappa takes its series below u = 1e-2, that is below x = sqrt(f(1e-2))
+    x_switch = math.sqrt(math.expm1(-1e-2) + 1e-2)
+    kappa = _V * x_switch * np.array([1 - 1e-9, 1 + 1e-9])
+    u = kappa / gamma_phi_rate(_V, kappa)
+    assert u[0] < 1e-2 < u[1]
+    for below, above in gamma_phi_rate_partials(_V, kappa):
+        assert below == pytest.approx(above, rel=1e-10)
+
+
+@pytest.mark.parametrize("ratio", np.logspace(-2, 6, 17))
+def test_dephasing_partials_match_richardson_differences(ratio):
+    p = np.array([_V, ratio * _V])
+    # the rate varies on the scale max(v, kappa) in kappa
+    steps = 1e-3 * np.array([_V, max(_V, p[1])])
+    want = richardson_jacobian(lambda q: gamma_phi_rate(q[0], q[1]), p, steps)[0]
+    got = np.array(gamma_phi_rate_partials(*p))
+    assert np.allclose(got, want, rtol=1e-8, atol=0)
+
+
+def test_dephasing_partials_at_zero_v_are_zero():
+    d_v, d_kappa = gamma_phi_rate_partials(0.0, np.array([1e-300, 1.0, 1e300]))
+    assert np.all(d_v == 0) and np.all(d_kappa == 0)
 
 
 def test_scalar_dephasing_rate_is_the_array_element():
