@@ -34,6 +34,10 @@ DRIVE_PORTS = (2, 4)
 # numerically meaningless (entries scale as 1/t).
 T_DEGENERATE = 1e-9
 
+# Frequencies per block of the large-N loops (sweep and the trace writers):
+# their working memory is set by one block, not by the grid.
+BLOCK_POINTS = 8192
+
 
 class DegenerateScatterer(SingularSystem):
     """Raised when the two-level scatterer is fully reflecting (|t| ~ 0)."""
@@ -380,6 +384,12 @@ def sweep(spec: CircuitSpec, freqs, drive_port: int = 2, label: str = "") -> Spe
     records which port is the primary probe (it selects the default path for
     classification and fitting downstream).
 
+    The grid is validated whole, then built, solved and calibrated in blocks
+    of BLOCK_POINTS frequencies into the four path arrays, so the working
+    memory beyond the output is one block's; the values are those of one
+    whole-grid pass, bit for bit. The gates run block by block: where gates
+    fail in two blocks, the lower block's is raised.
+
     Args:
         spec: circuit description.
         freqs: strictly increasing frequency grid in Hz.
@@ -398,10 +408,14 @@ def sweep(spec: CircuitSpec, freqs, drive_port: int = 2, label: str = "") -> Spe
     if np.any(f <= 0):
         raise ValueError("freqs must be positive")
     w = 2 * math.pi * f
-    totals = total_matrix_stack(spec, w)
-    x = netcore.solve_port_system_many(totals, frequencies=f)
-    return SpectrumTrace(freqs=f, values=_calibrated_paths(spec, w, x, PATHS), noise_sigma=0.0,
-                         label=label, drive_port=drive_port)
+    values = {p: np.empty(f.size, dtype=complex) for p in PATHS}
+    for start in range(0, f.size, BLOCK_POINTS):
+        blk = slice(start, start + BLOCK_POINTS)
+        x = netcore.solve_port_system_many(total_matrix_stack(spec, w[blk]), frequencies=f[blk])
+        for p, v in _calibrated_paths(spec, w[blk], x, PATHS).items():
+            values[p][blk] = v
+    return SpectrumTrace(freqs=f, values=values, noise_sigma=0.0, label=label,
+                         drive_port=drive_port)
 
 
 # the port-solution entry of each path: (output row, drive column)
@@ -502,9 +516,11 @@ def write_csv_columns(fh, header, *columns) -> None:
 
     A block of only float arrays and strs is rendered from one row template:
     csv.writer quotes each str once, each float field is %.17g, and a single %
-    fills the template repeated once per row. A block with any other column
-    (ints, a list of str) goes through csv.writer row by row. Columns of
-    unequal length raise ValueError before anything is written.
+    fills the template repeated once per row, for at most BLOCK_POINTS rows at
+    a time, so the memory it takes is set by that block and the bytes are
+    those of one fill. A block with any other column (ints, a list of str)
+    goes through csv.writer row by row. Columns of unequal length raise
+    ValueError before anything is written.
     """
     lengths = {len(c) for c in columns if not isinstance(c, str)}
     if len(lengths) > 1:
@@ -518,8 +534,10 @@ def write_csv_columns(fh, header, *columns) -> None:
         template = io.StringIO()
         csv.writer(template, lineterminator="\n").writerow(
             ["%.17g" if f else c.replace("%", "%%") for c, f in zip(columns, is_float)])
-        floats = np.column_stack([c for c, f in zip(columns, is_float) if f])
-        fh.write((template.getvalue() * rows) % tuple(floats.ravel().tolist()))
+        floats = [c for c, f in zip(columns, is_float) if f]
+        for start in range(0, rows, BLOCK_POINTS):
+            block = np.column_stack([c[start:start + BLOCK_POINTS] for c in floats])
+            fh.write((template.getvalue() * len(block)) % tuple(block.ravel().tolist()))
         return
     writer.writerows(zip(*([c] * rows if isinstance(c, str)
                            else map("{:.17g}".format, c.tolist()) if f else c
@@ -700,31 +718,43 @@ def trace_from_json(text: str) -> SpectrumTrace:
         raise TraceParseError(f"bad trace document: {err}") from None
 
 
-def _json_floats(values: np.ndarray, depth: int) -> str:
-    """A non-empty float array as json.dump(indent=1) lays it out at this depth."""
+def _write_floats(fh, values: np.ndarray, depth: int) -> None:
+    """Write a non-empty float array as json.dump(indent=1) lays it out at this depth.
+
+    Each block of BLOCK_POINTS values is one flat json.dumps (its C encoder)
+    with the indent in the separator; the same separator joins the blocks.
+    """
     pad = "\n" + " " * depth
-    flat = json.dumps(values.tolist(), separators=("," + pad + " ", ":"))[1:-1]
-    return "[" + pad + " " + flat + pad + "]"
+    sep = "," + pad + " "
+    fh.write("[" + pad + " ")
+    for start in range(0, values.size, BLOCK_POINTS):
+        flat = json.dumps(values[start:start + BLOCK_POINTS].tolist(), separators=(sep, ":"))
+        fh.write((sep if start else "") + flat[1:-1])
+    fh.write(pad + "]")
 
 
 def write_trace_json(path: str | Path, trace: SpectrumTrace) -> None:
     """JSON mirror of the CSV format, including synthesis metadata.
 
-    The bytes are those of json.dump(doc, fh, indent=1); each float list is
-    one flat json.dumps (its C encoder) with the indent in the separator,
-    where the indenting encoder (pure Python) goes one float at a time.
+    The bytes are those of json.dump(doc, fh, indent=1), where the indenting
+    encoder (pure Python) goes one float at a time. The document is never
+    built: each float list streams to the file a block at a time
+    (_write_floats), so the memory it takes is set by the block, not the trace.
     """
     head = {"label": trace.label, "noise_sigma": trace.noise_sigma,
             "drive_port": trace.drive_port, "flux_phi0": trace.flux_phi0}
-    paths = [
-        f'  "{p}": {{\n   "re": {_json_floats(trace.values[p].real, 3)},\n'
-        f'   "im": {_json_floats(trace.values[p].imag, 3)}\n  }}'
-        for p in PATHS if p in trace.values
-    ]
     with open(path, "w") as fh:
         fh.write("{\n" + "".join(f" {json.dumps(k)}: {json.dumps(v)},\n" for k, v in head.items()))
-        fh.write(f' "freq_hz": {_json_floats(trace.freqs, 1)},\n "paths": {{\n')
-        fh.write(",\n".join(paths) + "\n }\n}")
+        fh.write(' "freq_hz": ')
+        _write_floats(fh, trace.freqs, 1)
+        fh.write(',\n "paths": {')
+        for k, p in enumerate(p for p in PATHS if p in trace.values):
+            fh.write(("," if k else "") + f'\n  "{p}": {{\n   "re": ')
+            _write_floats(fh, trace.values[p].real, 3)
+            fh.write(',\n   "im": ')
+            _write_floats(fh, trace.values[p].imag, 3)
+            fh.write("\n  }")
+        fh.write("\n }\n}")
 
 
 def read_trace(path: str | Path) -> SpectrumTrace:

@@ -268,19 +268,27 @@ def ou_spectrum(noise: OUNoise, omega) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
+# (exp(-x) - 1 + x)/x^2 = sum_k (-x)^k/(k + 2)!: coefficients through x^9
+_KERNEL_SERIES = tuple((-1) ** k / math.factorial(k + 2) for k in range(10))
+
+
 def _phase_variance_kernel(kappa: float, tau) -> np.ndarray:
     """Double time integral (exp(-kappa*tau) - 1 + kappa*tau)/kappa^2.
 
-    Equals tau^2/2 in the kappa -> 0 limit; evaluated through a series for
-    small kappa*tau to avoid cancellation.
+    Equals tau^2/2 in the kappa -> 0 limit. Below x = kappa*tau = 0.1 it is
+    tau^2 times the series through x^9 (by Horner), whose first dropped term
+    is below 1e-18 of it; above, expm1(-x) + x cancels under two digits.
     """
     t = np.asarray(tau, dtype=float)
     if kappa == 0:
         return t**2 / 2
     x = kappa * t
-    series = t**2 * (0.5 - x / 6 + x**2 / 24)
+    xs = np.minimum(x, 0.1)  # the series is only taken below 0.1, so it cannot overflow
+    series = _KERNEL_SERIES[-1]
+    for c in reversed(_KERNEL_SERIES[:-1]):
+        series = series * xs + c
     exact = (np.expm1(-x) + x) / kappa**2
-    return np.where(x < 1e-4, series, exact)
+    return np.where(x < 0.1, t**2 * series, exact)
 
 
 def ou_coherence(noise: OUNoise, tau) -> np.ndarray | float:

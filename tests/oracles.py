@@ -13,8 +13,9 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
+from mzq import netcore
 from mzq.components import (CSV_HEADER, PATHS, _IDEAL_BS, _branchline_coefficients,
-                            qubit_rt_many)
+                            qubit_rt_many, total_matrix_stack)
 from mzq.estimate import RATES_CSV_HEADER
 from mzq.leastsq import SQRT_EPS
 from mzq.netcore import SingularSystem
@@ -100,6 +101,23 @@ def transfer_chain_oracle(spec, omegas: np.ndarray) -> np.ndarray:
             total = matmul_oracle(total, factor)
         out[i] = total
     return out
+
+
+def sweep_whole_grid_oracle(spec, freqs: np.ndarray) -> dict[str, np.ndarray]:
+    """sweep's calibrated paths in one pass over the whole grid.
+
+    One (N,4,4) stack of totals, one gated port solve of all N and the four
+    path entries times the calibration: the gates see every frequency at
+    once, in the order splitter, scatterer, port condition.
+    """
+    f = np.asarray(freqs, dtype=float).reshape(-1)
+    w = 2 * math.pi * f
+    x = netcore.solve_port_system_many(total_matrix_stack(spec, w), frequencies=f)
+    # not cal_scale * exp(...): numpy computes that product in place on a temporary of 256 kB
+    # or more, and its in-place complex-scalar loop rounds differently in the last bit
+    cal = np.multiply(spec.cal_scale, np.exp(-1j * w * spec.cal_delay))
+    entries = {"s12": (0, 0), "s32": (1, 0), "s34": (1, 1), "s14": (0, 1)}
+    return {p: x[:, i, j] * cal for p, (i, j) in entries.items()}
 
 
 def solve_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:

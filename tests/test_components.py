@@ -2,14 +2,17 @@
 import io
 import math
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mzq import components, netcore
 from mzq.components import (
     CROSS_PATHS,
     PATHS,
@@ -37,8 +40,8 @@ from mzq.components import (
 )
 from mzq.netcore import SingularSystem, solve_port_system_many
 
-from oracles import (csv_columns_oracle, splitter_stack_oracle, trace_csv_oracle,
-                     trace_json_oracle, transfer_chain_oracle)
+from oracles import (csv_columns_oracle, splitter_stack_oracle, sweep_whole_grid_oracle,
+                     trace_csv_oracle, trace_json_oracle, transfer_chain_oracle)
 
 CENTER_HZ = 5.746e9
 W_CENTER = 2 * math.pi * CENTER_HZ
@@ -366,6 +369,104 @@ def test_total_matrix_stack_shapes():
 
 
 # ---------------------------------------------------------------------------
+# sweep in blocks of BLOCK_POINTS frequencies
+# ---------------------------------------------------------------------------
+
+B = components.BLOCK_POINTS
+
+
+def _block_spec(kind: str, arm: str, with_qubit: bool) -> CircuitSpec:
+    qubit = QubitScatterer(omega01=2 * math.pi * 5.9e9, gamma1=2 * math.pi * 2e6,
+                           gamma_phi=2 * math.pi * 1e6, r0=0.9, rabi=2 * math.pi * 1e6)
+    return CircuitSpec(splitter=BeamSplitterModel(kind=kind, center_frequency=W_CENTER),
+                       lines=LineParams(phase_rate=(1e-10, 2e-10, 3e-11, 4e-10),
+                                        attenuation=(0.1, 0.0, 0.2, 0.05)),
+                       qubit=qubit if with_qubit else None, qubit_arm=arm,
+                       cal_scale=0.8 - 0.3j, cal_delay=1e-10)
+
+
+@pytest.mark.parametrize("kind", ["ideal", "branchline"])
+@pytest.mark.parametrize("arm", ["a", "b"])
+@pytest.mark.parametrize("with_qubit", [True, False])
+def test_sweep_matches_the_whole_grid_oracle_bit_for_bit(kind, arm, with_qubit):
+    spec = _block_spec(kind, arm, with_qubit)
+    for n in (1, B - 1, B, B + 1, 2 * B + 3):
+        grid = np.linspace(4e9, 8e9, n)
+        got, want = sweep(spec, grid), sweep_whole_grid_oracle(spec, grid)
+        for p in PATHS:
+            assert np.array_equal(got.values[p].view(np.int64), want[p].view(np.int64)), (n, p)
+
+
+def _gate_case(gate: str, n: int):
+    """(spec, grid) whose only failing frequency, for one gate, is the grid's last."""
+    f0 = 5.0e9
+    q = QubitScatterer(omega01=2 * math.pi * f0, gamma1=2 * math.pi * 1e6, gamma_phi=0.0,
+                       r0=1.0 if gate == "scatterer" else 1 - 1e-6)
+    if gate == "splitter":
+        return make_interferometer(splitter_kind="branchline"), np.linspace(8e9, 2 * CENTER_HZ, n)
+    return make_interferometer(qubit=q), np.linspace(4e9, f0, n)
+
+
+@pytest.mark.parametrize("gate", ["splitter", "scatterer", "port-condition"])
+@pytest.mark.parametrize("block", [4, B])
+def test_a_gate_in_the_last_block_raises_as_the_whole_grid_does(monkeypatch, gate, block):
+    monkeypatch.setattr(components, "BLOCK_POINTS", block)
+    if gate == "port-condition":  # |t| = 1e-6 on resonance sets the condition near 2e6, 17 elsewhere
+        monkeypatch.setattr(netcore, "COND_LIMIT", 1e3)
+    spec, grid = _gate_case(gate, 2 * block + 3)
+    with pytest.raises(SingularSystem) as want:
+        sweep_whole_grid_oracle(spec, grid)
+    with pytest.raises(SingularSystem) as got:
+        sweep(spec, grid)
+    assert type(got.value) is type(want.value)
+    assert (type(got.value) is DegenerateScatterer) == (gate == "scatterer")
+    assert got.value.frequency == want.value.frequency == grid[-1]
+    assert str(got.value) == str(want.value)
+
+
+def test_of_two_gates_in_different_blocks_the_lower_block_is_reported(monkeypatch):
+    monkeypatch.setattr(components, "BLOCK_POINTS", 4)
+    q = QubitScatterer(omega01=2 * math.pi * 5e9, gamma1=2 * math.pi * 1e6, gamma_phi=0.0, r0=1.0)
+    spec = make_interferometer(qubit=q, splitter_kind="branchline")
+    grid = np.linspace(5e9, 2 * CENTER_HZ, 11)  # scatterer fails first, splitter last
+    with pytest.raises(SingularSystem) as whole:
+        sweep_whole_grid_oracle(spec, grid)
+    assert type(whole.value) is SingularSystem and whole.value.frequency == grid[-1]
+    with pytest.raises(DegenerateScatterer) as blocked:
+        sweep(spec, grid)
+    assert blocked.value.frequency == grid[0]
+
+
+def _peak_above_base(fn, *args):
+    """(result, peak bytes traced during fn(*args) beyond those it keeps, bytes it keeps)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak - kept, kept - base
+
+
+def test_sweep_and_the_trace_writers_work_in_block_sized_memory(monkeypatch, tmp_path):
+    block = 256
+    monkeypatch.setattr(components, "BLOCK_POINTS", block)
+    # 16 (B,4,4) complex stacks; on these 64 blocks the whole-grid route takes
+    # about 14 MB in sweep and over 3 MB in each writer
+    bound = 16 * block * 16 * 16
+    spec = _block_spec("branchline", "a", True)
+    trace, extra, kept = _peak_above_base(sweep, spec, np.linspace(4e9, 8e9, 64 * block))
+    assert kept >= 4 * 64 * block * 16  # the four path arrays
+    assert extra < bound
+    # one path: the writers go path by path, and tracemalloc's time grows with the rows
+    one = SpectrumTrace(freqs=trace.freqs, values={"s12": trace.values["s12"]}, label="m")
+    for write, name in [(write_trace_csv, "t.csv"), (write_trace_json, "t.json")]:
+        _, extra, _ = _peak_above_base(write, tmp_path / name, one)
+        assert extra < bound, name
+
+
+# ---------------------------------------------------------------------------
 # synthesis
 # ---------------------------------------------------------------------------
 
@@ -528,6 +629,10 @@ def _odd_traces(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(trace=_odd_traces())
 def test_csv_writer_matches_the_row_by_row_oracle(trace):
+    _check_csv_writer(trace)
+
+
+def _check_csv_writer(trace):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.csv"
         write_trace_csv(path, trace)
@@ -566,6 +671,10 @@ def _csv_blocks(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(block=_csv_blocks())
 def test_csv_columns_match_the_row_by_row_oracle(block):
+    _check_csv_columns(block)
+
+
+def _check_csv_columns(block):
     header, columns = block
     buf = io.StringIO()
     write_csv_columns(buf, header, *columns)
@@ -587,10 +696,24 @@ def test_unequal_columns_raise_before_anything_is_written(columns):
        flux=st.sampled_from([None, 0.0, -0.0, 0.1875, 5e-324]))
 def test_json_writer_matches_json_dump(trace, drive, flux):
     trace.drive_port, trace.flux_phi0 = drive, flux
+    _check_json_writer(trace)
+
+
+def _check_json_writer(trace):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.json"
         write_trace_json(path, trace)
         assert path.read_bytes().decode() == trace_json_oracle(trace)
+
+
+# the drawn traces hold at most 12 rows: blocks of 1 and 2 put every row on a block boundary
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(points=st.sampled_from([1, 2]), trace=_odd_traces(), block=_csv_blocks())
+def test_writers_match_their_oracles_across_blocks(points, trace, block):
+    with mock.patch.object(components, "BLOCK_POINTS", points):
+        _check_csv_writer(trace)
+        _check_csv_columns(block)
+        _check_json_writer(trace)
 
 
 def test_json_writer_keeps_json_dump_bytes_on_four_paths(tmp_path):

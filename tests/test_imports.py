@@ -67,3 +67,18 @@ def test_every_imported_name_is_used_or_exported():
                 used |= set(ast.literal_eval(node.value))
         unused |= {(path.name, name) for name in imported - used}
     assert unused == IMPORTED_FOR_OTHERS
+
+
+def test_no_module_reads_the_environment():
+    # sizes such as components.BLOCK_POINTS are constants, not knobs
+    knobs = {"environ", "getenv", "putenv", "environb", "getenvb"}
+    readers = set()
+    for path in (SRC / "mzq").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr in knobs
+                    and isinstance(node.value, ast.Name) and node.value.id == "os"):
+                readers.add(path.name)
+            elif (isinstance(node, ast.ImportFrom) and node.module == "os"
+                  and any(alias.name in knobs for alias in node.names)):
+                readers.add(path.name)
+    assert readers == set()

@@ -314,6 +314,14 @@ def test_dephasing_rate_matches_the_decimal_oracle():
     assert np.max(np.abs(got / want - 1)) <= 1e-11
 
 
+def test_dephasing_rate_matches_the_oracle_where_the_kernel_switches_to_its_series():
+    # the root u = kappa*t_phi runs over 1.4e-6 to 1.4e-2, where expm1(-u) + u cancels 2-6 digits
+    v = 2 * math.pi * 1e6
+    kappas = v * np.logspace(-6, -2, 201)
+    want = np.array([dephasing_rate_oracle(v, k) for k in kappas])
+    assert np.max(np.abs(gamma_phi_rate(v, kappas) / want - 1)) <= 5e-15
+
+
 def test_dephasing_rate_array_limits():
     v = np.array([0.0, 0.0, 3.0, 2.5])
     kappa = np.array([0.0, 7.0, 0.0, 0.0])
