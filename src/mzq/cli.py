@@ -63,11 +63,7 @@ from .estimate import (
 )
 from .leastsq import prediction_band
 from .netcore import SingularSystem
-from .physics import (
-    DegenerateFlux,
-    QuasiStaticLimit,
-    TransmonParams,
-)
+from .physics import TransmonParams
 
 GHZ = 2 * math.pi * 1e9
 MHZ = 2 * math.pi * 1e6
@@ -459,9 +455,6 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](config, out_dir, args.quiet, **extra)
     except SingularSystem as exc:
         print(f"error: forward model degenerate: {exc}", file=sys.stderr)
-        return 3
-    except (DegenerateFlux, QuasiStaticLimit) as exc:
-        print(f"error: model degenerate: {exc}", file=sys.stderr)
         return 3
     except (NoConvergence, BadInitialization, NoFeature) as exc:
         print(f"error: fit failed: {exc}", file=sys.stderr)

@@ -17,7 +17,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -201,6 +201,8 @@ class SpectrumTrace:
             raise ValueError("noise_sigma must be finite and >= 0")
         if "\r" in self.label:  # csv.writer leaves it unquoted: the CSV would not read back
             raise ValueError("label must not contain a carriage return")
+        if self.drive_port not in (None, *DRIVE_PORTS):
+            raise ValueError("drive_port must be None, 2 or 4")
 
     def cross_path(self) -> str:
         """Preferred cross path: the one matching drive_port when known."""
@@ -384,11 +386,13 @@ def sweep(spec: CircuitSpec, freqs, drive_port: int = 2, label: str = "") -> Spe
     records which port is the primary probe (it selects the default path for
     classification and fitting downstream).
 
-    The grid is validated whole, then built, solved and calibrated in blocks
-    of BLOCK_POINTS frequencies into the four path arrays, so the working
-    memory beyond the output is one block's; the values are those of one
-    whole-grid pass, bit for bit. The gates run block by block: where gates
-    fail in two blocks, the lower block's is raised.
+    The output trace is built first, so SpectrumTrace refuses a bad grid,
+    drive port or label before any solve. Its four path arrays are then
+    filled in blocks of BLOCK_POINTS frequencies (build, solve, calibrate),
+    so the working memory beyond the output is one block's; the values are
+    those of one whole-grid pass, bit for bit. The gates run block by block:
+    where gates fail in two blocks, the lower block's is raised. The lowest
+    frequency sits in block 0, so bs_stack refuses a nonpositive grid there.
 
     Args:
         spec: circuit description.
@@ -400,22 +404,16 @@ def sweep(spec: CircuitSpec, freqs, drive_port: int = 2, label: str = "") -> Spe
         SingularSystem: degenerate model (DegenerateScatterer for a fully
             reflecting scatterer), with the offending frequency attached.
     """
-    if drive_port not in DRIVE_PORTS:
-        raise ValueError("drive_port must be 2 or 4")
     f = np.asarray(freqs, dtype=float).reshape(-1)
-    if f.size == 0 or (f.size > 1 and not np.all(np.diff(f) > 0)):
-        raise ValueError("freqs must be non-empty and strictly increasing")
-    if np.any(f <= 0):
-        raise ValueError("freqs must be positive")
+    trace = SpectrumTrace(freqs=f, values={p: np.empty(f.size, dtype=complex) for p in PATHS},
+                          label=label, drive_port=drive_port)
     w = 2 * math.pi * f
-    values = {p: np.empty(f.size, dtype=complex) for p in PATHS}
     for start in range(0, f.size, BLOCK_POINTS):
         blk = slice(start, start + BLOCK_POINTS)
         x = netcore.solve_port_system_many(total_matrix_stack(spec, w[blk]), frequencies=f[blk])
         for p, v in _calibrated_paths(spec, w[blk], x, PATHS).items():
-            values[p][blk] = v
-    return SpectrumTrace(freqs=f, values=values, noise_sigma=0.0, label=label,
-                         drive_port=drive_port)
+            trace.values[p][blk] = v
+    return trace
 
 
 # the port-solution entry of each path: (output row, drive column)
@@ -459,18 +457,15 @@ def synthesize(spec: CircuitSpec, freqs, drive_port: int = 2, noise_sigma: float
 
     noise_sigma is the standard deviation applied independently to the real
     and imaginary part of every sample. A fresh generator is created per
-    call, so identical arguments give bit-identical traces.
+    call, so identical arguments give bit-identical traces. The noisy trace
+    is a replace of sweep's, so SpectrumTrace refuses a bad noise_sigma.
     """
-    if not math.isfinite(noise_sigma) or noise_sigma < 0:
-        raise ValueError("noise_sigma must be finite and >= 0")
     trace = sweep(spec, freqs, drive_port=drive_port, label=label)
     rng = np.random.default_rng(seed)
     n = trace.freqs.size
-    for path in PATHS:
-        noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        trace.values[path] = trace.values[path] + noise_sigma * noise
-    trace.noise_sigma = noise_sigma
-    return trace
+    noisy = {p: v + noise_sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+             for p, v in trace.values.items()}
+    return replace(trace, values=noisy, noise_sigma=noise_sigma)
 
 
 def make_interferometer(center_hz: float = 5.746e9, qubit: QubitScatterer | None = None,

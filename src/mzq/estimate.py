@@ -284,10 +284,8 @@ def _detrend(freqs: np.ndarray, mag: np.ndarray):
 
 
 def _smooth(y: np.ndarray) -> np.ndarray:
-    n = y.size
-    width = max(3, (n // 150) | 1)
-    if n < 3 * width:
-        return y
+    """Moving average of odd width max(3, ~n/150), reflected at the ends; callers pass n >= 16."""
+    width = max(3, (y.size // 150) | 1)
     pad = width // 2
     padded = np.pad(y, pad, mode="reflect")
     kernel = np.full(width, 1.0 / width)

@@ -116,6 +116,8 @@ def levenberg_marquardt(fn: Callable[[np.ndarray], np.ndarray],
     jmat = jac_z(z, r)
     if jmat.shape != (r.size, z.size):
         raise BadInitialization(f"jacobian has shape {jmat.shape}, expected {(r.size, z.size)}")
+    if not np.all(np.isfinite(jmat)):
+        raise BadInitialization("jacobian is not finite at the starting point")
     converged = False
     iterations = 0
 

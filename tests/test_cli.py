@@ -154,8 +154,9 @@ def test_config_problems_exit_2(tmp_path, capsys):
         "circuit": {}, "grid": {"start_ghz": 5.0, "stop_ghz": 6.0, "points": 1}})
     assert _run("simulate", "--config", sparse, "--out", out) == 2
 
-    # json.load reads NaN and Infinity; the message must name the config key
-    for key, bad in (("delay_ns", math.nan), ("attenuation", math.inf)):
+    # json.load reads NaN and Infinity; the message must name the config key,
+    # as it must for a negative entry
+    for key, bad in (("delay_ns", math.nan), ("attenuation", math.inf), ("delay_ns", -0.1)):
         lines = {key: [0.1, bad, 0.1, 0.1]}
         cfg = _write(tmp_path / f"bad_{key}.json", {"circuit": {"lines": lines},
                                                      "grid": GRID_CFG})
@@ -515,6 +516,19 @@ def test_batch_partial_failure_exits_4(tmp_path, capsys):
     assert (out / "good_fit.json").exists()
     rates = read_rates_csv(out / "rates.csv")
     assert len(rates) == 1
+
+
+def test_an_input_dir_without_traces_exits_2(tmp_path, capsys):
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    (batch / "notes.txt").write_text("no trace here\n")
+    (batch / "old_fit.json").write_text("{}\n")  # a fit output, which the listing skips
+    cfg = _write(tmp_path / "fit.json", {"input_dir": str(batch), "init": QUBIT_CFG})
+    out = tmp_path / "out"
+    assert _run("fit-spectrum", "--config", cfg, "--out", str(out), "--quiet") == 2
+    assert (capsys.readouterr().err
+            == f"error: config.input_dir: no .csv or .json traces in {batch}\n")
+    assert not any(out.iterdir())
 
 
 def test_batch_fits_a_synth_twin_once_from_its_json(tmp_path):
@@ -885,6 +899,25 @@ def test_no_fit_or_band_takes_finite_differences(tmp_path, monkeypatch):
     assert _run("fit-rates", "--config", rates_cfg, "--out", str(out), "--quiet") == 0
     for name in ("gamma1", "gamma_phi_power", "gamma_phi_ou"):
         assert len((out / f"curve_{name}.csv").read_text().splitlines()) == 21
+
+
+def test_kept_rows_of_one_flux_slope_fail_both_gamma_phi_fits(tmp_path, capsys):
+    n = 10
+    w = 2 * math.pi * np.linspace(5.0e9, 5.5e9, n)
+    flux = np.full(n, 0.2)
+    rel = np.full(n, 0.1)
+    flux[-1], rel[-1] = 0.3, 0.5  # another slope, but on a row set aside as too noisy
+    path = tmp_path / "rates.csv"
+    write_rates_csv(path, RateDataset(w, 1e-4 * w, np.linspace(1e6, 2e6, n), flux, rel))
+    cfg = _write(tmp_path / "cfg.json", {"rates_csv": str(path), "transmon": TRANSMON_CFG})
+    out = tmp_path / "out"
+    assert _run("fit-rates", "--config", cfg, "--out", str(out), "--quiet") == 4
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[0] for line in err] == ["gamma_phi_power fit failed",
+                                                    "ou fit failed"]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "curve_gamma1.csv", "excluded_rows.csv", "gamma1_fit.json",
+        "points_gamma1.csv", "points_gamma_phi.csv"]
 
 
 def test_fit_rates_needs_eight_rows(tmp_path, capsys):

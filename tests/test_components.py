@@ -437,6 +437,24 @@ def test_of_two_gates_in_different_blocks_the_lower_block_is_reported(monkeypatc
     assert blocked.value.frequency == grid[0]
 
 
+@pytest.mark.parametrize("grid, drive_port, message", [
+    ([], 2, "freqs must be a non-empty 1-D array"),
+    ([5.8e9, 5.7e9], 2, "freqs must be strictly increasing"),
+    ([5.7e9, 5.7e9], 2, "freqs must be strictly increasing"),
+    ([5.7e9, math.nan], 2, "freqs must be finite"),
+    ([5.7e9, math.inf], 2, "freqs must be finite"),
+    ([0.0, 5.7e9], 2, "omega must be > 0"),
+    ([-1e9, 5.7e9], 2, "omega must be > 0"),
+    ([5.7e9, 5.8e9], 3, "drive_port must be None, 2 or 4"),
+])
+def test_sweep_refuses_what_its_trace_or_splitter_refuses(grid, drive_port, message):
+    spec = make_interferometer()
+    with pytest.raises(ValueError, match=message):
+        sweep(spec, grid, drive_port=drive_port)
+    with pytest.raises(ValueError, match=message):
+        synthesize(spec, grid, drive_port=drive_port, noise_sigma=0.01)
+
+
 def _peak_above_base(fn, *args):
     """(result, peak bytes traced during fn(*args) beyond those it keeps, bytes it keeps)."""
     tracemalloc.start()
@@ -505,8 +523,9 @@ def test_synthesize_noise_level_matches_request():
 def test_synthesize_rejects_bad_noise():
     spec = make_interferometer()
     grid = np.linspace(5.7e9, 5.8e9, 11)
-    with pytest.raises(ValueError):
-        synthesize(spec, grid, noise_sigma=-0.1)
+    for sigma in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="noise_sigma must be finite and >= 0"):
+            synthesize(spec, grid, noise_sigma=sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +555,8 @@ def test_cross_path_follows_drive_port():
     assert only34.cross_path() == "s34"
     with pytest.raises(ValueError):
         SpectrumTrace(freqs=grid, values={"s32": vals}).cross_path()
+    with pytest.raises(ValueError, match="drive_port must be None, 2 or 4"):
+        SpectrumTrace(freqs=grid, values=both, drive_port=3)
 
 
 def _example_trace():

@@ -248,6 +248,17 @@ def test_bad_starts_are_rejected():
         levenberg_marquardt(ok, [1.0], jac=lambda p: np.ones(2))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_a_non_finite_starting_jacobian_is_refused(value):
+    # no step can be solved from it, so "converged at x0" would mean "never moved"
+    with pytest.raises(BadInitialization, match="jacobian is not finite"):
+        levenberg_marquardt(lambda x: x - [1.0, 2.0], [0.0, 0.0],
+                            jac=lambda x: np.full((2, 2), value))
+    # a difference Jacobian whose step lands where the residual is not finite
+    with pytest.raises(BadInitialization, match="jacobian is not finite"):
+        levenberg_marquardt(lambda x: np.array([x[0], value if x[0] > 0 else 1.0]), [0.0])
+
+
 def test_covariance_survives_a_singular_jacobian():
     # duplicated parameter: only p0 + p1 is seen, so neither has an interval
     t = np.linspace(0, 1, 12)
