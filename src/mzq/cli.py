@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -190,10 +191,42 @@ def _trace_common(config: dict, synth: bool):
 
 
 def _write_trace(out_dir: Path, basename: str, trace, quiet: bool) -> None:
+    """Write <basename>.csv and its .json twin at the same time, then name both.
+
+    One forked child writes the JSON from the parent's arrays (copy-on-write)
+    while the parent writes the CSV; the two writers share no work. The child
+    sends str() of any exception back through a pipe and always ends with
+    os._exit: no atexit handler, no flush of an inherited buffer, no return
+    into the caller. The parent reads the pipe and reaps the child whatever
+    the CSV write does, so no process outlives this call, and a CSV failure
+    is the one raised. A JSON failure is raised as OSError with the child's
+    message, and a child killed by a signal as OSError naming the file and
+    the signal. Needs POSIX os.fork.
+    """
     csv_path = out_dir / f"{basename}.csv"
     json_path = out_dir / f"{basename}.json"
-    write_trace_csv(csv_path, trace)
-    write_trace_json(json_path, trace)
+    read_end, write_end = os.pipe()
+    with open(read_end, "rb") as pipe, open(write_end, "wb", buffering=0) as child_end:
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                write_trace_json(json_path, trace)
+                code = 0
+            except BaseException as exc:
+                child_end.write(str(exc).encode(errors="backslashreplace"))
+            finally:
+                os._exit(code)
+        child_end.close()
+        try:
+            write_trace_csv(csv_path, trace)
+        finally:
+            error = pipe.read().decode()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code < 0:
+        raise OSError(f"{json_path}: not written, its writer was killed by signal {-code}")
+    if code:
+        raise OSError(error)
     _say(quiet, f"wrote {csv_path}")
     _say(quiet, f"wrote {json_path}")
 

@@ -35,7 +35,7 @@ class BadInitialization(ValueError):
 
 
 class NoConvergence(ArithmeticError):
-    """Raised by callers when a fit fails to converge."""
+    """Raised when a fit fails to converge, by its caller or by levenberg_marquardt."""
 
 
 @dataclass
@@ -80,7 +80,9 @@ def levenberg_marquardt(fn: Callable[[np.ndarray], np.ndarray],
     step improves the cost by less than ftol relative, when the accepted
     step is smaller than xtol in scaled units, or when no damping value
     yields an improvement (a numerical stationary point). Hitting max_iter
-    leaves converged False. The returned jacobian is in x units.
+    leaves converged False. A Jacobian that is not finite raises:
+    BadInitialization at x0, NoConvergence after an accepted step, where no
+    step could be solved from it. The returned jacobian is in x units.
 
     jac, when given, returns d fn / dx at x as an (m, n) array in x units;
     it is called once at x0 and once per accepted step, and fn is then
@@ -153,6 +155,8 @@ def levenberg_marquardt(fn: Callable[[np.ndarray], np.ndarray],
         history.append(cost)
         lam = max(lam / 3, 1e-12)
         jmat = jac_z(z, r)
+        if not np.all(np.isfinite(jmat)):
+            raise NoConvergence(f"jacobian is not finite after iteration {iterations}")
         if (cost == 0.0 or improvement <= ftol * max(cost, 1e-300)
                 or step_size <= xtol * (1.0 + float(np.max(np.abs(z))))):
             converged = True

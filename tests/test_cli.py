@@ -1,7 +1,10 @@
 """End-to-end command-line runs against temporary workspaces."""
 import csv
+import errno
 import json
 import math
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -125,6 +128,81 @@ def test_flux_tag_survives_the_json_side(tmp_path):
     out = tmp_path / "out"
     assert _run("simulate", "--config", cfg, "--out", str(out), "--quiet") == 0
     assert read_trace(out / "trace.json").flux_phi0 == 0.21
+
+
+# N spans two full write blocks and a partial one
+FORK_GRID = {"start_ghz": 5.17, "stop_ghz": 5.23, "points": 2 * components.BLOCK_POINTS + 3}
+
+
+def _fork_config(tmp_path, **extra):
+    return _write(tmp_path / "cfg.json", {"circuit": {"qubit": QUBIT_CFG}, "grid": FORK_GRID,
+                                          "label": "fork", "flux_phi0": 0.3, **extra})
+
+
+@pytest.mark.parametrize("command", ["simulate", "synth"])
+def test_trace_twins_are_the_bytes_of_direct_writes(tmp_path, command):
+    extra = {"noise_sigma": 0.01, "seed": 5} if command == "synth" else {}
+    out, ref = tmp_path / "out", tmp_path / "ref"
+    assert _run(command, "--config", _fork_config(tmp_path, **extra), "--out", str(out),
+                "--quiet") == 0
+    freqs = np.linspace(5.17e9, 5.23e9, FORK_GRID["points"])
+    spec = make_interferometer(qubit=_truth_qubit())
+    trace = (synthesize(spec, freqs, noise_sigma=0.01, seed=5, label="fork")
+             if command == "synth" else sweep(spec, freqs, label="fork"))
+    trace.flux_phi0 = 0.3
+    ref.mkdir()
+    write_trace_csv(ref / "trace.csv", trace)
+    write_trace_json(ref / "trace.json", trace)
+    for name in ("trace.csv", "trace.json"):
+        assert (out / name).read_bytes() == (ref / name).read_bytes()
+
+
+def _is_a_directory(path) -> str:
+    return str(IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path)))
+
+
+def test_a_failed_json_write_exits_2_and_keeps_the_csv(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "trace.json").mkdir(parents=True)
+    assert _run("simulate", "--config", _fork_config(tmp_path), "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {_is_a_directory(out / 'trace.json')}\n"
+    assert captured.out == ""
+    ref = tmp_path / "ref.csv"
+    write_trace_csv(ref, read_trace(out / "trace.csv"))
+    assert (out / "trace.csv").read_bytes() == ref.read_bytes()
+
+
+def test_a_failed_csv_write_is_reported_and_leaves_no_child(tmp_path, capsys, monkeypatch):
+    def refuse(path, trace):
+        raise OSError(f"cannot write {path}")
+
+    monkeypatch.setattr(cli, "write_trace_csv", refuse)
+    out = tmp_path / "out"
+    assert _run("simulate", "--config", _fork_config(tmp_path), "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out / 'trace.csv'}\n"
+    assert read_trace(out / "trace.json").label == "fork"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    # both writers fail: the CSV's error is the one reported
+    (out / "trace.json").unlink()
+    (out / "trace.json").mkdir()
+    assert _run("simulate", "--config", _fork_config(tmp_path), "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out / 'trace.csv'}\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_killed_json_writer_exits_2_naming_its_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "write_trace_json",
+                        lambda path, trace: os.kill(os.getpid(), signal.SIGKILL))
+    out = tmp_path / "out"
+    assert _run("synth", "--config", _fork_config(tmp_path, noise_sigma=0.0), "--out",
+                str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / 'trace.json'}: not written")
+    assert f"signal {int(signal.SIGKILL)}" in err
+    assert (out / "trace.csv").is_file()
 
 
 # ---------------------------------------------------------------------------

@@ -82,3 +82,25 @@ def test_no_module_reads_the_environment():
                   and any(alias.name in knobs for alias in node.names)):
                 readers.add(path.name)
     assert readers == set()
+
+
+def test_one_fork_and_no_worker_modules():
+    # cli._write_trace forks its JSON writer; nothing else starts a process or a thread
+    forks, importers = [], set()
+    for path in sorted((SRC / "mzq").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "fork":
+                forks.append(path.name)
+                continue
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+                forks += [path.name for alias in node.names if alias.name == "fork"]
+            else:
+                continue
+            if any(name.split(".")[0] in {"multiprocessing", "concurrent", "threading"}
+                   for name in names):
+                importers.add(path.name)
+    assert forks == ["cli.py"]
+    assert importers == set()

@@ -12,6 +12,7 @@ from mzq.leastsq import (
     QR_BLOCK_ELEMENTS,
     BadInitialization,
     LMResult,
+    NoConvergence,
     _jacobian,
     confidence_half_widths,
     covariance,
@@ -237,6 +238,8 @@ def test_bad_starts_are_rejected():
         levenberg_marquardt(ok, [1.0], x_scale=[1.0, 2.0])
     with pytest.raises(BadInitialization):
         levenberg_marquardt(ok, [1.0], x_scale=[-1.0])
+    with pytest.raises(BadInitialization, match="x_scale must be positive"):
+        levenberg_marquardt(ok, [1.0], x_scale=[0.0])
     with pytest.raises(BadInitialization):
         levenberg_marquardt(ok, [1.0], x_scale=[math.inf])
     with pytest.raises(BadInitialization):
@@ -257,6 +260,15 @@ def test_a_non_finite_starting_jacobian_is_refused(value):
     # a difference Jacobian whose step lands where the residual is not finite
     with pytest.raises(BadInitialization, match="jacobian is not finite"):
         levenberg_marquardt(lambda x: np.array([x[0], value if x[0] > 0 else 1.0]), [0.0])
+
+
+def test_a_non_finite_jacobian_after_an_accepted_step_is_refused():
+    # the first step is accepted, then no step can be solved from a NaN Jacobian;
+    # "converged" there would report a NaN Jacobian as a fit's result
+    t = np.linspace(0.0, 1.0, 20)
+    with pytest.raises(NoConvergence, match="not finite after iteration 1"):
+        levenberg_marquardt(lambda x: x[0] * t - 2 * t, [5.0],
+                            jac=lambda x: t[:, None] if x[0] == 5 else np.full((20, 1), np.nan))
 
 
 def test_covariance_survives_a_singular_jacobian():
