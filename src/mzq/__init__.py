@@ -25,7 +25,7 @@ from .estimate import (
     fit_ou,
     fit_spectrum,
 )
-from .netcore import SingularSystem, cascade
+from .netcore import SingularSystem
 from .physics import (
     BathModel,
     CouplingParams,
@@ -48,7 +48,7 @@ __all__ = [
     "sweep", "synthesize", "FitResult", "IllPosed", "NoConvergence",
     "NoFeature", "RateDataset", "RegimeLabel", "classify_regime", "fit_gamma1",
     "fit_gamma_phi_power", "fit_ou", "fit_spectrum", "SingularSystem",
-    "cascade", "BathModel", "CouplingParams", "DegenerateFlux", "OUNoise",
+    "BathModel", "CouplingParams", "DegenerateFlux", "OUNoise",
     "TransmonParams", "domega01_dflux", "gamma1_model", "gamma_phi_model",
     "omega01", "ou_coherence", "ou_spectrum", "__version__",
 ]

@@ -480,8 +480,12 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        with open(args.config) as fh:
-            config = json.load(fh)
+        try:
+            config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except UnicodeDecodeError:
+            raise ConfigError("config: not UTF-8 text") from None
+        except RecursionError:
+            raise ConfigError("config: JSON nested too deeply") from None
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         extra = {"seed": args.seed} if args.command == "synth" else {}

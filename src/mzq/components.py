@@ -680,6 +680,8 @@ def trace_from_json(text: str) -> SpectrumTrace:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise TraceParseError(f"line {err.lineno}: {err.msg}") from None
+    except RecursionError:
+        raise TraceParseError("JSON nested too deeply") from None
 
     def numbers(obj: dict, key: str, where: str = "") -> np.ndarray:
         a = np.asarray(obj[key])
@@ -753,8 +755,12 @@ def write_trace_json(path: str | Path, trace: SpectrumTrace) -> None:
 
 
 def read_trace(path: str | Path) -> SpectrumTrace:
-    """Load a trace from .csv or .json by extension."""
+    """Load a trace from .csv or .json by extension; bytes that are not UTF-8 name their line."""
     p = Path(path)
-    parse = trace_from_json if p.suffix.lower() == ".json" else trace_from_csv
-    return parse(p.read_text())
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:  # one decode of the whole file: err.object is its bytes
+        line = err.object.count(b"\n", 0, err.start) + 1
+        raise TraceParseError(f"line {line}: not UTF-8 text") from None
+    return (trace_from_json if p.suffix.lower() == ".json" else trace_from_csv)(text)
 

@@ -469,15 +469,12 @@ def fit_spectrum(trace: SpectrumTrace, spec_template: CircuitSpec,
     if unknown:
         raise ValueError(f"unknown fit options: {sorted(unknown)}")
 
+    primary = trace.cross_path()
     paths = [p for p in CROSS_PATHS if p in trace.values]
-    if not paths:
-        raise ValueError("trace has no cross path (s12 or s34) to fit")
     freqs = trace.freqs
     if freqs.size < 20:
         raise ValueError("need at least 20 frequency points")
 
-    template = replace(spec_template, qubit=None)
-    primary = trace.cross_path()
     data = {p: np.asarray(trace.values[p], dtype=complex) for p in paths}
 
     rabi = init.rabi if init is not None else 0.0
@@ -498,7 +495,7 @@ def fit_spectrum(trace: SpectrumTrace, spec_template: CircuitSpec,
     # calibration start: compare data with the qubit-free background; the
     # line fit uses only the outer bands, away from the scatterer feature
     f_ref = float(np.mean(freqs))
-    model, model_jacobian, mobius = _embedded_spectrum(template, freqs, rabi, paths)
+    model, model_jacobian, mobius = _embedded_spectrum(spec_template, freqs, rabi, paths)
     background = mobius[primary][0]
     ok = np.abs(background) > 1e-12
     if ok.sum() >= 4:

@@ -1,8 +1,8 @@
-"""Transfer-matrix algebra for a four-mode, two-sided microwave network.
+"""Port solve and condition gate for a four-mode, two-sided microwave network.
 
-The network is described by 4x4 complex transfer matrices acting on mode
-vectors. The total matrix of a cascade relates the signals on the right-hand
-ports (1 and 3) to the signals on the left-hand ports (4 and 2):
+The total 4x4 transfer matrix of the chain (components.total_matrix_stack)
+relates the signals on the right-hand ports (1 and 3) to the signals on the
+left-hand ports (4 and 2):
 
     (a1_out, a1_in, a3_out, a3_in)^T = M . (a4_in, a4_out, a2_in, a2_out)^T
 
@@ -12,16 +12,10 @@ unknown outgoing amplitudes.
 """
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 # Condition-number ceiling above which the port system is treated as singular.
 COND_LIMIT = 1e12
-
-
-class EmptyCascade(ValueError):
-    """Raised when a cascade is built from no matrices."""
 
 
 class NonFinite(ValueError):
@@ -36,34 +30,6 @@ class SingularSystem(ArithmeticError):
             message = f"{message} (at {frequency:.9g} Hz)"
         super().__init__(message)
         self.frequency = frequency
-
-
-def identity() -> np.ndarray:
-    """Neutral 4x4 transfer matrix."""
-    return np.eye(4, dtype=complex)
-
-
-def _check_matrix(m, name: str = "matrix") -> np.ndarray:
-    a = np.asarray(m, dtype=complex)
-    if a.shape != (4, 4):
-        raise ValueError(f"{name} must be 4x4, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise NonFinite(f"{name} contains non-finite entries")
-    return a
-
-
-def cascade(matrices: Sequence[np.ndarray]) -> np.ndarray:
-    """Ordered product of transfer matrices, leftmost factor applied last.
-
-    cascade([A, B, C]) returns A @ B @ C, matching the written order of a
-    component chain read from the output side to the input side.
-    """
-    if len(matrices) == 0:
-        raise EmptyCascade("cascade requires at least one matrix")
-    out = _check_matrix(matrices[0], "matrix 0")
-    for k, m in enumerate(matrices[1:], start=1):
-        out = out @ _check_matrix(m, f"matrix {k}")
-    return out
 
 
 def _det_and_cond1(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -15,6 +15,7 @@ from mzq.components import (
     qubit_rt_many,
     sweep,
     synthesize,
+    total_matrix_stack,
 )
 from mzq.estimate import (
     RateDataset,
@@ -25,7 +26,6 @@ from mzq.estimate import (
     fit_ou,
     fit_spectrum,
 )
-from mzq.netcore import cascade
 from mzq.physics import (
     BathModel,
     OUNoise,
@@ -40,7 +40,7 @@ from mzq.physics import (
     ou_spectrum,
 )
 from conftest import ACCEPTANCE_LINES
-from oracles import ou_coherence_mc
+from oracles import ou_coherence_mc, transfer_chain_oracle
 
 TRANSMON = TransmonParams(ej_max=20.0e9, ec=592.4e6)
 
@@ -168,20 +168,22 @@ def test_acceptance_7_spectrum_fit_accuracy():
 
 
 def test_acceptance_8_property_suite():
-    rng = np.random.default_rng(8)
     ok = True
-
-    # transfer cascade is associative
-    for _ in range(20):
-        a, b, c = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-                   for _ in range(3))
-        left = cascade([cascade([a, b]), c])
-        right = cascade([a, cascade([b, c])])
-        ok &= np.allclose(left, right, rtol=1e-12, atol=1e-12)
-
-    # scatterer unitarity: r + t = 1 exactly, lossless circuit conserves power
     q = QubitScatterer(omega01=2 * math.pi * 5.2e9, gamma1=2 * math.pi * 1e6,
                        gamma_phi=2 * math.pi * 4e5, r0=0.83, rabi=2 * math.pi * 2e6)
+
+    # the stacked chain is the explicit five-factor product, for both splitters
+    w = np.concatenate([2 * math.pi * np.linspace(4e9, 8e9, 81),
+                        q.omega01 + np.linspace(-2e8, 2e8, 41)])
+    lines = LineParams(phase_rate=(1.1e-9, 0.9e-9, 1.3e-9, 0.7e-9),
+                       attenuation=(0.02, 0.05, 0.0, 0.1))
+    for kind in ("ideal", "branchline"):
+        splitter = BeamSplitterModel(kind=kind, center_frequency=2 * math.pi * 6e9)
+        spec = CircuitSpec(splitter=splitter, lines=lines, qubit=q)
+        ok &= np.allclose(total_matrix_stack(spec, w), transfer_chain_oracle(spec, w),
+                          rtol=1e-12, atol=1e-12)
+
+    # scatterer unitarity: r + t = 1 exactly, lossless circuit conserves power
     w = q.omega01 + np.linspace(-1e8, 1e8, 101)
     r, t = qubit_rt_many(q, w)
     ok &= bool(np.max(np.abs(r + t - 1.0)) <= 1e-15)
@@ -216,5 +218,5 @@ def test_acceptance_8_property_suite():
     eta = fit_gamma_phi_power(rates, TRANSMON).params["eta"]
     ok &= round(eta, 2) == 2.00
 
-    _report(8, f"invariant suite (cascade, unitarity, power, flux slope, "
+    _report(8, f"invariant suite (chain, unitarity, power, flux slope, "
                f"spectrum norm, eta {eta:.2f})", bool(ok))

@@ -337,6 +337,28 @@ def _bad_sample_after_two_line_labels(trace, tmp_path):
     return path
 
 
+def _byte_ff_on_line_2(trace, tmp_path):
+    path = tmp_path / "scan.csv"
+    write_trace_csv(path, trace)
+    lines = path.read_bytes().split(b"\n")
+    lines[1] = lines[1].replace(b",s12,", b",s12\xff,")
+    path.write_bytes(b"\n".join(lines))
+    return path
+
+
+def _no_cross_path(trace, tmp_path):
+    trace.values = {p: trace.values[p] for p in ("s32", "s14")}
+    path = tmp_path / "scan.csv"
+    write_trace_csv(path, trace)
+    return path
+
+
+def _nested_json(trace, tmp_path):
+    path = tmp_path / "scan.json"
+    path.write_text("[" * 2000 + "]" * 2000)
+    return path
+
+
 def _bad_json(**edits):
     def make(trace, tmp_path):
         path = tmp_path / "scan.json"
@@ -380,11 +402,17 @@ def _bad_json(**edits):
     (_bad_json(paths=[]), "paths must be an object"),
     (_bad_json(paths=5), "paths must be an object"),
     (_bad_json(paths={"s12": [1, 2]}), "path 's12' must be an object"),
+    # a 0xff byte used to name no line, and deep nesting ended in a RecursionError
+    # traceback with exit 1
+    (_byte_ff_on_line_2, "error: line 2: not UTF-8 text"),
+    (_nested_json, "error: JSON nested too deeply"),
+    (_no_cross_path, "error: trace has no cross path (s12 or s34)"),
 ], ids=["csv-nan-sample", "csv-oversized-field", "csv-multiline-label", "json-inf-sample",
         "json-drive-port-string", "json-drive-port-bool", "json-flux-string", "json-flux-nan",
         "json-re-im-lengths", "json-label-null", "json-label-number", "json-noise-bool",
         "json-noise-string", "json-freq-string", "json-re-string", "json-im-string",
-        "json-im-null", "json-paths-list", "json-paths-number", "json-path-list"])
+        "json-im-null", "json-paths-list", "json-paths-number", "json-path-list",
+        "csv-byte-ff", "json-nested", "csv-no-cross-path"])
 def test_bad_trace_input_exits_2(tmp_path, capsys, make_input, message):
     trace = synthesize(make_interferometer(qubit=_truth_qubit()),
                        np.linspace(5.17e9, 5.23e9, 51))
@@ -394,6 +422,26 @@ def test_bad_trace_input_exits_2(tmp_path, capsys, make_input, message):
     cfg = _write(tmp_path / "fit.json", {key: str(path), "init": QUBIT_CFG})
     assert _run("fit-spectrum", "--config", cfg, "--out", str(tmp_path / "out")) == 2
     assert message in capsys.readouterr().err
+
+
+def test_classify_refuses_a_deeply_nested_json_trace(tmp_path, capsys):
+    path = _nested_json(None, tmp_path)
+    cfg = _write(tmp_path / "cfg.json", {"input_json": str(path)})
+    assert _run("classify", "--config", cfg, "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == "error: JSON nested too deeply\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "synth", "fit-spectrum", "fit-rates",
+                                     "classify"])
+@pytest.mark.parametrize("text, message", [
+    (b"[" * 100_000, "config: JSON nested too deeply"),
+    (b'{"grid": "\xff"}', "config: not UTF-8 text"),
+], ids=["nested", "byte-ff"])
+def test_an_unreadable_config_exits_2_naming_it(tmp_path, capsys, command, text, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(text)
+    assert _run(command, "--config", str(cfg), "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 _HUGE = 10**330  # a JSON integer beyond float range: float() of it raises OverflowError

@@ -226,8 +226,9 @@ def test_fit_input_validation():
     short = SpectrumTrace(freqs=trace.freqs[:10], values={"s12": trace.values["s12"][:10]})
     with pytest.raises(ValueError, match="20 frequency points"):
         fit_spectrum(short, make_interferometer())
-    no_cross = SpectrumTrace(freqs=trace.freqs, values={"s32": trace.values["s32"]})
-    with pytest.raises(ValueError, match="cross path"):
+    no_cross = SpectrumTrace(freqs=trace.freqs,
+                             values={p: trace.values[p] for p in ("s32", "s14")})
+    with pytest.raises(ValueError, match=r"^trace has no cross path \(s12 or s34\)$"):
         fit_spectrum(no_cross, make_interferometer())
 
 

@@ -1,4 +1,4 @@
-"""Transfer-matrix algebra and port-equation solver checks."""
+"""Port-equation solver and condition-gate checks."""
 import math
 
 import numpy as np
@@ -7,58 +7,17 @@ import pytest
 from mzq.components import QubitScatterer, make_interferometer, sweep, total_matrix_stack
 from mzq.netcore import (
     COND_LIMIT,
-    EmptyCascade,
     NonFinite,
     SingularSystem,
     _det_and_cond1,
-    cascade,
-    identity,
     solve_port_system_many,
 )
 
-from oracles import matmul_oracle, port_solution_oracle
+from oracles import port_solution_oracle
 
 
 def _random_matrices(rng, count):
     return rng.standard_normal((count, 4, 4)) + 1j * rng.standard_normal((count, 4, 4))
-
-
-def test_cascade_matches_loop_product():
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        a, b, c = _random_matrices(rng, 3)
-        expected = matmul_oracle(matmul_oracle(a, b), c)
-        got = cascade([a, b, c])
-        assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
-
-
-def test_cascade_is_associative():
-    rng = np.random.default_rng(12)
-    for _ in range(50):
-        a, b, c = _random_matrices(rng, 3)
-        left = cascade([cascade([a, b]), c])
-        right = cascade([a, cascade([b, c])])
-        scale = max(np.abs(left).max(), 1.0)
-        assert np.max(np.abs(left - right)) <= 1e-12 * scale
-
-
-def test_cascade_identity_is_neutral():
-    rng = np.random.default_rng(13)
-    (m,) = _random_matrices(rng, 1)
-    assert np.array_equal(cascade([identity(), m]), m)
-    assert np.array_equal(cascade([m, identity()]), m)
-    assert np.array_equal(cascade([m]), m)
-
-
-def test_cascade_rejects_empty_and_bad_input():
-    with pytest.raises(EmptyCascade):
-        cascade([])
-    bad = np.eye(4, dtype=complex)
-    bad[2, 2] = np.nan
-    with pytest.raises(NonFinite):
-        cascade([bad])
-    with pytest.raises(ValueError):
-        cascade([np.eye(3)])
 
 
 def test_port_solution_satisfies_mode_relation():
@@ -138,7 +97,7 @@ def test_solve_ports_leaves_undriven_paths_zero():
 
 
 def test_identity_network_routes_straight_through():
-    x = solve_port_system_many(identity()[None])[0]
+    x = solve_port_system_many(np.eye(4, dtype=complex)[None])[0]
     # port-2 drive: s12 = a1_out, s32 = a3_out; port-4 drive: s14, s34
     assert x[0, 0] == 0 and x[1, 0] == 1
     assert x[1, 1] == 0 and x[0, 1] == 1
@@ -159,7 +118,7 @@ def test_balanced_network_conserves_power():
     ) / math.sqrt(2)
     for phase in np.linspace(0, 2 * math.pi, 17):
         arm = np.diag(np.exp(1j * phase * np.ones(4)))
-        total = cascade([bs, arm, bs])
+        total = bs @ arm @ bs
         x = solve_port_system_many(total[None])[0]
         for col in range(2):
             assert abs(np.sum(np.abs(x[:, col]) ** 2) - 1.0) <= 1e-9
@@ -178,7 +137,7 @@ def test_singular_system_reports_frequency():
 
 
 def test_singular_point_in_stack_names_its_own_frequency():
-    stack = np.stack([identity()] * 5)
+    stack = np.stack([np.eye(4, dtype=complex)] * 5)
     stack[3, 1, 1] = 0.0  # only the fourth point is exactly singular
     freqs = np.array([1e9, 2e9, 3e9, 4e9, 5e9])
     with pytest.raises(SingularSystem) as err:
