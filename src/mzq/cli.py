@@ -23,6 +23,7 @@ from .components import (
     ConfigError,
     LineParams,
     QubitScatterer,
+    TraceParseError,
     _check_keys,
     _int,
     _is_number,
@@ -30,7 +31,9 @@ from .components import (
     _obj,
     _str,
     make_interferometer,
+    parse_json,
     read_trace,
+    read_utf8,
     sweep,
     synthesize,
     write_csv_columns,
@@ -43,7 +46,6 @@ from .estimate import (
     IllPosed,
     NoConvergence,
     NoFeature,
-    RATES_CSV_HEADER,
     REL_ERR_MAX_DEFAULT,
     RateDataset,
     classify_regime,
@@ -278,7 +280,7 @@ def _fit_options(config: dict) -> dict | None:
 
 
 def _write_residuals(path: Path, trace, model: dict[str, np.ndarray]) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         write_csv_columns(fh, ("freq_hz", "path", "data_re", "data_im", "model_re", "model_im"))
         for name, m in model.items():
             d = trace.values[name]
@@ -321,9 +323,11 @@ def cmd_fit_spectrum(config: dict, out_dir: Path, quiet: bool) -> int:
     rates_name = _out_name(config, "rates_csv", "rates.csv", _FIT_OUTPUTS)
     taken = batch_dir / rates_name
     if taken.is_file():  # the listing skips it, so it may only be an earlier rate table
-        with open(taken, errors="replace") as fh:
-            if fh.readline().strip() != RATES_CSV_HEADER:
-                raise ConfigError(f"config.rates_csv: {taken} is in input_dir, not a rate table")
+        try:
+            read_rates_csv(taken)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"config.rates_csv: {taken} is in input_dir, not a rate table "
+                              f"({exc})") from None
     # a directory that also receives --out holds this command's own outputs
     files = sorted(p for p in batch_dir.iterdir()
                    if p.suffix in (".csv", ".json") and p.is_file() and p.name != rates_name
@@ -360,7 +364,7 @@ _FIT_RATES_KEYS = {"rates_csv", "transmon", "rel_err_max", "band_points"}
 
 
 def _write_csv(path: Path, quiet: bool, header, *columns) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         write_csv_columns(fh, header, *columns)
     _say(quiet, f"wrote {path}")
 
@@ -441,7 +445,7 @@ def cmd_classify(config: dict, out_dir: Path, quiet: bool) -> int:
     label = classify_regime(trace)
     doc = {"label": label.value, "path": trace.cross_path()}
     out_path = out_dir / f"{path.stem}_label.json"
-    with open(out_path, "w") as fh:
+    with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     _say(quiet, f"{label.value}")
@@ -481,11 +485,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         try:
-            config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except UnicodeDecodeError:
-            raise ConfigError("config: not UTF-8 text") from None
-        except RecursionError:
-            raise ConfigError("config: JSON nested too deeply") from None
+            config = parse_json(read_utf8(args.config))
+        except TraceParseError as exc:
+            raise ConfigError(f"config: {exc}") from None
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         extra = {"seed": args.seed} if args.command == "synth" else {}

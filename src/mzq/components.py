@@ -44,7 +44,7 @@ class DegenerateScatterer(SingularSystem):
 
 
 class TraceParseError(ValueError):
-    """Raised on malformed trace files, carrying the offending line number."""
+    """Raised on a malformed input file, naming the offending line where there is one."""
 
 
 def _require_finite(value: float, name: str) -> float:
@@ -539,39 +539,56 @@ def write_csv_columns(fh, header, *columns) -> None:
                            for c, f in zip(columns, is_float))))
 
 
-def _csv_rows(text: str):
-    """Yield (line, row): the 1-based physical line each record starts on.
+def read_utf8(path: str | Path) -> str:
+    """A file's text decoded as UTF-8; otherwise refused at the line of its first bad byte."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:  # one decode of the whole file: err.object is its bytes
+        line = err.object.count(b"\n", 0, err.start) + 1
+        raise TraceParseError(f"line {line}: not UTF-8 text") from None
 
-    A quoted field may span lines, so a record starts one line after the
-    last line of the record before it.
+
+def parse_json(text: str):
+    """The value of a JSON text; a syntax error names its line, and deep nesting is refused."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise TraceParseError(f"line {err.lineno}: {err.msg}") from None
+    except RecursionError:
+        raise TraceParseError("JSON nested too deeply") from None
+
+
+def csv_table(text: str, header):
+    """Yield (line, row) for each data row of a CSV table whose line 1 is header.
+
+    A record starts one line after the last line of the one before (a quoted
+    field may span lines). Header fields are compared after stripping spaces;
+    empty lines are skipped, and at least one row of len(header) fields follows.
     """
     reader = csv.reader(io.StringIO(text))
-    start = 1
     try:
+        if tuple(h.strip() for h in next(reader, ())) != tuple(header):
+            raise TraceParseError(f"line 1: expected header {','.join(header)}")
+        width, start, rows = len(header), reader.line_num + 1, 0
         for row in reader:
-            yield start, row
+            if row:
+                if len(row) != width:
+                    raise TraceParseError(f"line {start}: expected {width} fields, got {len(row)}")
+                rows += 1
+                yield start, row
             start = reader.line_num + 1
     except csv.Error as err:  # e.g. a field over csv's size limit
         raise TraceParseError(f"line {reader.line_num}: {err}") from None
+    if not rows:
+        raise TraceParseError("line 2: no data rows")
 
 
 def trace_from_csv(text: str) -> SpectrumTrace:
     """Parse CSV produced by write_trace_csv; errors carry the 1-based line number."""
-    reader = _csv_rows(text)
-    try:
-        _, header = next(reader)
-    except StopIteration:
-        raise TraceParseError("line 1: empty trace file") from None
-    if tuple(h.strip() for h in header) != CSV_HEADER:
-        raise TraceParseError(f"line 1: expected header {','.join(CSV_HEADER)}")
     freqs: dict[str, list[float]] = {}
     vals: dict[str, list[complex]] = {}
     label = None
-    for lineno, row in reader:
-        if not row:
-            continue
-        if len(row) != 5:
-            raise TraceParseError(f"line {lineno}: expected 5 fields, got {len(row)}")
+    for lineno, row in csv_table(text, CSV_HEADER):
         try:
             f = float(row[0])
             re_part = float(row[1])
@@ -589,8 +606,6 @@ def trace_from_csv(text: str) -> SpectrumTrace:
             raise TraceParseError(f"line {lineno}: inconsistent label {row[4]!r}")
         freqs.setdefault(path, []).append(f)
         vals.setdefault(path, []).append(complex(re_part, im_part))
-    if not freqs:
-        raise TraceParseError("line 2: no data rows")
     grids = [np.asarray(g) for g in freqs.values()]
     for g in grids[1:]:
         if g.shape != grids[0].shape or not np.array_equal(g, grids[0]):
@@ -604,7 +619,7 @@ def trace_from_csv(text: str) -> SpectrumTrace:
 
 def write_trace_csv(path: str | Path, trace: SpectrumTrace) -> None:
     """Write a trace as CSV (freq_hz,re,im,path,label), one path block at a time."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         write_csv_columns(fh, CSV_HEADER)
         for p in PATHS:
             if p in trace.values:
@@ -676,12 +691,7 @@ def _str(parent: dict, key: str, where: str, default=_REQUIRED, choices=None) ->
 
 
 def trace_from_json(text: str) -> SpectrumTrace:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise TraceParseError(f"line {err.lineno}: {err.msg}") from None
-    except RecursionError:
-        raise TraceParseError("JSON nested too deeply") from None
+    doc = parse_json(text)
 
     def numbers(obj: dict, key: str, where: str = "") -> np.ndarray:
         a = np.asarray(obj[key])
@@ -740,7 +750,7 @@ def write_trace_json(path: str | Path, trace: SpectrumTrace) -> None:
     """
     head = {"label": trace.label, "noise_sigma": trace.noise_sigma,
             "drive_port": trace.drive_port, "flux_phi0": trace.flux_phi0}
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("{\n" + "".join(f" {json.dumps(k)}: {json.dumps(v)},\n" for k, v in head.items()))
         fh.write(' "freq_hz": ')
         _write_floats(fh, trace.freqs, 1)
@@ -756,11 +766,6 @@ def write_trace_json(path: str | Path, trace: SpectrumTrace) -> None:
 
 def read_trace(path: str | Path) -> SpectrumTrace:
     """Load a trace from .csv or .json by extension; bytes that are not UTF-8 name their line."""
-    p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except UnicodeDecodeError as err:  # one decode of the whole file: err.object is its bytes
-        line = err.object.count(b"\n", 0, err.start) + 1
-        raise TraceParseError(f"line {line}: not UTF-8 text") from None
-    return (trace_from_json if p.suffix.lower() == ".json" else trace_from_csv)(text)
+    parse = trace_from_json if Path(path).suffix.lower() == ".json" else trace_from_csv
+    return parse(read_utf8(path))
 

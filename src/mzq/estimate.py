@@ -20,7 +20,10 @@ from .components import (
     SpectrumTrace,
     _qubit_r_and_grad,
     _reflection_embedding,
+    csv_table,
+    parse_json,
     qubit_rt_many,
+    read_utf8,
     # unused: perfbench/test_perfbench.py::test_tracer_records_nested_layers_and_restores_originals
     # reads mzq.estimate.sweep; ROADMAP item 1 frees it
     sweep,
@@ -168,14 +171,13 @@ def _lm_fit_result(res: LMResult, params: dict[str, float], residual_rms: float,
 
 
 def write_fit_json(path, result: FitResult) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(result.to_json_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
 def read_fit_json(path) -> FitResult:
-    with open(path) as fh:
-        return FitResult.from_json_dict(json.load(fh))
+    return FitResult.from_json_dict(parse_json(read_utf8(path)))
 
 
 @dataclass
@@ -214,18 +216,11 @@ class RateDataset:
 
 
 def rates_from_csv(text: str) -> RateDataset:
-    lines = [ln for ln in text.splitlines()]
-    if not lines or lines[0].strip() != RATES_CSV_HEADER:
-        raise ValueError(f"line 1: expected header {RATES_CSV_HEADER!r}")
+    """Parse CSV produced by write_rates_csv; errors carry the 1-based line number."""
     cols: list[list[float]] = [[], [], [], [], []]
-    for num, ln in enumerate(lines[1:], start=2):
-        if not ln.strip():
-            continue
-        parts = ln.split(",")
-        if len(parts) != 5:
-            raise ValueError(f"line {num}: expected 5 fields, got {len(parts)}")
+    for num, row in csv_table(text, RATES_CSV_HEADER.split(",")):
         try:
-            vals = [float(p) for p in parts]
+            vals = [float(p) for p in row]
         except ValueError:
             raise ValueError(f"line {num}: non-numeric field") from None
         if not 0 < vals[0] < math.inf:
@@ -235,20 +230,17 @@ def rates_from_csv(text: str) -> RateDataset:
             raise ValueError(f"line {num}: gamma1 and gamma_phi must be finite")
         for c, v in zip(cols, vals):
             c.append(v)
-    if not cols[0]:
-        raise ValueError("line 2: no data rows")
     return RateDataset(*[np.array(c) for c in cols])
 
 
 def write_rates_csv(path, rates: RateDataset) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         write_csv_columns(fh, RATES_CSV_HEADER.split(","), rates.omega01, rates.gamma1,
                           rates.gamma_phi, rates.flux, rates.rel_err_gamma_phi)
 
 
 def read_rates_csv(path) -> RateDataset:
-    with open(path) as fh:
-        return rates_from_csv(fh.read())
+    return rates_from_csv(read_utf8(path))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,9 @@ import json
 import math
 import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,6 +64,20 @@ def _truth_qubit():
 # ---------------------------------------------------------------------------
 # simulate / synth
 # ---------------------------------------------------------------------------
+
+def test_outputs_are_utf8_in_an_ascii_locale(tmp_path):
+    cfg = _write(tmp_path / "sim.json", {"circuit": {"qubit": QUBIT_CFG}, "grid": GRID_CFG,
+                                         "label": "\u00b5-scan"})
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "LC_ALL": "C",
+           "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    done = subprocess.run([sys.executable, "-c", "import sys; from mzq.cli import main; "
+                           "sys.exit(main())", "simulate", "--config", cfg, "--out", str(out),
+                           "--quiet"], capture_output=True, env=env)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert read_trace(out / "trace.csv").label == read_trace(out / "trace.json").label == (
+        "\u00b5-scan")
+
 
 def test_simulate_writes_matching_csv_and_json(tmp_path):
     cfg = _write(tmp_path / "sim.json", {
@@ -435,8 +452,9 @@ def test_classify_refuses_a_deeply_nested_json_trace(tmp_path, capsys):
                                      "classify"])
 @pytest.mark.parametrize("text, message", [
     (b"[" * 100_000, "config: JSON nested too deeply"),
-    (b'{"grid": "\xff"}', "config: not UTF-8 text"),
-], ids=["nested", "byte-ff"])
+    (b'{"grid": "\xff"}', "config: line 1: not UTF-8 text"),
+    (b'{"grid":\n  [1, }', "config: line 2: Expecting value"),
+], ids=["nested", "byte-ff", "syntax-line-2"])
 def test_an_unreadable_config_exits_2_naming_it(tmp_path, capsys, command, text, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_bytes(text)
@@ -709,6 +727,22 @@ def test_rates_csv_cannot_hide_or_replace_an_input_trace(tmp_path, capsys):
     assert {p.name: p.read_bytes() for p in batch.iterdir()} == before
 
 
+def test_a_rates_csv_in_input_dir_must_read_as_a_rate_table(tmp_path, capsys):
+    batch = tmp_path / "batch"
+    cfg = _write(tmp_path / "synth.json", {"circuit": {"qubit": QUBIT_CFG}, "grid": GRID_CFG,
+                                           "noise_sigma": 0.005})
+    assert _run("synth", "--config", cfg, "--out", str(batch), "--quiet") == 0
+    # the header alone used to pass, and the batch wrote its table over this file
+    (batch / "rates.csv").write_text(estimate.RATES_CSV_HEADER + "\n1e10,1,x,0.1,0.1\n")
+    before = {p.name: p.read_bytes() for p in batch.iterdir()}
+    cfg = _write(tmp_path / "fit.json", {"input_dir": str(batch), "init": QUBIT_CFG})
+    assert _run("fit-spectrum", "--config", cfg, "--out", str(batch), "--quiet") == 2
+    assert capsys.readouterr().err == (
+        f"error: config.rates_csv: {batch / 'rates.csv'} is in input_dir, not a rate table "
+        "(line 2: non-numeric field)\n")
+    assert {p.name: p.read_bytes() for p in batch.iterdir()} == before
+
+
 def test_rates_csv_cannot_overwrite_a_fit_output_or_leave_out(tmp_path, capsys):
     batch = tmp_path / "batch"
     batch.mkdir()
@@ -896,6 +930,16 @@ def test_non_finite_rate_exits_2(tmp_path, capsys, column, value):
                                          "transmon": TRANSMON_CFG})
     assert _run("fit-rates", "--config", cfg, "--out", str(tmp_path / "out")) == 2
     assert "line 7: gamma1 and gamma_phi must be finite" in capsys.readouterr().err
+
+
+def test_a_rate_table_that_is_not_utf8_exits_2_naming_its_line(tmp_path, capsys):
+    path = _rates_table(tmp_path)
+    lines = path.read_bytes().split(b"\n")
+    lines[2] += b"\xff"
+    path.write_bytes(b"\n".join(lines))
+    cfg = _write(tmp_path / "cfg.json", {"rates_csv": str(path), "transmon": TRANSMON_CFG})
+    assert _run("fit-rates", "--config", cfg, "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == "error: line 3: not UTF-8 text\n"
 
 
 @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])

@@ -764,8 +764,12 @@ def test_csv_parse_errors_carry_line_numbers():
 
     with pytest.raises(TraceParseError, match="line 1"):
         trace_from_csv("freq,re,im\n")
-    with pytest.raises(TraceParseError, match="line 1"):
+    # an empty file is a missing header, as in a rate table
+    with pytest.raises(TraceParseError, match="^line 1: expected header freq_hz,re,im,path"):
         trace_from_csv("")
+    lines = trace_csv_oracle(trace).splitlines()
+    with pytest.raises(TraceParseError, match="^line 3: expected 5 fields, got 1$"):
+        trace_from_csv("\n".join([*lines[:2], " ", *lines[2:]]))
 
 
 def test_json_parse_errors():

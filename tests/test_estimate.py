@@ -764,6 +764,25 @@ def test_rate_table_parse_errors():
         rates_from_csv(lines[0] + "\n")
     with pytest.raises(ValueError, match="line 2: omega01"):
         rates_from_csv("\n".join([lines[0], "-1,2,3,0.1,0.1"]))
+    # rules shared with trace CSVs: an empty file has no header, a line of
+    # spaces is a row of one field, and a form feed does not end a line
+    with pytest.raises(ValueError, match="line 1: expected header"):
+        rates_from_csv("")
+    with pytest.raises(ValueError, match="line 3: expected 5 fields, got 1"):
+        rates_from_csv("\n".join([lines[0], lines[1], "  ", lines[2]]))
+    with pytest.raises(ValueError, match="line 3: non-numeric"):
+        rates_from_csv("\n".join([lines[0], lines[1] + "\f", "x" + lines[2]]))
+    quoted = ",".join(f'"{f}"' for f in lines[1].split(","))
+    spaced = ", ".join(lines[0].split(","))
+    assert rates_csv_oracle(rates_from_csv("\n".join([spaced, quoted, lines[2]]))) == good
+
+
+def test_a_rate_table_that_is_not_utf8_names_the_line(tmp_path):
+    path = tmp_path / "rates.csv"
+    path.write_bytes(b"omega01_rad_s,gamma1_rad_s,gamma_phi_rad_s,flux_phi0,rel_err_gamma_phi\n"
+                     b"1e9,1,1,0.1,0.1\n2e9,2,2,0.2,\xff\n")
+    with pytest.raises(ValueError, match="^line 3: not UTF-8 text$"):
+        read_rates_csv(path)
 
 
 def test_rate_dataset_validation_and_subset():

@@ -104,3 +104,28 @@ def test_one_fork_and_no_worker_modules():
                 importers.add(path.name)
     assert forks == ["cli.py"]
     assert importers == set()
+
+
+def test_one_reader_for_every_input_file():
+    # configs, traces, rate tables and fit files are read through components'
+    # read_utf8, parse_json and csv_table; every text file is written as UTF-8
+    calls = []
+    for path in sorted((SRC / "mzq").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                calls.append((path.name, name, node))
+    for name in ("read_text", "loads", "reader"):
+        assert [p for p, n, _ in calls if n == name] == ["components.py"], name
+    for name in ("read_bytes", "load", "readline", "readlines", "splitlines"):
+        assert [p for p, n, _ in calls if n == name] == [], name
+    modes = []
+    for p, _, node in (c for c in calls if c[1] == "open"):
+        mode = node.args[1].value
+        encoding = {k.arg: k.value.value for k in node.keywords}.get("encoding")
+        modes.append((p, mode, encoding))
+    # the binary pair is the error pipe of cli._write_trace's forked JSON writer
+    assert sorted(set(modes)) == [("cli.py", "rb", None), ("cli.py", "w", "utf-8"),
+                                  ("cli.py", "wb", None), ("components.py", "w", "utf-8"),
+                                  ("estimate.py", "w", "utf-8")]
