@@ -13,6 +13,7 @@ import math
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -160,11 +161,20 @@ def _build_transmon(obj: dict, where: str) -> TransmonParams:
 
 
 def _out_name(config: dict, key: str, default: str, endings: tuple[str, ...] = ()) -> str:
-    """config[key] as the name of a file in --out: no directory part, not '' or '..'."""
+    """config[key] as the name of a file in --out: no directory part, not '' or '..'.
+
+    The name must also encode in the file system's encoding, which an ASCII
+    locale narrows to ASCII.
+    """
     name = _str(config, key, "config", default=default)
     if Path(name).name != name or name in ("", "..") or name.endswith(endings):
         tail = f" that ends in neither of {endings}" if endings else ""
         raise ConfigError(f"config.{key}: {name!r} must be a file name in --out{tail}")
+    try:
+        os.fsencode(name)
+    except UnicodeEncodeError:
+        raise ConfigError(f"config.{key}: {name!r} is not a file name in the file system "
+                          f"encoding {sys.getfilesystemencoding()}") from None
     return name
 
 
@@ -192,43 +202,74 @@ def _trace_common(config: dict, synth: bool):
     return spec, freqs, drive, label, basename, flux
 
 
-def _write_trace(out_dir: Path, basename: str, trace, quiet: bool) -> None:
-    """Write <basename>.csv and its .json twin at the same time, then name both.
+def _fork(work, killed: str):
+    """Start work() in a forked child; return join(), which waits for its result.
 
-    One forked child writes the JSON from the parent's arrays (copy-on-write)
-    while the parent writes the CSV; the two writers share no work. The child
-    sends str() of any exception back through a pipe and always ends with
-    os._exit: no atexit handler, no flush of an inherited buffer, no return
-    into the caller. The parent reads the pipe and reaps the child whatever
-    the CSV write does, so no process outlives this call, and a CSV failure
-    is the one raised. A JSON failure is raised as OSError with the child's
-    message, and a child killed by a signal as OSError naming the file and
-    the signal. Needs POSIX os.fork.
+    The child sends json.dumps of work()'s value, or str() of any exception
+    it raises, through a pipe, and always ends with os._exit: it prints
+    nothing, runs no atexit handler, flushes no inherited buffer and never
+    returns into the caller. join() reads the pipe to its end and reaps the
+    child; call it exactly once, whatever the parent does meanwhile, so that
+    no process outlives the caller. It returns the value as parse_json reads
+    it back (a tuple comes back as a list), raises a failure of work as
+    OSError with the child's message, and a child killed by a signal as
+    OSError(f"{killed} by signal N"). join(check=False) raises neither, so a
+    failure of the parent's own work stays the one raised. Needs POSIX os.fork.
     """
-    csv_path = out_dir / f"{basename}.csv"
-    json_path = out_dir / f"{basename}.json"
     read_end, write_end = os.pipe()
-    with open(read_end, "rb") as pipe, open(write_end, "wb", buffering=0) as child_end:
-        pid = os.fork()
+    pipe = open(read_end, "rb")
+    with open(write_end, "wb") as child_end:
+        try:
+            pid = os.fork()
+        except BaseException:
+            pipe.close()
+            raise
         if pid == 0:
             code = 1
             try:
-                write_trace_json(json_path, trace)
-                code = 0
-            except BaseException as exc:
-                child_end.write(str(exc).encode(errors="backslashreplace"))
+                try:
+                    payload, code = json.dumps(work()), 0
+                except BaseException as exc:
+                    payload = str(exc)
+                child_end.write(payload.encode(errors="backslashreplace"))
+                child_end.flush()
             finally:
                 os._exit(code)
-        child_end.close()
-        try:
-            write_trace_csv(csv_path, trace)
-        finally:
-            error = pipe.read().decode()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code < 0:
-        raise OSError(f"{json_path}: not written, its writer was killed by signal {-code}")
-    if code:
-        raise OSError(error)
+
+    def join(check: bool = True):
+        with pipe:
+            payload = pipe.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if not check:
+            return None
+        if code < 0:
+            raise OSError(f"{killed} by signal {-code}")
+        if code:
+            raise OSError(payload.decode())
+        return parse_json(payload.decode())
+
+    return join
+
+
+def _write_trace(out_dir: Path, basename: str, trace, quiet: bool) -> None:
+    """Write <basename>.csv and its .json twin at the same time, then name both.
+
+    A _fork child writes the JSON from the parent's arrays while the parent
+    writes the CSV; the two writers share no work. The child is reaped
+    whatever the CSV write does, and a CSV failure is the one raised. A JSON
+    failure is raised as OSError with the child's message, and a child killed
+    by a signal as OSError naming the file and the signal.
+    """
+    csv_path = out_dir / f"{basename}.csv"
+    json_path = out_dir / f"{basename}.json"
+    join = _fork(lambda: write_trace_json(json_path, trace),
+                 f"{json_path}: not written, its writer was killed")
+    try:
+        write_trace_csv(csv_path, trace)
+    except BaseException:
+        join(check=False)
+        raise
+    join()
     _say(quiet, f"wrote {csv_path}")
     _say(quiet, f"wrote {json_path}")
 
@@ -289,20 +330,40 @@ def _write_residuals(path: Path, trace, model: dict[str, np.ndarray]) -> None:
 
 def _fit_one_trace(trace_path: Path, template: CircuitSpec,
                    init: QubitScatterer | None, options: dict | None,
-                   out_dir: Path, quiet: bool):
+                   out_dir: Path, say):
     trace = read_trace(trace_path)
     result = fit_spectrum(trace, template, init=init, options=options)
     fit_path, resid_path = (out_dir / f"{trace_path.stem}{end}" for end in _FIT_OUTPUTS)
     write_fit_json(fit_path, result)
     _write_residuals(resid_path, trace, result.curves)
-    _say(quiet, f"wrote {fit_path}")
-    _say(quiet, f"wrote {resid_path}")
+    say(f"wrote {fit_path}")
+    say(f"wrote {resid_path}")
     flux = trace.flux_phi0 if trace.flux_phi0 is not None else math.nan
     return (result.params["omega01"], result.params["gamma1"],
             result.params["gamma_phi"], flux, result.rel_err["gamma_phi"])
 
 
+def _fit_files(files: list[Path], say, *fit_args):
+    """Fit files in order: their rate rows, and (name, "Cls: msg") for each that failed."""
+    rows, failures = [], []
+    for path in files:
+        try:
+            rows.append(_fit_one_trace(path, *fit_args, say))
+        except Exception as exc:
+            failures.append((path.name, f"{type(exc).__name__}: {exc}"))
+    return rows, failures
+
+
 def cmd_fit_spectrum(config: dict, out_dir: Path, quiet: bool) -> int:
+    """Fit one trace, or every trace of a directory plus their rate table.
+
+    Directory mode fits in two processes: the parent fits the front half of
+    the sorted list while a _fork child fits the back half. Each writes its
+    own traces' outputs; the child sends back its rate rows, failures and
+    progress lines, which the parent reports after its own. So every output
+    byte, line and exit code is that of one fit after another. A child that
+    dies raises OSError (exit 2) before the rate table is written.
+    """
     _check_keys(config, "config", _FIT_SPECTRUM_KEYS)
     inputs = [k for k in ("input_csv", "input_json", "input_dir") if k in config]
     if len(inputs) != 1:
@@ -312,9 +373,10 @@ def cmd_fit_spectrum(config: dict, out_dir: Path, quiet: bool) -> int:
     init = _build_qubit(_obj(config, "init", "config", default=None), "config.init")
     options = _fit_options(config)
 
+    say = partial(_say, quiet)
     if inputs[0] != "input_dir":
         path = Path(_str(config, inputs[0], "config"))
-        _fit_one_trace(path, template, init, options, out_dir, quiet)
+        _fit_one_trace(path, template, init, options, out_dir, say)
         return 0
 
     batch_dir = Path(_str(config, "input_dir", "config"))
@@ -339,12 +401,25 @@ def cmd_fit_spectrum(config: dict, out_dir: Path, quiet: bool) -> int:
     if not files:
         raise ConfigError(f"config.input_dir: no .csv or .json traces in {batch_dir}")
 
-    rows, failures = [], []
-    for path in files:
-        try:
-            rows.append(_fit_one_trace(path, template, init, options, out_dir, quiet))
-        except Exception as exc:
-            failures.append((path.name, f"{type(exc).__name__}: {exc}"))
+    fit_args = (template, init, options, out_dir)
+    half = len(files) // 2
+
+    def back_half():
+        lines = []
+        return (*_fit_files(files[half:], lines.append, *fit_args), lines)
+
+    join = _fork(back_half, f"config.input_dir: the fits from {files[half].name} on were not "
+                            "finished, their process was killed")
+    try:
+        rows, failures = _fit_files(files[:half], say, *fit_args)
+    except BaseException:
+        join(check=False)
+        raise
+    back_rows, back_failures, lines = join()
+    for line in lines:
+        say(line)
+    rows += back_rows
+    failures += back_failures
 
     if rows:
         cols = [np.array([r[i] for r in rows]) for i in range(5)]

@@ -65,18 +65,41 @@ def _truth_qubit():
 # simulate / synth
 # ---------------------------------------------------------------------------
 
+def _run_in_an_ascii_locale(*argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "LC_ALL": "C",
+           "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    return subprocess.run([sys.executable, "-c", "import sys; from mzq.cli import main; "
+                           "sys.exit(main())", *argv, "--quiet"], capture_output=True, env=env)
+
+
 def test_outputs_are_utf8_in_an_ascii_locale(tmp_path):
     cfg = _write(tmp_path / "sim.json", {"circuit": {"qubit": QUBIT_CFG}, "grid": GRID_CFG,
                                          "label": "\u00b5-scan"})
     out = tmp_path / "out"
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "LC_ALL": "C",
-           "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
-    done = subprocess.run([sys.executable, "-c", "import sys; from mzq.cli import main; "
-                           "sys.exit(main())", "simulate", "--config", cfg, "--out", str(out),
-                           "--quiet"], capture_output=True, env=env)
+    done = _run_in_an_ascii_locale("simulate", "--config", cfg, "--out", str(out))
     assert (done.returncode, done.stderr) == (0, b"")
     assert read_trace(out / "trace.csv").label == read_trace(out / "trace.json").label == (
         "\u00b5-scan")
+
+
+@pytest.mark.parametrize("command, key", [("simulate", "basename"),
+                                          ("fit-spectrum", "rates_csv")])
+def test_a_file_name_an_ascii_locale_cannot_write_exits_2_naming_its_key(tmp_path, command,
+                                                                         key):
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    write_trace_json(batch / "t.json", synthesize(make_interferometer(qubit=_truth_qubit()),
+                                                  np.linspace(5.17e9, 5.23e9, 201)))
+    doc = ({"circuit": {"qubit": QUBIT_CFG}, "grid": GRID_CFG, "basename": "\u00b5scan"}
+           if command == "simulate" else
+           {"input_dir": str(batch), "init": QUBIT_CFG, "rates_csv": "\u00b5rates.csv"})
+    out = tmp_path / "out"
+    done = _run_in_an_ascii_locale(command, "--config", _write(tmp_path / "cfg.json", doc),
+                                   "--out", str(out))
+    assert done.returncode == 2
+    assert done.stderr.startswith(f"error: config.{key}: ".encode())
+    assert b"file system encoding" in done.stderr
+    assert not any(out.iterdir())
 
 
 def test_simulate_writes_matching_csv_and_json(tmp_path):
@@ -660,6 +683,108 @@ def test_batch_partial_failure_exits_4(tmp_path, capsys):
     assert (out / "good_fit.json").exists()
     rates = read_rates_csv(out / "rates.csv")
     assert len(rates) == 1
+
+
+def _batch_with_corrupt_ends(tmp_path, good):
+    """good traces, alternately .json (flux-tagged) and .csv (untagged), between two corrupt ones."""
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    (batch / "a_corrupt.json").write_text("{ not a trace\n")
+    for i in range(good):
+        qubit = QubitScatterer(omega01=(5.19 + 0.005 * i) * GHZ, gamma1=1.0 * MHZ,
+                               gamma_phi=0.4 * MHZ, r0=0.9, rabi=1.5 * MHZ)
+        trace = synthesize(make_interferometer(qubit=qubit), np.linspace(5.16e9, 5.24e9, 201),
+                           noise_sigma=0.005, seed=i)
+        trace.flux_phi0 = 0.1 + 0.02 * i
+        (write_trace_csv if i % 2 else write_trace_json)(
+            batch / f"t{i}{'.csv' if i % 2 else '.json'}", trace)
+    (batch / "z_corrupt.csv").write_text("freq_hz,re,im,path,label\n5e9,1,0,s12\n")
+    return batch
+
+
+@pytest.mark.parametrize("good", [1, 2, 3, 5])
+def test_a_batch_fit_gives_the_bytes_of_fitting_each_trace_alone(tmp_path, capsys, good):
+    batch = _batch_with_corrupt_ends(tmp_path, good)
+    out, ref = tmp_path / "out", tmp_path / "ref"
+    want_out, want_err, rows = "", "", []
+    for path in sorted(batch.iterdir()):
+        key = "input_json" if path.suffix == ".json" else "input_csv"
+        cfg = _write(tmp_path / "one.json", {key: str(path), "init": QUBIT_CFG})
+        code = _run("fit-spectrum", "--config", cfg, "--out", str(out))
+        captured = capsys.readouterr()
+        want_out += captured.out
+        if path.name.endswith("_corrupt" + path.suffix):
+            assert code == 2
+            want_err += captured.err.replace("error: ", f"fit failed for {path.name}: "
+                                             "TraceParseError: ", 1)
+            continue
+        assert (code, captured.err) == (0, "")
+        fit, flux = read_fit_json(out / f"{path.stem}_fit.json"), read_trace(path).flux_phi0
+        rows.append((fit.params["omega01"], fit.params["gamma1"], fit.params["gamma_phi"],
+                     math.nan if flux is None else flux, fit.rel_err["gamma_phi"]))
+    write_rates_csv(out / "rates.csv", RateDataset(*map(np.array, zip(*rows))))
+    out.rename(ref)
+
+    cfg = _write(tmp_path / "batch.json", {"input_dir": str(batch), "init": QUBIT_CFG})
+    assert _run("fit-spectrum", "--config", cfg, "--out", str(out)) == 4
+    captured = capsys.readouterr()
+    assert captured.out == want_out + f"wrote {out / 'rates.csv'}\n"
+    assert captured.err == want_err
+    assert want_err.count("\n") == 2
+    assert ({p.name: p.read_bytes() for p in out.iterdir()}
+            == {p.name: p.read_bytes() for p in ref.iterdir()})
+    assert len(read_rates_csv(out / "rates.csv")) == good
+
+
+def test_a_batch_fit_on_a_pipe_prints_each_line_once(tmp_path):
+    batch = _batch_with_corrupt_ends(tmp_path, 3)
+    cfg = _write(tmp_path / "batch.json", {"input_dir": str(batch), "init": QUBIT_CFG})
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", "import sys; from mzq.cli import main; "
+                           "sys.exit(main())", "fit-spectrum", "--config", cfg, "--out",
+                           str(out)], capture_output=True, text=True, env=env)
+    assert done.returncode == 4
+    assert done.stdout == "".join(f"wrote {out / f'{stem}{end}'}\n" for stem in ("t0", "t1", "t2")
+                                  for end in ("_fit.json", "_residuals.csv")) + (
+        f"wrote {out / 'rates.csv'}\n")
+    assert [line.split(":")[0] for line in done.stderr.splitlines()] == [
+        "fit failed for a_corrupt.json", "fit failed for z_corrupt.csv"]
+
+
+def _give_up():
+    raise BaseException("the back half gave up")
+
+
+@pytest.mark.parametrize("die, message", [
+    (lambda: os.kill(os.getpid(), signal.SIGKILL),
+     "config.input_dir: the fits from t1.json on were not finished, their process was killed "
+     f"by signal {int(signal.SIGKILL)}"),
+    (_give_up, "the back half gave up"),
+], ids=["killed", "crashed"])
+def test_a_batch_child_that_dies_exits_2_without_a_rate_table(tmp_path, capsys, monkeypatch,
+                                                              die, message):
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    trace = synthesize(make_interferometer(qubit=_truth_qubit()),
+                       np.linspace(5.17e9, 5.23e9, 201), noise_sigma=0.005)
+    for name in ("t0.json", "t1.json", "t2.json"):  # the child fits t1 and t2
+        write_trace_json(batch / name, trace)
+
+    def read(path):
+        if Path(path).name == "t2.json":
+            die()
+        return read_trace(path)
+
+    monkeypatch.setattr(cli, "read_trace", read)
+    cfg = _write(tmp_path / "fit.json", {"input_dir": str(batch), "init": QUBIT_CFG})
+    out = tmp_path / "out"
+    assert _run("fit-spectrum", "--config", cfg, "--out", str(out), "--quiet") == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(p.name for p in out.iterdir()) == [
+        "t0_fit.json", "t0_residuals.csv", "t1_fit.json", "t1_residuals.csv"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_an_input_dir_without_traces_exits_2(tmp_path, capsys):
