@@ -73,21 +73,14 @@ GHZ = 2 * math.pi * 1e9
 MHZ = 2 * math.pi * 1e6
 
 def _construct(where: str, build, *args, **kwargs):
-    """build(*args, **kwargs), with its ValueError re-raised as a ConfigError naming where."""
-    try:
-        return build(*args, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+    """build(*args, **kwargs), with its refusal re-raised as a ConfigError naming where.
 
-
-def _linspace(where: str, start: float, stop: float, points: int) -> np.ndarray:
-    """np.linspace, with its refusal of a size re-raised as a ConfigError naming where.
-
-    numpy refuses a size it cannot allocate with MemoryError or ValueError,
-    and one from 2**63 to 2**64 with IndexError, before allocating anything.
+    A constructor refuses a value with ValueError. np.linspace refuses a size
+    it cannot allocate with MemoryError or ValueError, and one from 2**63 to
+    2**64 with IndexError, before allocating anything.
     """
     try:
-        return np.linspace(start, stop, points)
+        return build(*args, **kwargs)
     except (MemoryError, ValueError, IndexError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
@@ -150,7 +143,7 @@ def _build_grid(obj: dict, where: str) -> np.ndarray:
         raise ConfigError(f"{where}.stop_ghz: must exceed start_ghz")
     if not math.isfinite(stop * GHZ):  # then start, below stop, is finite in rad/s too
         raise ConfigError(f"{where}.stop_ghz: {stop:g} GHz overflows in rad/s")
-    return _linspace(f"{where}.points", start * 1e9, stop * 1e9, points)
+    return _construct(f"{where}.points", np.linspace, start * 1e9, stop * 1e9, points)
 
 
 def _build_transmon(obj: dict, where: str) -> TransmonParams:
@@ -178,43 +171,26 @@ def _out_name(config: dict, key: str, default: str, endings: tuple[str, ...] = (
     return name
 
 
-def _say(quiet: bool, message: str) -> None:
-    if not quiet:
-        print(message)
+def _one_input(config: dict, keys: tuple[str, ...]) -> str:
+    """The one key of keys that config gives."""
+    given = [k for k in keys if k in config]
+    if len(given) != 1:
+        raise ConfigError(f"config: give exactly one of {', '.join(keys)}")
+    return given[0]
 
 
-# ---------------------------------------------------------------------------
-# simulate / synth
-# ---------------------------------------------------------------------------
+def _in_two_processes(child_work, parent_work, killed: str):
+    """child_work() in a forked child while the parent runs parent_work(): both values, in order.
 
-_SIM_KEYS = {"circuit", "grid", "drive_port", "label", "flux_phi0", "basename"}
-
-
-def _trace_common(config: dict, synth: bool):
-    allowed = _SIM_KEYS | ({"noise_sigma", "seed"} if synth else set())
-    _check_keys(config, "config", allowed)
-    spec = _build_circuit(_obj(config, "circuit", "config"), "config.circuit")
-    freqs = _build_grid(_obj(config, "grid", "config"), "config.grid")
-    drive = _int(config, "drive_port", "config", default=2, choices=DRIVE_PORTS)
-    label = _str(config, "label", "config", default="")
-    basename = _out_name(config, "basename", "trace")
-    flux = _num(config, "flux_phi0", "config", default=None)
-    return spec, freqs, drive, label, basename, flux
-
-
-def _fork(work, killed: str):
-    """Start work() in a forked child; return join(), which waits for its result.
-
-    The child sends json.dumps of work()'s value, or str() of any exception
-    it raises, through a pipe, and always ends with os._exit: it prints
-    nothing, runs no atexit handler, flushes no inherited buffer and never
-    returns into the caller. join() reads the pipe to its end and reaps the
-    child; call it exactly once, whatever the parent does meanwhile, so that
-    no process outlives the caller. It returns the value as parse_json reads
-    it back (a tuple comes back as a list), raises a failure of work as
-    OSError with the child's message, and a child killed by a signal as
-    OSError(f"{killed} by signal N"). join(check=False) raises neither, so a
-    failure of the parent's own work stays the one raised. Needs POSIX os.fork.
+    The child sends json.dumps of child_work()'s value, or str() of any
+    exception it raises, through a pipe, and always ends with os._exit: it
+    prints nothing, runs no atexit handler, flushes no inherited buffer and
+    never returns into the caller. The parent reads the pipe to its end and
+    reaps the child whatever parent_work does, so no process outlives the
+    call, and a failure of parent_work is the one raised. The child's value
+    comes back as parse_json reads it (a tuple as a list); its failure is
+    raised as OSError with its message, and a child killed by a signal as
+    OSError(f"{killed} by signal N"). Needs POSIX os.fork.
     """
     read_end, write_end = os.pipe()
     pipe = open(read_end, "rb")
@@ -228,71 +204,67 @@ def _fork(work, killed: str):
             code = 1
             try:
                 try:
-                    payload, code = json.dumps(work()), 0
+                    payload, code = json.dumps(child_work()), 0
                 except BaseException as exc:
                     payload = str(exc)
                 child_end.write(payload.encode(errors="backslashreplace"))
                 child_end.flush()
             finally:
                 os._exit(code)
-
-    def join(check: bool = True):
+    try:
+        mine = parent_work()
+    finally:
         with pipe:
             payload = pipe.read()
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if not check:
-            return None
-        if code < 0:
-            raise OSError(f"{killed} by signal {-code}")
-        if code:
-            raise OSError(payload.decode())
-        return parse_json(payload.decode())
-
-    return join
+    if code < 0:
+        raise OSError(f"{killed} by signal {-code}")
+    if code:
+        raise OSError(payload.decode())
+    return parse_json(payload.decode()), mine
 
 
-def _write_trace(out_dir: Path, basename: str, trace, quiet: bool) -> None:
-    """Write <basename>.csv and its .json twin at the same time, then name both.
+# ---------------------------------------------------------------------------
+# simulate / synth
+# ---------------------------------------------------------------------------
 
-    A _fork child writes the JSON from the parent's arrays while the parent
-    writes the CSV; the two writers share no work. The child is reaped
-    whatever the CSV write does, and a CSV failure is the one raised. A JSON
-    failure is raised as OSError with the child's message, and a child killed
-    by a signal as OSError naming the file and the signal.
+_SIM_KEYS = {"circuit", "grid", "drive_port", "label", "flux_phi0", "basename"}
+
+
+def cmd_trace(config: dict, out_dir: Path, say, seed: int | None = None, *,
+              synth: bool) -> int:
+    """simulate, or synth with noise: write the circuit's trace as <basename>.csv and .json.
+
+    A forked child writes the JSON from the parent's arrays while the parent
+    writes the CSV; the two writers share no work. A CSV failure is the one
+    raised; a JSON failure is raised as OSError with the child's message, and
+    a child killed by a signal as OSError naming the file and the signal.
     """
+    _check_keys(config, "config", _SIM_KEYS | ({"noise_sigma", "seed"} if synth else set()))
+    spec = _build_circuit(_obj(config, "circuit", "config"), "config.circuit")
+    freqs = _build_grid(_obj(config, "grid", "config"), "config.grid")
+    drive = _int(config, "drive_port", "config", default=2, choices=DRIVE_PORTS)
+    label = _str(config, "label", "config", default="")
+    basename = _out_name(config, "basename", "trace")
+    flux = _num(config, "flux_phi0", "config", default=None)
+    if synth:
+        noise = _num(config, "noise_sigma", "config", minimum=0)
+        if seed is None:
+            seed = _int(config, "seed", "config", default=0, minimum=0)
+        elif seed < 0:
+            raise ConfigError("--seed: must be >= 0")
+        trace = synthesize(spec, freqs, drive_port=drive, noise_sigma=noise,
+                           seed=seed, label=label)
+    else:
+        trace = sweep(spec, freqs, drive_port=drive, label=label)
+    trace.flux_phi0 = flux
     csv_path = out_dir / f"{basename}.csv"
     json_path = out_dir / f"{basename}.json"
-    join = _fork(lambda: write_trace_json(json_path, trace),
-                 f"{json_path}: not written, its writer was killed")
-    try:
-        write_trace_csv(csv_path, trace)
-    except BaseException:
-        join(check=False)
-        raise
-    join()
-    _say(quiet, f"wrote {csv_path}")
-    _say(quiet, f"wrote {json_path}")
-
-
-def cmd_simulate(config: dict, out_dir: Path, quiet: bool) -> int:
-    spec, freqs, drive, label, basename, flux = _trace_common(config, synth=False)
-    trace = sweep(spec, freqs, drive_port=drive, label=label)
-    trace.flux_phi0 = flux
-    _write_trace(out_dir, basename, trace, quiet)
-    return 0
-
-
-def cmd_synth(config: dict, out_dir: Path, quiet: bool, seed: int | None = None) -> int:
-    spec, freqs, drive, label, basename, flux = _trace_common(config, synth=True)
-    noise = _num(config, "noise_sigma", "config", minimum=0)
-    if seed is None:
-        seed = _int(config, "seed", "config", default=0, minimum=0)
-    elif seed < 0:
-        raise ConfigError("--seed: must be >= 0")
-    trace = synthesize(spec, freqs, drive_port=drive, noise_sigma=noise,
-                       seed=seed, label=label)
-    trace.flux_phi0 = flux
-    _write_trace(out_dir, basename, trace, quiet)
+    _in_two_processes(lambda: write_trace_json(json_path, trace),
+                      lambda: write_trace_csv(csv_path, trace),
+                      f"{json_path}: not written, its writer was killed")
+    say(f"wrote {csv_path}")
+    say(f"wrote {json_path}")
     return 0
 
 
@@ -354,28 +326,25 @@ def _fit_files(files: list[Path], say, *fit_args):
     return rows, failures
 
 
-def cmd_fit_spectrum(config: dict, out_dir: Path, quiet: bool) -> int:
+def cmd_fit_spectrum(config: dict, out_dir: Path, say) -> int:
     """Fit one trace, or every trace of a directory plus their rate table.
 
     Directory mode fits in two processes: the parent fits the front half of
-    the sorted list while a _fork child fits the back half. Each writes its
+    the sorted list while a forked child fits the back half. Each writes its
     own traces' outputs; the child sends back its rate rows, failures and
     progress lines, which the parent reports after its own. So every output
     byte, line and exit code is that of one fit after another. A child that
     dies raises OSError (exit 2) before the rate table is written.
     """
     _check_keys(config, "config", _FIT_SPECTRUM_KEYS)
-    inputs = [k for k in ("input_csv", "input_json", "input_dir") if k in config]
-    if len(inputs) != 1:
-        raise ConfigError("config: give exactly one of input_csv, input_json, input_dir")
+    source = _one_input(config, ("input_csv", "input_json", "input_dir"))
     template = _build_circuit(_obj(config, "circuit", "config", default=None),
                               "config.circuit")
     init = _build_qubit(_obj(config, "init", "config", default=None), "config.init")
     options = _fit_options(config)
 
-    say = partial(_say, quiet)
-    if inputs[0] != "input_dir":
-        path = Path(_str(config, inputs[0], "config"))
+    if source != "input_dir":
+        path = Path(_str(config, source, "config"))
         _fit_one_trace(path, template, init, options, out_dir, say)
         return 0
 
@@ -390,14 +359,15 @@ def cmd_fit_spectrum(config: dict, out_dir: Path, quiet: bool) -> int:
         except (OSError, ValueError) as exc:
             raise ConfigError(f"config.rates_csv: {taken} is in input_dir, not a rate table "
                               f"({exc})") from None
-    # a directory that also receives --out holds this command's own outputs
+    # a directory that also receives --out holds this command's own outputs;
+    # a suffix counts in any case, as it does for read_trace's choice of parser
     files = sorted(p for p in batch_dir.iterdir()
-                   if p.suffix in (".csv", ".json") and p.is_file() and p.name != rates_name
-                   and not p.name.endswith(_FIT_OUTPUTS))
+                   if p.suffix.lower() in (".csv", ".json") and p.is_file()
+                   and p.name != rates_name and not p.name.endswith(_FIT_OUTPUTS))
     # synth writes <stem>.csv and <stem>.json; only the JSON twin keeps
     # flux_phi0 and drive_port, so it is the one fitted
-    json_stems = {p.stem for p in files if p.suffix == ".json"}
-    files = [p for p in files if p.suffix == ".json" or p.stem not in json_stems]
+    json_stems = {p.stem for p in files if p.suffix.lower() == ".json"}
+    files = [p for p in files if p.suffix.lower() == ".json" or p.stem not in json_stems]
     if not files:
         raise ConfigError(f"config.input_dir: no .csv or .json traces in {batch_dir}")
 
@@ -408,14 +378,10 @@ def cmd_fit_spectrum(config: dict, out_dir: Path, quiet: bool) -> int:
         lines = []
         return (*_fit_files(files[half:], lines.append, *fit_args), lines)
 
-    join = _fork(back_half, f"config.input_dir: the fits from {files[half].name} on were not "
-                            "finished, their process was killed")
-    try:
-        rows, failures = _fit_files(files[:half], say, *fit_args)
-    except BaseException:
-        join(check=False)
-        raise
-    back_rows, back_failures, lines = join()
+    (back_rows, back_failures, lines), (rows, failures) = _in_two_processes(
+        back_half, lambda: _fit_files(files[:half], say, *fit_args),
+        f"config.input_dir: the fits from {files[half].name} on were not finished, "
+        "their process was killed")
     for line in lines:
         say(line)
     rows += back_rows
@@ -425,7 +391,7 @@ def cmd_fit_spectrum(config: dict, out_dir: Path, quiet: bool) -> int:
         cols = [np.array([r[i] for r in rows]) for i in range(5)]
         rates_path = out_dir / rates_name
         write_rates_csv(rates_path, RateDataset(*cols))
-        _say(quiet, f"wrote {rates_path}")
+        say(f"wrote {rates_path}")
     for name, err in failures:
         print(f"fit failed for {name}: {err}", file=sys.stderr)
     return 4 if failures else 0
@@ -438,13 +404,13 @@ def cmd_fit_spectrum(config: dict, out_dir: Path, quiet: bool) -> int:
 _FIT_RATES_KEYS = {"rates_csv", "transmon", "rel_err_max", "band_points"}
 
 
-def _write_csv(path: Path, quiet: bool, header, *columns) -> None:
+def _write_csv(path: Path, say, header, *columns) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         write_csv_columns(fh, header, *columns)
-    _say(quiet, f"wrote {path}")
+    say(f"wrote {path}")
 
 
-def cmd_fit_rates(config: dict, out_dir: Path, quiet: bool) -> int:
+def cmd_fit_rates(config: dict, out_dir: Path, say) -> int:
     _check_keys(config, "config", _FIT_RATES_KEYS)
     rates_path = Path(_str(config, "rates_csv", "config"))
     transmon = _build_transmon(_obj(config, "transmon", "config"), "config.transmon")
@@ -455,19 +421,20 @@ def cmd_fit_rates(config: dict, out_dir: Path, quiet: bool) -> int:
     rates = read_rates_csv(rates_path)
     if len(rates) < 8:
         raise IllPosed(f"rate table has {len(rates)} rows; need at least 8")
-    ws = _linspace("config.band_points", rates.omega01.min(), rates.omega01.max(), band_points)
+    ws = _construct("config.band_points", np.linspace, rates.omega01.min(),
+                    rates.omega01.max(), band_points)
 
     # data points and the 33%-rule sidecar are written before any fit runs
     checks, slopes = excluded_rows(rates, transmon, rel_err_max)
-    _write_csv(out_dir / "points_gamma1.csv", quiet, ("omega01_rad_s", "gamma1_rad_s"),
+    _write_csv(out_dir / "points_gamma1.csv", say, ("omega01_rad_s", "gamma1_rad_s"),
                rates.omega01, rates.gamma1)
-    _write_csv(out_dir / "points_gamma_phi.csv", quiet,
+    _write_csv(out_dir / "points_gamma_phi.csv", say,
                ("omega01_rad_s", "slope_rad_s_per_phi0", "gamma_phi_rad_s", "rel_err_gamma_phi"),
                rates.omega01, slopes, rates.gamma_phi, rates.rel_err_gamma_phi)
 
     reasons = [";".join(name for name, hit in checks.items() if hit[i]) for i in range(len(rates))]
     rows = [i for i, reason in enumerate(reasons) if reason]
-    _write_csv(out_dir / "excluded_rows.csv", quiet,
+    _write_csv(out_dir / "excluded_rows.csv", say,
                ("row", "omega01_rad_s", "gamma_phi_rad_s", "rel_err_gamma_phi", "reason"),
                rows, rates.omega01[rows], rates.gamma_phi[rows],
                rates.rel_err_gamma_phi[rows], [reasons[i] for i in rows])
@@ -495,10 +462,10 @@ def cmd_fit_rates(config: dict, out_dir: Path, quiet: bool) -> int:
             failures.append((name, f"{type(exc).__name__}: {exc}"))
             continue
         write_fit_json(out_dir / f"{name}_fit.json", result)
-        _say(quiet, f"wrote {out_dir / f'{name}_fit.json'}")
+        say(f"wrote {out_dir / f'{name}_fit.json'}")
         if grid is not None:
             pvec = np.array(list(result.params.values()))
-            _write_csv(out_dir / curve_name, quiet, (*cols, "lo95_rad_s", "hi95_rad_s"), grid,
+            _write_csv(out_dir / curve_name, say, (*cols, "lo95_rad_s", "hi95_rad_s"), grid,
                        *prediction_band(curve, jacobian, pvec, result.covariance, grid, result.dof))
 
     for name, err in failures:
@@ -510,12 +477,9 @@ def cmd_fit_rates(config: dict, out_dir: Path, quiet: bool) -> int:
 # classify
 # ---------------------------------------------------------------------------
 
-def cmd_classify(config: dict, out_dir: Path, quiet: bool) -> int:
+def cmd_classify(config: dict, out_dir: Path, say) -> int:
     _check_keys(config, "config", {"input_csv", "input_json"})
-    inputs = [k for k in ("input_csv", "input_json") if k in config]
-    if len(inputs) != 1:
-        raise ConfigError("config: give exactly one of input_csv, input_json")
-    path = Path(_str(config, inputs[0], "config"))
+    path = Path(_str(config, _one_input(config, ("input_csv", "input_json")), "config"))
     trace = read_trace(path)
     label = classify_regime(trace)
     doc = {"label": label.value, "path": trace.cross_path()}
@@ -523,8 +487,8 @@ def cmd_classify(config: dict, out_dir: Path, quiet: bool) -> int:
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _say(quiet, f"{label.value}")
-    _say(quiet, f"wrote {out_path}")
+    say(label.value)
+    say(f"wrote {out_path}")
     return 0
 
 
@@ -533,8 +497,8 @@ def cmd_classify(config: dict, out_dir: Path, quiet: bool) -> int:
 # ---------------------------------------------------------------------------
 
 _COMMANDS = {
-    "simulate": cmd_simulate,
-    "synth": cmd_synth,
+    "simulate": partial(cmd_trace, synth=False),
+    "synth": partial(cmd_trace, synth=True),
     "fit-spectrum": cmd_fit_spectrum,
     "fit-rates": cmd_fit_rates,
     "classify": cmd_classify,
@@ -565,8 +529,9 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"config: {exc}") from None
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
+        say = (lambda message: None) if args.quiet else print
         extra = {"seed": args.seed} if args.command == "synth" else {}
-        return _COMMANDS[args.command](config, out_dir, args.quiet, **extra)
+        return _COMMANDS[args.command](config, out_dir, say, **extra)
     except SingularSystem as exc:
         print(f"error: forward model degenerate: {exc}", file=sys.stderr)
         return 3

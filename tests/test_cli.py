@@ -787,6 +787,53 @@ def test_a_batch_child_that_dies_exits_2_without_a_rate_table(tmp_path, capsys, 
         os.waitpid(-1, os.WNOHANG)
 
 
+class _FrontHalfStop(BaseException):
+    pass
+
+
+def test_a_batch_parent_that_fails_raises_after_reaping_its_child(tmp_path, monkeypatch):
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    trace = synthesize(make_interferometer(qubit=_truth_qubit()),
+                       np.linspace(5.17e9, 5.23e9, 201), noise_sigma=0.005)
+    for name in ("t0.json", "t1.json", "t2.json"):  # the parent fits t0, the child t1 and t2
+        write_trace_json(batch / name, trace)
+
+    def read(path):
+        if Path(path).name == "t0.json":
+            raise _FrontHalfStop("the front half gave up")
+        return read_trace(path)
+
+    monkeypatch.setattr(cli, "read_trace", read)
+    cfg = _write(tmp_path / "fit.json", {"input_dir": str(batch), "init": QUBIT_CFG})
+    out = tmp_path / "out"
+    with pytest.raises(_FrontHalfStop, match="the front half gave up"):
+        _run("fit-spectrum", "--config", cfg, "--out", str(out), "--quiet")
+    assert sorted(p.name for p in out.iterdir()) == [
+        "t1_fit.json", "t1_residuals.csv", "t2_fit.json", "t2_residuals.csv"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_an_input_dir_lists_a_trace_suffix_in_any_case(tmp_path):
+    # read_trace parses T.JSON as JSON, so the listing and the twin rule take it too
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    trace = synthesize(make_interferometer(qubit=_truth_qubit()),
+                       np.linspace(5.17e9, 5.23e9, 201), noise_sigma=0.005)
+    trace.flux_phi0 = 0.17
+    write_trace_json(batch / "T.JSON", trace)
+    write_trace_csv(batch / "T.CSV", trace)  # its twin, which is not fitted
+    write_trace_csv(batch / "U.Csv", trace)
+    cfg = _write(tmp_path / "fit.json", {"input_dir": str(batch), "init": QUBIT_CFG})
+    out = tmp_path / "out"
+    assert _run("fit-spectrum", "--config", cfg, "--out", str(out), "--quiet") == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "T_fit.json", "T_residuals.csv", "U_fit.json", "U_residuals.csv", "rates.csv"]
+    flux = read_rates_csv(out / "rates.csv").flux
+    assert flux[0] == 0.17 and math.isnan(flux[1])
+
+
 def test_an_input_dir_without_traces_exits_2(tmp_path, capsys):
     batch = tmp_path / "batch"
     batch.mkdir()
@@ -1224,3 +1271,49 @@ def test_fit_rates_needs_eight_rows(tmp_path, capsys):
                                          "transmon": TRANSMON_CFG})
     assert _run("fit-rates", "--config", cfg, "--out", str(tmp_path / "out")) == 2
     assert "at least 8" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# what each command prints
+# ---------------------------------------------------------------------------
+
+def _printing_case(command, tmp_path):
+    """command's config, the label it prints, and the files it writes, in write order."""
+    if command in ("simulate", "synth"):
+        doc = {"circuit": {"qubit": QUBIT_CFG}, "grid": GRID_CFG, "basename": "scan"}
+        if command == "synth":
+            doc["noise_sigma"] = 0.01
+        return doc, [], ["scan.csv", "scan.json"]
+    if command == "fit-rates":
+        return ({"rates_csv": str(_rates_table(tmp_path)), "transmon": TRANSMON_CFG,
+                 "band_points": 50}, [],
+                ["points_gamma1.csv", "points_gamma_phi.csv", "excluded_rows.csv",
+                 "gamma1_fit.json", "curve_gamma1.csv", "gamma_phi_power_fit.json",
+                 "curve_gamma_phi_power.csv", "ou_fit.json", "curve_gamma_phi_ou.csv"])
+    trace_path = tmp_path / "scan.json"
+    if command == "classify":
+        qubit = QubitScatterer(omega01=2 * math.pi * 5.826e9, gamma1=1.0 * MHZ,
+                               gamma_phi=0.4 * MHZ, r0=0.9)
+        write_trace_json(trace_path, synthesize(make_interferometer(qubit=qubit),
+                                                np.linspace(5.776e9, 5.876e9, 1001),
+                                                noise_sigma=0.005, seed=2))
+        return {"input_json": str(trace_path)}, ["Dip"], ["scan_label.json"]
+    write_trace_json(trace_path, synthesize(make_interferometer(qubit=_truth_qubit()),
+                                            np.linspace(5.17e9, 5.23e9, 201)))
+    return ({"input_json": str(trace_path), "init": QUBIT_CFG}, [],
+            ["scan_fit.json", "scan_residuals.csv"])
+
+
+@pytest.mark.parametrize("command", ["simulate", "synth", "fit-spectrum", "fit-rates",
+                                     "classify"])
+def test_each_command_names_each_file_it_writes_unless_quiet(tmp_path, capsys, command):
+    doc, label, files = _printing_case(command, tmp_path)
+    cfg = _write(tmp_path / "cfg.json", doc)
+    loud, quiet = tmp_path / "loud", tmp_path / "quiet"
+    assert _run(command, "--config", cfg, "--out", str(loud)) == 0
+    assert capsys.readouterr() == (
+        "".join(f"{line}\n" for line in label + [f"wrote {loud / name}" for name in files]), "")
+    assert _run(command, "--config", cfg, "--out", str(quiet), "--quiet") == 0
+    assert capsys.readouterr() == ("", "")
+    for out in (loud, quiet):
+        assert sorted(p.name for p in out.iterdir()) == sorted(files)

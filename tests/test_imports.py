@@ -85,8 +85,8 @@ def test_no_module_reads_the_environment():
 
 
 def test_one_fork_and_no_worker_modules():
-    # cli._fork is the one fork, shared by _write_trace's JSON writer and
-    # fit-spectrum's batch child; nothing else starts a process or a thread
+    # cli._in_two_processes is the one fork, shared by simulate/synth's JSON
+    # writer and fit-spectrum's batch child; nothing else starts a process or a thread
     forks, importers = [], set()
     for path in sorted((SRC / "mzq").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -126,7 +126,7 @@ def test_one_reader_for_every_input_file():
         mode = node.args[1].value
         encoding = {k.arg: k.value.value for k in node.keywords}.get("encoding")
         modes.append((p, mode, encoding))
-    # the binary pair is the result pipe of cli._fork's child
+    # the binary pair is the result pipe of cli._in_two_processes's child
     assert sorted(set(modes)) == [("cli.py", "rb", None), ("cli.py", "w", "utf-8"),
                                   ("cli.py", "wb", None), ("components.py", "w", "utf-8"),
                                   ("estimate.py", "w", "utf-8")]

@@ -218,6 +218,26 @@ def test_iteration_budget_is_respected():
     assert len(res.cost_history) <= 3
 
 
+def test_the_run_stops_at_the_first_step_that_improves_the_cost_by_ftol_or_less():
+    # relative to the new cost, as the rule reads; xtol=0 leaves ftol the only stop
+    fn, t, _ = _exp_problem()
+
+    def jac(p):
+        e = np.exp(-p[1] * t)
+        return np.column_stack([e, -p[0] * t * e, np.ones_like(t)])
+
+    stops = []
+    for ftol in (1e-3, 1e-6):
+        res = levenberg_marquardt(fn, [0.5, 0.1, 0.0], jac=jac, ftol=ftol, xtol=0)
+        h = res.cost_history
+        small = [h[i - 1] - h[i] <= ftol * h[i] for i in range(1, len(h))]
+        # every iteration accepted a step, so none ended on the stationary exit
+        assert res.converged and res.iterations == len(small)
+        assert small[-1] and not any(small[:-1]), ftol
+        stops.append(res.iterations)
+    assert stops[0] < stops[1]
+
+
 def test_stationary_point_counts_as_converged():
     # a flat residual cannot be improved; the first sweep exhausts damping
     def fn(p):
