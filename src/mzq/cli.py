@@ -55,17 +55,10 @@ from .estimate import (
     fit_gamma_phi_power,
     fit_ou,
     fit_spectrum,
-    gamma1_curve,
-    gamma1_jacobian,
-    ou_curve,
-    ou_jacobian,
-    power_curve,
-    power_jacobian,
     read_rates_csv,
     write_fit_json,
     write_rates_csv,
 )
-from .leastsq import prediction_band
 from .netcore import SingularSystem
 from .physics import TransmonParams
 
@@ -370,6 +363,12 @@ def cmd_fit_spectrum(config: dict, out_dir: Path, say) -> int:
     files = [p for p in files if p.suffix.lower() == ".json" or p.stem not in json_stems]
     if not files:
         raise ConfigError(f"config.input_dir: no .csv or .json traces in {batch_dir}")
+    # two inputs of one stem (T.json, T.JSON) would both write <stem>_fit.json
+    by_stem = {}
+    for p in files:
+        if by_stem.setdefault(p.stem, p) is not p:
+            raise ConfigError(f"config.input_dir: {by_stem[p.stem].name} and {p.name} share "
+                              "a stem, so their fits would write the same files")
 
     fit_args = (template, init, options, out_dir)
     half = len(files) // 2
@@ -445,17 +444,17 @@ def cmd_fit_rates(config: dict, out_dir: Path, say) -> int:
     else:
         xs = None
     phi_cols = ("slope_rad_s_per_phi0", "gamma_phi_rad_s")
-    reports = (  # name, fit, model curve and its Jacobian, grid, curve file, its x and y columns
-        ("gamma1", lambda: fit_gamma1(rates), gamma1_curve, gamma1_jacobian, ws,
-         "curve_gamma1.csv", ("omega01_rad_s", "gamma1_rad_s")),
-        ("gamma_phi_power", lambda: fit_gamma_phi_power(rates, transmon, rel_err_max),
-         power_curve, power_jacobian, xs, "curve_gamma_phi_power.csv", phi_cols),
-        ("ou", lambda: fit_ou(rates, transmon, rel_err_max),
-         ou_curve, ou_jacobian, xs, "curve_gamma_phi_ou.csv", phi_cols),
+    reports = (  # name, fit, band grid, curve file, its x and y columns
+        ("gamma1", lambda: fit_gamma1(rates), ws, "curve_gamma1.csv",
+         ("omega01_rad_s", "gamma1_rad_s")),
+        ("gamma_phi_power", lambda: fit_gamma_phi_power(rates, transmon, rel_err_max), xs,
+         "curve_gamma_phi_power.csv", phi_cols),
+        ("ou", lambda: fit_ou(rates, transmon, rel_err_max), xs, "curve_gamma_phi_ou.csv",
+         phi_cols),
     )
 
     failures = []
-    for name, fit, curve, jacobian, grid, curve_name, cols in reports:
+    for name, fit, grid, curve_name, cols in reports:
         try:
             result = fit()
         except Exception as exc:
@@ -464,9 +463,8 @@ def cmd_fit_rates(config: dict, out_dir: Path, say) -> int:
         write_fit_json(out_dir / f"{name}_fit.json", result)
         say(f"wrote {out_dir / f'{name}_fit.json'}")
         if grid is not None:
-            pvec = np.array(list(result.params.values()))
             _write_csv(out_dir / curve_name, say, (*cols, "lo95_rad_s", "hi95_rad_s"), grid,
-                       *prediction_band(curve, jacobian, pvec, result.covariance, grid, result.dof))
+                       *result.band(grid))
 
     for name, err in failures:
         print(f"{name} fit failed: {err}", file=sys.stderr)

@@ -9,7 +9,9 @@ from __future__ import annotations
 import enum
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -21,7 +23,6 @@ from .components import (
     _qubit_r_and_grad,
     _reflection_embedding,
     csv_table,
-    parse_json,
     qubit_rt_many,
     read_utf8,
     # unused: perfbench/test_perfbench.py::test_tracer_records_nested_layers_and_restores_originals
@@ -36,6 +37,7 @@ from .leastsq import (
     confidence_half_widths,
     covariance,
     levenberg_marquardt,
+    prediction_band,
     t_quantile,
 )
 from .physics import (BathModel, TransmonParams, flux_slope, gamma1_model, gamma_phi_rate,
@@ -44,8 +46,8 @@ from .physics import (BathModel, TransmonParams, flux_slope, gamma1_model, gamma
 __all__ = [
     "FitResult", "RateDataset", "RegimeLabel", "IllPosed", "NoFeature",
     "NoConvergence", "BadInitialization", "classify_regime", "fit_spectrum",
-    "fit_gamma1", "fit_gamma_phi_power", "fit_ou", "write_fit_json",
-    "read_fit_json", "write_rates_csv", "read_rates_csv",
+    "fit_gamma1", "fit_gamma_phi_power", "fit_ou", "write_fit_json", "write_rates_csv",
+    "read_rates_csv",
 ]
 
 RATES_CSV_HEADER = "omega01_rad_s,gamma1_rad_s,gamma_phi_rad_s,flux_phi0,rel_err_gamma_phi"
@@ -87,7 +89,9 @@ class FitResult:
     leading params keys, in their order, so a band through the reported
     params reads it as is; dof is the residual degrees of freedom behind the
     intervals; curves (spectrum fits) maps each fitted cross path to the
-    calibrated model at the fitted point. None of the three is serialized.
+    calibrated model at the fitted point; band (rate fits) maps a grid xs to
+    the fitted curve over it and its 95% band, (y, lo, hi). None of the four
+    is serialized.
     """
 
     params: dict[str, float]
@@ -98,6 +102,7 @@ class FitResult:
     covariance: np.ndarray | None = field(default=None, repr=False, compare=False)
     dof: int | None = field(default=None, compare=False)
     curves: dict[str, np.ndarray] | None = field(default=None, repr=False, compare=False)
+    band: Callable[[np.ndarray], tuple] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         for k, hw in self.ci95.items():
@@ -120,64 +125,34 @@ class FitResult:
                 out[k] = hw / abs(p)
         return out
 
-    def to_json_dict(self) -> dict:
-        """Plain-JSON form; a non-finite float becomes the string "inf", "-inf" or "nan"."""
-        return {
-            "params": _json_floats(self.params),
-            "ci95": _json_floats(self.ci95),
-            "rel_err": _json_floats(self.rel_err),
-            "residual_rms": _json_float(self.residual_rms),
-            "iterations": self.iterations,
-            "converged": self.converged,
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "FitResult":
-        keys = {"params", "ci95", "rel_err", "residual_rms", "iterations", "converged"}
-        unknown = set(doc) - keys
-        if unknown:
-            raise ValueError(f"unknown fit-result keys: {sorted(unknown)}")
-        missing = keys - set(doc)
-        if missing:
-            raise ValueError(f"missing fit-result keys: {sorted(missing)}")
-        result = cls(
-            params={k: float(v) for k, v in doc["params"].items()},
-            ci95={k: float(v) for k, v in doc["ci95"].items()},
-            residual_rms=float(doc["residual_rms"]),
-            iterations=int(doc["iterations"]),
-            converged=bool(doc["converged"]),
-        )
-        # the stored rel_err must be the derived one: an extra key would be dropped silently
-        stored = {k: float(v) for k, v in doc["rel_err"].items()}
-        if set(stored) != set(result.ci95):
-            raise ValueError(f"rel_err keys {sorted(stored)} differ from ci95 keys "
-                             f"{sorted(result.ci95)}")
-        for k, v in result.rel_err.items():
-            if not math.isclose(stored[k], v, rel_tol=1e-12):
-                raise ValueError(f"rel_err[{k!r}] inconsistent with ci95/|params|")
-        return result
-
 
 def _lm_fit_result(res: LMResult, params: dict[str, float], residual_rms: float,
-                   curves: dict[str, np.ndarray] | None = None) -> FitResult:
-    """Result of a converged LM fit: one covariance, ci95 on the leading params."""
+                   curves: dict[str, np.ndarray] | None = None,
+                   rate_model: tuple | None = None) -> FitResult:
+    """Result of a converged LM fit: one covariance, ci95 on the leading params.
+
+    rate_model, a rate fit's (curve, jacobian), gives the result its band at res.x.
+    """
     m, n = res.jacobian.shape
     cov = covariance(res)
     hw = confidence_half_widths(cov, m - n)
     ci95 = {k: float(h) for k, h in zip(params, hw)}
+    band = None if rate_model is None else partial(prediction_band, *rate_model, res.x, cov,
+                                                   dof=m - n)
     return FitResult(params=params, ci95=ci95, residual_rms=residual_rms,
                      iterations=res.iterations, converged=True, covariance=cov, dof=m - n,
-                     curves=curves)
+                     curves=curves, band=band)
 
 
 def write_fit_json(path, result: FitResult) -> None:
+    """Strict JSON, keys sorted; a non-finite float becomes the string "inf", "-inf" or "nan"."""
+    doc = {"params": _json_floats(result.params), "ci95": _json_floats(result.ci95),
+           "rel_err": _json_floats(result.rel_err),
+           "residual_rms": _json_float(result.residual_rms),
+           "iterations": result.iterations, "converged": result.converged}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result.to_json_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
-
-
-def read_fit_json(path) -> FitResult:
-    return FitResult.from_json_dict(parse_json(read_utf8(path)))
 
 
 @dataclass
@@ -225,7 +200,8 @@ def rates_from_csv(text: str) -> RateDataset:
             raise ValueError(f"line {num}: non-numeric field") from None
         if not 0 < vals[0] < math.inf:
             raise ValueError(f"line {num}: omega01 must be finite and > 0")
-        # flux may be NaN (unknown) and rel_err NaN or inf (no weight)
+        # flux may be NaN (unknown) and rel_err any float: excluded_rows sets aside
+        # a row whose rel_err is not a usable weight
         if not (math.isfinite(vals[1]) and math.isfinite(vals[2])):
             raise ValueError(f"line {num}: gamma1 and gamma_phi must be finite")
         for c, v in zip(cols, vals):
@@ -602,7 +578,8 @@ def _fit_rate_curve(model: str, names: list[str], curve, jacobian, xs: np.ndarra
     res = replace(res, x=np.abs(res.x), jacobian=jacobian(np.abs(res.x), xs) * sqrt_w[:, None])
     rms = float(np.sqrt(np.mean(res.residual**2)) /
                 max(np.sqrt(np.mean((y * sqrt_w) ** 2)), 1e-300))
-    return _lm_fit_result(res, dict(zip(names, map(float, res.x))), rms)
+    return _lm_fit_result(res, dict(zip(names, map(float, res.x))), rms,
+                          rate_model=(curve, jacobian))
 
 
 def fit_gamma1(rates: RateDataset) -> FitResult:
@@ -636,14 +613,16 @@ def fit_gamma1(rates: RateDataset) -> FitResult:
 def excluded_rows(rates: RateDataset, transmon: TransmonParams, rel_err_max: float):
     """({reason: row mask}, |domega01/dflux|): why the slope-based fits set rows aside.
 
-    A row goes if its rel_err is at or above rel_err_max, its flux is NaN, or
-    its slope is not > 0 (sweet spot, no transition).
+    A row goes if its rel_err is at or above rel_err_max, its flux is NaN,
+    its slope is not > 0 (sweet spot, no transition), or its rel_err is not
+    > 0 (NaN included), so each kept row carries its own weight.
     """
     slopes = np.abs(flux_slope(transmon, rates.flux))
     flux_known = np.isfinite(rates.flux)
     return {"rel_err_at_or_above_max": rates.rel_err_gamma_phi >= rel_err_max,
             "flux_unknown": ~flux_known,
-            "zero_flux_sensitivity": flux_known & ~(slopes > 0)}, slopes
+            "zero_flux_sensitivity": flux_known & ~(slopes > 0),
+            "rel_err_not_positive": ~(rates.rel_err_gamma_phi > 0)}, slopes
 
 
 def _slope_rows(rates: RateDataset, transmon: TransmonParams, rel_err_max: float,
@@ -661,8 +640,8 @@ def fit_gamma_phi_power(rates: RateDataset, transmon: TransmonParams,
                         rel_err_max: float = REL_ERR_MAX_DEFAULT) -> FitResult:
     """Fit log gamma_phi = log A + eta*log|domega01/dflux| by weighted regression.
 
-    Rows with rel_err_gamma_phi at or above rel_err_max are excluded. Weights
-    are inverse squared relative errors when every kept row has one.
+    Rows that excluded_rows sets aside are dropped; each kept row is
+    weighted by its inverse squared relative error.
     """
     kept, slopes = _slope_rows(rates, transmon, rel_err_max, require_positive_gamma=True)
     if slopes.max() / slopes.min() < 10:
@@ -670,8 +649,7 @@ def fit_gamma_phi_power(rates: RateDataset, transmon: TransmonParams,
 
     x = np.log(slopes)
     y = np.log(kept.gamma_phi)
-    rel = kept.rel_err_gamma_phi
-    sqrt_w = 1.0 / rel if np.all(rel > 0) else np.ones_like(y)
+    sqrt_w = 1.0 / kept.rel_err_gamma_phi
     design = sqrt_w[:, None] * np.column_stack([np.ones_like(x), x])
     (intercept, eta), *_ = np.linalg.lstsq(design, sqrt_w * y, rcond=None)
     amplitude = math.exp(intercept)
@@ -683,15 +661,16 @@ def fit_gamma_phi_power(rates: RateDataset, transmon: TransmonParams,
                    residual=resid, jacobian=design / [amplitude, 1.0], iterations=1,
                    converged=True)
     rms = math.sqrt(cost / float(sqrt_w @ sqrt_w))
-    return _lm_fit_result(res, {"amplitude": amplitude, "eta": float(eta)}, rms)
+    return _lm_fit_result(res, {"amplitude": amplitude, "eta": float(eta)}, rms,
+                          rate_model=(power_curve, power_jacobian))
 
 
 def fit_ou(rates: RateDataset, transmon: TransmonParams,
            rel_err_max: float = REL_ERR_MAX_DEFAULT) -> FitResult:
     """Fit the flux-noise amplitude and rate through the dephasing model.
 
-    gamma_phi rows are weighted by their inverse variance when relative
-    errors are available. Reports sigma and kappa with 95% intervals plus
+    Each gamma_phi row is weighted by its inverse variance, 1/(rel_err
+    gamma_phi)^2, unless a kept row has gamma_phi = 0; then all are equal. Reports sigma and kappa with 95% intervals plus
     kappa_upper95, the one-sided 95% upper bound for kappa, which is the
     meaningful statement when kappa is indistinguishable from zero. The search
     starts at the quasi-static point kappa = 0, sigma = sqrt(2) median(gamma_phi/slope).
@@ -701,11 +680,7 @@ def fit_ou(rates: RateDataset, transmon: TransmonParams,
         raise IllPosed("flux sensitivity is effectively constant across rows")
 
     g = kept.gamma_phi
-    rel = kept.rel_err_gamma_phi
-    if np.all(rel > 0) and np.all(g > 0):
-        sqrt_w = 1.0 / (rel * g)
-    else:
-        sqrt_w = np.ones_like(g)
+    sqrt_w = 1.0 / (kept.rel_err_gamma_phi * g) if np.all(g > 0) else np.ones_like(g)
 
     sigma_0 = math.sqrt(2) * float(np.median(g / slopes))
     x0 = np.array([sigma_0, 0.0])

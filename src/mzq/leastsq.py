@@ -246,12 +246,11 @@ def confidence_half_widths(cov: np.ndarray, dof: int) -> np.ndarray:
 def prediction_band(curve: Callable[[np.ndarray, np.ndarray], np.ndarray],
                     jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray], pvec: np.ndarray,
                     cov: np.ndarray, xs: np.ndarray, dof: int):
-    """Curve over xs with its delta-method 95% band, varying the first cov.shape[0] of pvec.
+    """Curve over xs with its delta-method 95% band, cov being that of every entry of pvec.
 
-    jacobian(p, xs) is d curve(p, xs) / dp, shape (len(xs), len(p)).
+    jacobian(pvec, xs) is d curve(pvec, xs) / dpvec, shape (len(xs), len(pvec)).
     """
-    p = pvec[:cov.shape[0]]
-    y, grad = curve(p, xs), jacobian(p, xs)
+    y, grad = curve(pvec, xs), jacobian(pvec, xs)
     var = np.einsum("ni,ij,nj->n", grad, cov, grad)
     half = t_quantile(dof, 0.975) * np.sqrt(np.maximum(var, 0.0))
     return y, y - half, y + half

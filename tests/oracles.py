@@ -303,15 +303,15 @@ def rates_csv_oracle(rates) -> str:
 def power_law_oracle(slopes: np.ndarray, gamma_phi: np.ndarray, rel_err: np.ndarray):
     """Weighted log-log line fit by its 2x2 normal equations, with a delta-method covariance.
 
-    log gamma_phi = log A + eta log slope, weighted by 1/rel_err^2 when every
-    row has a relative error (unweighted otherwise). The (log A, eta)
+    log gamma_phi = log A + eta log slope, each row weighted by 1/rel_err^2
+    (fit_gamma_phi_power sets aside a row whose rel_err is not > 0). The (log A, eta)
     covariance s^2 (X^T W X)^-1 is carried onto (A, eta) by the Jacobian
     diag(A, 1). Returns (params, ci95, covariance) like fit_gamma_phi_power.
     """
     from mzq.leastsq import t_quantile
 
     x, y = np.log(slopes), np.log(gamma_phi)
-    wgt = 1.0 / rel_err**2 if np.all(rel_err > 0) else np.ones_like(y)
+    wgt = 1.0 / rel_err**2
     sw, swx, swxx = wgt.sum(), wgt @ x, wgt @ (x * x)
     swy, swxy = wgt @ y, wgt @ (x * y)
     det = sw * swxx - swx**2

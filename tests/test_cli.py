@@ -18,15 +18,16 @@ from mzq import cli, components, estimate, leastsq
 from mzq.components import (
     QubitScatterer,
     make_interferometer,
+    parse_json,
     read_trace,
+    read_utf8,
     sweep,
     synthesize,
     write_trace_csv,
     write_trace_json,
 )
 from mzq.estimate import (RateDataset, calibration_curve, fit_gamma1, fit_gamma_phi_power,
-                          fit_ou, ou_curve, ou_jacobian, read_fit_json, read_rates_csv,
-                          write_rates_csv)
+                          fit_ou, ou_curve, ou_jacobian, read_rates_csv, write_rates_csv)
 from mzq.leastsq import levenberg_marquardt, prediction_band
 from mzq.physics import (
     BathModel,
@@ -590,9 +591,9 @@ def test_single_trace_fit_outputs(tmp_path):
     })
     out = tmp_path / "out"
     assert _run("fit-spectrum", "--config", cfg, "--out", str(out), "--quiet") == 0
-    result = read_fit_json(out / "scan_fit.json")
-    assert result.params["omega01"] == pytest.approx(5.2 * GHZ, rel=1e-9)
-    assert result.params["gamma1"] == pytest.approx(1.0 * MHZ, rel=1e-6)
+    params = parse_json(read_utf8(out / "scan_fit.json"))["params"]
+    assert params["omega01"] == pytest.approx(5.2 * GHZ, rel=1e-9)
+    assert params["gamma1"] == pytest.approx(1.0 * MHZ, rel=1e-6)
 
     resid_lines = (out / "scan_residuals.csv").read_text().splitlines()
     assert resid_lines[0] == "freq_hz,path,data_re,data_im,model_re,model_im"
@@ -719,9 +720,10 @@ def test_a_batch_fit_gives_the_bytes_of_fitting_each_trace_alone(tmp_path, capsy
                                              "TraceParseError: ", 1)
             continue
         assert (code, captured.err) == (0, "")
-        fit, flux = read_fit_json(out / f"{path.stem}_fit.json"), read_trace(path).flux_phi0
-        rows.append((fit.params["omega01"], fit.params["gamma1"], fit.params["gamma_phi"],
-                     math.nan if flux is None else flux, fit.rel_err["gamma_phi"]))
+        fit = parse_json(read_utf8(out / f"{path.stem}_fit.json"))
+        flux = read_trace(path).flux_phi0
+        rows.append((*(fit["params"][k] for k in ("omega01", "gamma1", "gamma_phi")),
+                     math.nan if flux is None else flux, float(fit["rel_err"]["gamma_phi"])))
     write_rates_csv(out / "rates.csv", RateDataset(*map(np.array, zip(*rows))))
     out.rename(ref)
 
@@ -832,6 +834,25 @@ def test_an_input_dir_lists_a_trace_suffix_in_any_case(tmp_path):
         "T_fit.json", "T_residuals.csv", "U_fit.json", "U_residuals.csv", "rates.csv"]
     flux = read_rates_csv(out / "rates.csv").flux
     assert flux[0] == 0.17 and math.isnan(flux[1])
+
+
+@pytest.mark.parametrize("names", [("T.JSON", "T.json"), ("T.CSV", "T.csv")])
+def test_a_batch_whose_inputs_share_a_stem_exits_2_naming_both(tmp_path, capsys, names):
+    # each would write T_fit.json and T_residuals.csv, one from each process
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    for seed, name in enumerate(names):
+        trace = synthesize(make_interferometer(qubit=_truth_qubit()),
+                           np.linspace(5.17e9, 5.23e9, 201), noise_sigma=0.005, seed=seed)
+        (write_trace_json if name.lower().endswith(".json") else write_trace_csv)(
+            batch / name, trace)
+    cfg = _write(tmp_path / "fit.json", {"input_dir": str(batch), "init": QUBIT_CFG})
+    out = tmp_path / "out"
+    assert _run("fit-spectrum", "--config", cfg, "--out", str(out), "--quiet") == 2
+    assert capsys.readouterr().err == (
+        f"error: config.input_dir: {names[0]} and {names[1]} share a stem, so their fits "
+        "would write the same files\n")
+    assert not any(out.iterdir())
 
 
 def test_an_input_dir_without_traces_exits_2(tmp_path, capsys):
@@ -988,15 +1009,15 @@ def test_fit_rates_pipeline(tmp_path):
                  "ou_fit.json", "curve_gamma_phi_ou.csv"):
         assert (out / name).exists(), name
 
-    g1 = read_fit_json(out / "gamma1_fit.json")
-    assert abs(g1.params["alpha"] - 1.7e-4) / 1.7e-4 < 0.33
+    g1 = parse_json(read_utf8(out / "gamma1_fit.json"))["params"]
+    assert abs(g1["alpha"] - 1.7e-4) / 1.7e-4 < 0.33
 
-    ou = read_fit_json(out / "ou_fit.json")
-    assert abs(ou.params["sigma"] - 79e-6) / 79e-6 < 0.10
-    assert "kappa_upper95" in ou.params
+    ou = parse_json(read_utf8(out / "ou_fit.json"))["params"]
+    assert abs(ou["sigma"] - 79e-6) / 79e-6 < 0.10
+    assert "kappa_upper95" in ou
 
-    power = read_fit_json(out / "gamma_phi_power_fit.json")
-    assert power.params["eta"] == pytest.approx(1.0, abs=0.2)
+    power = parse_json(read_utf8(out / "gamma_phi_power_fit.json"))["params"]
+    assert power["eta"] == pytest.approx(1.0, abs=0.2)
 
     excluded = (out / "excluded_rows.csv").read_text().splitlines()
     assert excluded[0] == "row,omega01_rad_s,gamma_phi_rad_s,rel_err_gamma_phi,reason"
@@ -1042,6 +1063,8 @@ def test_degenerate_flux_rows_keep_their_exclusion_reasons(tmp_path):
                 slope = math.nan
             if not slope > 0:
                 reasons.append("zero_flux_sensitivity")
+        if not rates.rel_err_gamma_phi[i] > 0:
+            reasons.append("rel_err_not_positive")
         if reasons:
             lines.append(",".join((str(i), *(format(float(x), ".17g") for x in (
                 rates.omega01[i], rates.gamma_phi[i], rates.rel_err_gamma_phi[i])),
@@ -1068,10 +1091,11 @@ def test_ou_band_takes_its_dof_from_the_rows_the_fit_keeps(tmp_path):
     lines = (out / "curve_gamma_phi_ou.csv").read_text().splitlines()[1:]
     xs, y, lo, hi = np.array([[float(v) for v in ln.split(",")] for ln in lines]).T
     ou = fit_ou(read_rates_csv(rates_path), TransmonParams(ej_max=20.0e9, ec=592.4e6))
-    pvec = np.array(list(ou.params.values()))
+    pvec = np.array([ou.params["sigma"], ou.params["kappa"]])
     kept = len(rates) - 3  # less the noisy row, the untagged row and the negative one
     band = prediction_band(ou_curve, ou_jacobian, pvec, ou.covariance, xs, kept - 2)
     assert np.array_equal(np.array([y, lo, hi]), np.array(band))
+    assert np.array_equal(np.array(ou.band(xs)), np.array(band))
     _, _, hi_usable = prediction_band(ou_curve, ou_jacobian, pvec, ou.covariance, xs, kept - 1)
     assert not np.allclose(hi_usable - y, hi - y, rtol=1e-4, atol=0)
 
@@ -1088,6 +1112,30 @@ def test_rate_fits_carry_the_dof_of_their_bands(tmp_path):
     # less the noisy row and the untagged row, and for the power fit the zero row
     assert fit_gamma_phi_power(rates, transmon).dof == len(rates) - 3 - 2
     assert fit_ou(rates, transmon).dof == len(rates) - 2 - 2
+
+
+@pytest.mark.parametrize("value", [math.nan, 0.0, -0.1])
+def test_a_row_without_a_usable_rel_err_is_set_aside_alone(tmp_path, value):
+    rates = read_rates_csv(_rates_table(tmp_path))
+    rel = rates.rel_err_gamma_phi.copy()
+    rel[5] = value
+    tables = {"marked": RateDataset(rates.omega01, rates.gamma1, rates.gamma_phi, rates.flux,
+                                    rel),
+              "dropped": rates.subset(np.arange(len(rates)) != 5)}
+    for name, table in tables.items():
+        write_rates_csv(tmp_path / f"{name}.csv", table)
+        cfg = _write(tmp_path / f"{name}_cfg.json", {
+            "rates_csv": str(tmp_path / f"{name}.csv"), "transmon": TRANSMON_CFG,
+            "band_points": 20})
+        assert _run("fit-rates", "--config", cfg, "--out", str(tmp_path / name), "--quiet") == 0
+    # the other rows keep their own weights: both gamma_phi fits are those without row 5
+    for name in ("gamma_phi_power_fit.json", "ou_fit.json", "curve_gamma_phi_power.csv",
+                 "curve_gamma_phi_ou.csv"):
+        assert ((tmp_path / "marked" / name).read_bytes()
+                == (tmp_path / "dropped" / name).read_bytes()), name
+    reasons = [ln.split(",") for ln in
+               (tmp_path / "marked" / "excluded_rows.csv").read_text().splitlines()[1:]]
+    assert [(r[0], r[4]) for r in reasons][:1] == [("5", "rel_err_not_positive")]
 
 
 @pytest.mark.parametrize("column,value", [(1, "nan"), (1, "inf"), (2, "nan"), (2, "-inf")])

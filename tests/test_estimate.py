@@ -22,7 +22,9 @@ from mzq.components import (
     QubitScatterer,
     SpectrumTrace,
     make_interferometer,
+    parse_json,
     qubit_rt_many,
+    read_utf8,
     sweep,
     synthesize,
 )
@@ -46,7 +48,6 @@ from mzq.estimate import (
     power_curve,
     power_jacobian,
     rates_from_csv,
-    read_fit_json,
     read_rates_csv,
     write_fit_json,
     write_rates_csv,
@@ -168,13 +169,9 @@ def test_undriven_fit_json_is_strict_json(tmp_path):
         raise ValueError(f"non-finite token {token}")
 
     doc = json.loads(path.read_text(), parse_constant=reject)
-    assert doc["ci95"]["gamma1"] == "inf" and doc["rel_err"]["gamma_phi"] == "inf"
-    back = read_fit_json(path)
     for name in ("gamma1", "gamma_phi"):
-        assert back.ci95[name] == math.inf and back.rel_err[name] == math.inf
-    # files written with the bare token Infinity still load
-    path.write_text(path.read_text().replace('"inf"', "Infinity"))
-    assert read_fit_json(path) == back
+        assert doc["ci95"][name] == "inf" and doc["rel_err"][name] == "inf"
+        assert float(doc["ci95"][name]) == math.inf
 
 
 def test_fit_recovers_an_unknown_calibration():
@@ -568,7 +565,7 @@ def test_power_fit_matches_the_normal_equation_oracle(seed, rows, eta, log_amp, 
     flux = np.concatenate([[0.02, 0.45], rng.uniform(0.02, 0.45, rows - 2)])
     slopes = np.abs(flux_slope(TRANSMON, flux))
     gphi = math.exp(log_amp) * slopes**eta * np.exp(spread * rng.standard_normal(rows))
-    rel = rng.uniform(0.01, 0.3, rows) if weighted else np.zeros(rows)
+    rel = rng.uniform(0.01, 0.3, rows) if weighted else np.full(rows, 0.1)
     rates = RateDataset(np.full(rows, 2 * math.pi * 5e9), np.full(rows, 1e5), gphi, flux, rel)
     result = fit_gamma_phi_power(rates, TRANSMON)
     params, ci95, cov = oracles.power_law_oracle(slopes, gphi, rel)
@@ -646,9 +643,15 @@ def test_motionally_narrowed_noise_is_fit_from_the_quasi_static_start():
 def test_flux_noise_fit_handles_missing_weights():
     targets, flux, slopes = _flux_grid(12)
     gphi = np.array([gamma_phi_model(OUNoise(60e-6, 0.0, s)) for s in slopes])
-    rates = RateDataset(targets, np.full(12, 1e5), gphi, flux, np.full(12, np.nan))
-    result = fit_ou(rates, TRANSMON)  # NaN errors: rows kept, fit unweighted
+    rel = np.full(12, 0.1)
+    rel[::3] = [np.nan, 0.0, -0.1, np.nan]
+    rates = RateDataset(targets, np.full(12, 1e5), gphi, flux, rel)
+    result = fit_ou(rates, TRANSMON)  # a row without a usable weight is set aside
+    assert result == fit_ou(rates.subset(rel > 0), TRANSMON)
+    assert result.dof == 8 - 2
     assert result.params["sigma"] == pytest.approx(60e-6, rel=1e-6)
+    with pytest.raises(IllPosed, match="usable rows"):
+        fit_ou(replace(rates, rel_err_gamma_phi=np.full(12, np.nan)), TRANSMON)
 
 
 def test_flux_noise_fit_guards():
@@ -671,11 +674,11 @@ def test_fit_result_json_round_trip(tmp_path):
     result = fit_gamma1(rates)
     path = tmp_path / "fit.json"
     write_fit_json(path, result)
-    back = read_fit_json(path)
-    assert back == result  # covariance excluded from equality
-    doc = json.loads(path.read_text())
-    assert set(doc) == {"params", "ci95", "rel_err", "residual_rms",
-                        "iterations", "converged"}
+    want = {"params": result.params, "ci95": result.ci95, "rel_err": result.rel_err,
+            "residual_rms": result.residual_rms, "iterations": result.iterations,
+            "converged": True}
+    assert parse_json(read_utf8(path)) == want
+    assert path.read_text() == json.dumps(want, indent=2, sort_keys=True) + "\n"
 
 
 def test_fit_result_validation():
@@ -685,25 +688,6 @@ def test_fit_result_validation():
     with pytest.raises(ValueError, match="must be >= 0"):
         FitResult(params={"a": 1.0}, ci95={"a": -0.1}, residual_rms=0.0, iterations=1,
                   converged=True)
-    with pytest.raises(ValueError, match="unknown fit-result keys"):
-        FitResult.from_json_dict({"params": {}, "ci95": {}, "rel_err": {},
-                                  "residual_rms": 0.0, "iterations": 1,
-                                  "converged": True, "extra": 1})
-    with pytest.raises(ValueError, match="missing fit-result keys"):
-        FitResult.from_json_dict({"params": {}})
-
-
-def test_fit_json_rel_err_must_be_the_derived_one():
-    doc = {"params": {"a": 2.0, "b": 1.0}, "ci95": {"a": 0.5}, "rel_err": {"a": 0.25},
-           "residual_rms": 0.0, "iterations": 1, "converged": True}
-    assert FitResult.from_json_dict(doc).rel_err == {"a": 0.25}
-    with pytest.raises(ValueError, match="inconsistent"):
-        FitResult.from_json_dict({**doc, "rel_err": {"a": 0.9}})
-    with pytest.raises(ValueError, match="differ from ci95 keys"):
-        FitResult.from_json_dict({**doc, "rel_err": {}})
-    # a derived rel_err has no "b": a stored one would be dropped without a word
-    with pytest.raises(ValueError, match="differ from ci95 keys"):
-        FitResult.from_json_dict({**doc, "rel_err": {"a": 0.25, "b": 0.1}})
 
 
 def test_zero_estimate_maps_to_infinite_relative_error():

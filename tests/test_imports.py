@@ -108,7 +108,7 @@ def test_one_fork_and_no_worker_modules():
 
 
 def test_one_reader_for_every_input_file():
-    # configs, traces, rate tables and fit files are read through components'
+    # configs, traces and rate tables are read through components'
     # read_utf8, parse_json and csv_table; every text file is written as UTF-8
     calls = []
     for path in sorted((SRC / "mzq").glob("*.py")):
