@@ -420,8 +420,9 @@ def cmd_fit_rates(config: dict, out_dir: Path, say) -> int:
     rates = read_rates_csv(rates_path)
     if len(rates) < 8:
         raise IllPosed(f"rate table has {len(rates)} rows; need at least 8")
-    ws = _construct("config.band_points", np.linspace, rates.omega01.min(),
-                    rates.omega01.max(), band_points)
+    # a band size numpy cannot allocate is refused before anything is written
+    _construct("config.band_points", np.linspace, rates.omega01.min(), rates.omega01.max(),
+               band_points)
 
     # data points and the 33%-rule sidecar are written before any fit runs
     checks, slopes = excluded_rows(rates, transmon, rel_err_max)
@@ -438,23 +439,19 @@ def cmd_fit_rates(config: dict, out_dir: Path, say) -> int:
                rows, rates.omega01[rows], rates.gamma_phi[rows],
                rates.rel_err_gamma_phi[rows], [reasons[i] for i in rows])
 
-    kept_slopes = np.delete(slopes, rows)
-    if kept_slopes.size >= 2 and kept_slopes.max() > kept_slopes.min():
-        xs = np.linspace(kept_slopes.min(), kept_slopes.max(), band_points)
-    else:
-        xs = None
+    kept_slopes = np.delete(slopes, rows)  # the rows both gamma_phi fits keep
     phi_cols = ("slope_rad_s_per_phi0", "gamma_phi_rad_s")
-    reports = (  # name, fit, band grid, curve file, its x and y columns
-        ("gamma1", lambda: fit_gamma1(rates), ws, "curve_gamma1.csv",
+    reports = (  # name, fit, x values of the rows it keeps, curve file, its x and y columns
+        ("gamma1", lambda: fit_gamma1(rates), rates.omega01, "curve_gamma1.csv",
          ("omega01_rad_s", "gamma1_rad_s")),
-        ("gamma_phi_power", lambda: fit_gamma_phi_power(rates, transmon, rel_err_max), xs,
-         "curve_gamma_phi_power.csv", phi_cols),
-        ("ou", lambda: fit_ou(rates, transmon, rel_err_max), xs, "curve_gamma_phi_ou.csv",
-         phi_cols),
+        ("gamma_phi_power", lambda: fit_gamma_phi_power(rates, transmon, rel_err_max),
+         kept_slopes, "curve_gamma_phi_power.csv", phi_cols),
+        ("ou", lambda: fit_ou(rates, transmon, rel_err_max), kept_slopes,
+         "curve_gamma_phi_ou.csv", phi_cols),
     )
 
     failures = []
-    for name, fit, grid, curve_name, cols in reports:
+    for name, fit, xs, curve_name, cols in reports:
         try:
             result = fit()
         except Exception as exc:
@@ -462,9 +459,10 @@ def cmd_fit_rates(config: dict, out_dir: Path, say) -> int:
             continue
         write_fit_json(out_dir / f"{name}_fit.json", result)
         say(f"wrote {out_dir / f'{name}_fit.json'}")
-        if grid is not None:
-            _write_csv(out_dir / curve_name, say, (*cols, "lo95_rad_s", "hi95_rad_s"), grid,
-                       *result.band(grid))
+        # a fit that returns kept at least 4 rows, whose x values span a range
+        grid = np.linspace(xs.min(), xs.max(), band_points)
+        _write_csv(out_dir / curve_name, say, (*cols, "lo95_rad_s", "hi95_rad_s"), grid,
+                   *result.band(grid))
 
     for name, err in failures:
         print(f"{name} fit failed: {err}", file=sys.stderr)

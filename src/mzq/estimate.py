@@ -614,23 +614,23 @@ def excluded_rows(rates: RateDataset, transmon: TransmonParams, rel_err_max: flo
     """({reason: row mask}, |domega01/dflux|): why the slope-based fits set rows aside.
 
     A row goes if its rel_err is at or above rel_err_max, its flux is NaN,
-    its slope is not > 0 (sweet spot, no transition), or its rel_err is not
-    > 0 (NaN included), so each kept row carries its own weight.
+    its slope is not > 0 (sweet spot, no transition), or its rel_err or
+    gamma_phi is not > 0 (NaN included), so each kept row carries its own
+    finite weight and a logarithm.
     """
     slopes = np.abs(flux_slope(transmon, rates.flux))
     flux_known = np.isfinite(rates.flux)
     return {"rel_err_at_or_above_max": rates.rel_err_gamma_phi >= rel_err_max,
             "flux_unknown": ~flux_known,
             "zero_flux_sensitivity": flux_known & ~(slopes > 0),
-            "rel_err_not_positive": ~(rates.rel_err_gamma_phi > 0)}, slopes
+            "rel_err_not_positive": ~(rates.rel_err_gamma_phi > 0),
+            "gamma_phi_not_positive": ~(rates.gamma_phi > 0)}, slopes
 
 
-def _slope_rows(rates: RateDataset, transmon: TransmonParams, rel_err_max: float,
-                require_positive_gamma: bool):
-    """Rows no exclusion reason hits, with gamma_phi finite and > 0 (or >= 0); at least 4."""
+def _slope_rows(rates: RateDataset, transmon: TransmonParams, rel_err_max: float):
+    """The rows no excluded_rows reason hits, and their slopes; at least 4."""
     checks, slopes = excluded_rows(rates, transmon, rel_err_max)
-    keep = ~np.logical_or.reduce(list(checks.values())) & np.isfinite(rates.gamma_phi)
-    keep &= rates.gamma_phi > 0 if require_positive_gamma else rates.gamma_phi >= 0
+    keep = ~np.logical_or.reduce(list(checks.values()))
     if np.count_nonzero(keep) < 4:
         raise IllPosed("fewer than 4 usable rows after filtering")
     return rates.subset(keep), slopes[keep]
@@ -643,7 +643,7 @@ def fit_gamma_phi_power(rates: RateDataset, transmon: TransmonParams,
     Rows that excluded_rows sets aside are dropped; each kept row is
     weighted by its inverse squared relative error.
     """
-    kept, slopes = _slope_rows(rates, transmon, rel_err_max, require_positive_gamma=True)
+    kept, slopes = _slope_rows(rates, transmon, rel_err_max)
     if slopes.max() / slopes.min() < 10:
         raise IllPosed("flux sensitivity spans less than one decade")
 
@@ -669,18 +669,19 @@ def fit_ou(rates: RateDataset, transmon: TransmonParams,
            rel_err_max: float = REL_ERR_MAX_DEFAULT) -> FitResult:
     """Fit the flux-noise amplitude and rate through the dephasing model.
 
-    Each gamma_phi row is weighted by its inverse variance, 1/(rel_err
-    gamma_phi)^2, unless a kept row has gamma_phi = 0; then all are equal. Reports sigma and kappa with 95% intervals plus
-    kappa_upper95, the one-sided 95% upper bound for kappa, which is the
-    meaningful statement when kappa is indistinguishable from zero. The search
-    starts at the quasi-static point kappa = 0, sigma = sqrt(2) median(gamma_phi/slope).
+    Rows that excluded_rows sets aside are dropped; each kept row is
+    weighted by its inverse variance, 1/(rel_err gamma_phi)^2. Reports
+    sigma and kappa with 95% intervals plus kappa_upper95, the one-sided 95%
+    upper bound for kappa, which is the meaningful statement when kappa is
+    indistinguishable from zero. The search starts at the quasi-static point
+    kappa = 0, sigma = sqrt(2) median(gamma_phi/slope).
     """
-    kept, slopes = _slope_rows(rates, transmon, rel_err_max, require_positive_gamma=False)
+    kept, slopes = _slope_rows(rates, transmon, rel_err_max)
     if slopes.max() / slopes.min() < 1.2:
         raise IllPosed("flux sensitivity is effectively constant across rows")
 
     g = kept.gamma_phi
-    sqrt_w = 1.0 / (kept.rel_err_gamma_phi * g) if np.all(g > 0) else np.ones_like(g)
+    sqrt_w = 1.0 / (kept.rel_err_gamma_phi * g)
 
     sigma_0 = math.sqrt(2) * float(np.median(g / slopes))
     x0 = np.array([sigma_0, 0.0])

@@ -7,6 +7,7 @@ import os
 import signal
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -1065,23 +1066,28 @@ def test_degenerate_flux_rows_keep_their_exclusion_reasons(tmp_path):
                 reasons.append("zero_flux_sensitivity")
         if not rates.rel_err_gamma_phi[i] > 0:
             reasons.append("rel_err_not_positive")
+        if not rates.gamma_phi[i] > 0:
+            reasons.append("gamma_phi_not_positive")
         if reasons:
             lines.append(",".join((str(i), *(format(float(x), ".17g") for x in (
                 rates.omega01[i], rates.gamma_phi[i], rates.rel_err_gamma_phi[i])),
                 ";".join(reasons))))
     assert (out / "excluded_rows.csv").read_text() == "\n".join(lines) + "\n"
     assert len(lines) == 1 + 2 + 5
-    # the OU fit keeps only unlisted rows, so equal counts make a partition
-    assert len(lines) - 1 + fit_ou(rates, transmon).dof + 2 == len(rates)
+    # each gamma_phi fit keeps only unlisted rows, so equal counts make a partition
+    for fit in (fit_gamma_phi_power, fit_ou):
+        assert len(lines) - 1 + fit(rates, transmon).dof + 2 == len(rates)
 
 
 def test_ou_band_takes_its_dof_from_the_rows_the_fit_keeps(tmp_path):
     rates_path = _rates_table(tmp_path)
     rates = read_rates_csv(rates_path)
-    # a usable row with a negative gamma_phi, which the OU fit drops
-    rates = RateDataset(*(np.append(col, sign * col[3]) for col, sign in (
-        (rates.omega01, 1), (rates.gamma1, 1), (rates.gamma_phi, -1), (rates.flux, 1),
-        (rates.rel_err_gamma_phi, 1))))
+    # a row with a negative gamma_phi, which both fits set aside, at a flux
+    # slope beyond every kept row's
+    rates = RateDataset(*(np.append(col, value) for col, value in (
+        (rates.omega01, rates.omega01[3]), (rates.gamma1, rates.gamma1[3]),
+        (rates.gamma_phi, -rates.gamma_phi[3]), (rates.flux, 0.47),
+        (rates.rel_err_gamma_phi, 0.1))))
     write_rates_csv(rates_path, rates)
     cfg = _write(tmp_path / "rates_cfg.json", {
         "rates_csv": str(rates_path), "transmon": TRANSMON_CFG, "band_points": 20})
@@ -1099,28 +1105,47 @@ def test_ou_band_takes_its_dof_from_the_rows_the_fit_keeps(tmp_path):
     _, _, hi_usable = prediction_band(ou_curve, ou_jacobian, pvec, ou.covariance, xs, kept - 1)
     assert not np.allclose(hi_usable - y, hi - y, rtol=1e-4, atol=0)
 
+    # each slope band spans the rows its fit keeps (the first 30), not the row set aside
+    points = (out / "points_gamma_phi.csv").read_text().splitlines()[1:]
+    slopes = [float(ln.split(",")[1]) for ln in points[:kept]]
+    assert float(points[-1].split(",")[1]) > max(slopes)
+    for name in ("curve_gamma_phi_ou.csv", "curve_gamma_phi_power.csv"):
+        curve = (out / name).read_text().splitlines()[1:]
+        ends = [float(curve[i].split(",")[0]) for i in (0, -1)]
+        assert ends == [min(slopes), max(slopes)], name
+    listed = {ln.split(",")[0]: ln.split(",")[4] for ln in
+              (out / "excluded_rows.csv").read_text().splitlines()[1:]}
+    assert listed == {"30": "rel_err_at_or_above_max", "31": "flux_unknown",
+                      "32": "gamma_phi_not_positive"}
+    power = fit_gamma_phi_power(rates, TransmonParams(ej_max=20.0e9, ec=592.4e6))
+    assert len(listed) + power.dof + 2 == len(listed) + ou.dof + 2 == len(rates)
+
 
 def test_rate_fits_carry_the_dof_of_their_bands(tmp_path):
     rates = read_rates_csv(_rates_table(tmp_path))
-    # a usable row with gamma_phi = 0, which the power fit drops and the OU fit keeps
+    # a row with gamma_phi = 0, which both gamma_phi fits set aside
     rates = RateDataset(*(np.append(col, value) for col, value in (
         (rates.omega01, rates.omega01[3]), (rates.gamma1, rates.gamma1[3]),
         (rates.gamma_phi, 0.0), (rates.flux, rates.flux[3]),
         (rates.rel_err_gamma_phi, 0.1))))
     transmon = TransmonParams(ej_max=20.0e9, ec=592.4e6)
     assert fit_gamma1(rates).dof == len(rates) - 4
-    # less the noisy row and the untagged row, and for the power fit the zero row
+    # less the noisy row, the untagged row and the zero row
     assert fit_gamma_phi_power(rates, transmon).dof == len(rates) - 3 - 2
-    assert fit_ou(rates, transmon).dof == len(rates) - 2 - 2
+    assert fit_ou(rates, transmon).dof == len(rates) - 3 - 2
 
 
-@pytest.mark.parametrize("value", [math.nan, 0.0, -0.1])
-def test_a_row_without_a_usable_rel_err_is_set_aside_alone(tmp_path, value):
+@pytest.mark.parametrize("column,value,reason", [
+    pytest.param("rel_err_gamma_phi", math.nan, "rel_err_not_positive", id="nan"),
+    pytest.param("rel_err_gamma_phi", 0.0, "rel_err_not_positive", id="0.0"),
+    pytest.param("rel_err_gamma_phi", -0.1, "rel_err_not_positive", id="-0.1"),
+    pytest.param("gamma_phi", 0.0, "gamma_phi_not_positive", id="gamma_phi-0.0"),
+    pytest.param("gamma_phi", -1.0e5, "gamma_phi_not_positive", id="gamma_phi--1e5")])
+def test_a_row_without_a_usable_rel_err_is_set_aside_alone(tmp_path, column, value, reason):
     rates = read_rates_csv(_rates_table(tmp_path))
-    rel = rates.rel_err_gamma_phi.copy()
-    rel[5] = value
-    tables = {"marked": RateDataset(rates.omega01, rates.gamma1, rates.gamma_phi, rates.flux,
-                                    rel),
+    marked = getattr(rates, column).copy()
+    marked[5] = value
+    tables = {"marked": replace(rates, **{column: marked}),
               "dropped": rates.subset(np.arange(len(rates)) != 5)}
     for name, table in tables.items():
         write_rates_csv(tmp_path / f"{name}.csv", table)
@@ -1135,7 +1160,11 @@ def test_a_row_without_a_usable_rel_err_is_set_aside_alone(tmp_path, value):
                 == (tmp_path / "dropped" / name).read_bytes()), name
     reasons = [ln.split(",") for ln in
                (tmp_path / "marked" / "excluded_rows.csv").read_text().splitlines()[1:]]
-    assert [(r[0], r[4]) for r in reasons][:1] == [("5", "rel_err_not_positive")]
+    assert [(r[0], r[4]) for r in reasons][:1] == [("5", reason)]
+    # each gamma_phi fit keeps exactly the rows the file does not list
+    transmon = TransmonParams(ej_max=20.0e9, ec=592.4e6)
+    for fit in (fit_gamma_phi_power, fit_ou):
+        assert len(reasons) + fit(tables["marked"], transmon).dof + 2 == len(rates)
 
 
 @pytest.mark.parametrize("column,value", [(1, "nan"), (1, "inf"), (2, "nan"), (2, "-inf")])
