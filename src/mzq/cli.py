@@ -16,6 +16,9 @@ from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
+# OpenBLAS starts its worker threads as numpy loads, and no mzq layer uses them
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 import numpy as np
 
 from .components import (

@@ -8,9 +8,10 @@ prediction bands, which take the model's Jacobian, live here too. The
 quantile needs no scipy: for integer dof it solves the finite series of the
 t distribution function (Abramowitz & Stegun 26.7.3-26.7.4) by Newton's
 method. The covariance's SVD runs on the stacked R factors of row blocks of
-the Jacobian (TSQR, Demmel et al., SIAM J. Sci. Comput. 34, A206 (2012)):
-one LAPACK call on a whole spectrum Jacobian wakes OpenBLAS's worker
-threads to spin; a block keeps it on one thread.
+the Jacobian (TSQR, Demmel et al., SIAM J. Sci. Comput. 34, A206 (2012)).
+The CLI runs one BLAS thread, but a library caller whose numpy loaded first
+has OpenBLAS's workers, and one LAPACK call on a whole spectrum Jacobian
+wakes them to spin; a block keeps it on one thread, at no cost on one thread.
 """
 from __future__ import annotations
 

@@ -69,19 +69,66 @@ def test_every_imported_name_is_used_or_exported():
     assert unused == IMPORTED_FOR_OTHERS
 
 
+def _is_os(node: ast.AST, attr: str) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == attr
+            and isinstance(node.value, ast.Name) and node.value.id == "os")
+
+
 def test_no_module_reads_the_environment():
-    # sizes such as components.BLOCK_POINTS are constants, not knobs
-    knobs = {"environ", "getenv", "putenv", "environb", "getenvb"}
-    readers = set()
-    for path in (SRC / "mzq").glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if (isinstance(node, ast.Attribute) and node.attr in knobs
-                    and isinstance(node.value, ast.Name) and node.value.id == "os"):
-                readers.add(path.name)
+    # sizes such as components.BLOCK_POINTS are constants, not knobs. The one
+    # write is cli's pin of OpenBLAS to one thread, made before numpy loads
+    knobs = {"environ", "getenv", "putenv", "unsetenv", "environb", "getenvb"}
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted((SRC / "mzq").glob("*.py"))}
+    readers, stores = set(), []
+    for name, tree in trees.items():
+        written = set()
+        for node in tree.body:
+            if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                    and isinstance(node.targets[0], ast.Subscript)
+                    and _is_os(node.targets[0].value, "environ")):
+                written.add(node.targets[0].value)
+                stores.append((name, ast.unparse(node.targets[0].slice),
+                               ast.unparse(node.value), node.lineno))
+        for node in ast.walk(tree):
+            if any(_is_os(node, knob) for knob in knobs) and node not in written:
+                readers.add(name)
             elif (isinstance(node, ast.ImportFrom) and node.module == "os"
                   and any(alias.name in knobs for alias in node.names)):
-                readers.add(path.name)
+                readers.add(name)
     assert readers == set()
+    assert [s[:3] for s in stores] == [("cli.py", "'OPENBLAS_NUM_THREADS'", "'1'")]
+    # numpy loads at cli's own import or at its first sibling module's
+    body = trees["cli.py"].body
+    numpy_line = min(n.lineno for n in body if isinstance(n, ast.Import)
+                     and any(alias.name == "numpy" for alias in n.names))
+    sibling_line = min(n.lineno for n in body if isinstance(n, ast.ImportFrom) and n.level)
+    assert stores[0][3] < min(numpy_line, sibling_line)
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                    reason="no /proc/self/task on this platform to count threads")
+@pytest.mark.parametrize("caller_value", [None, "4"])
+def test_the_cli_runs_one_os_thread(caller_value):
+    """`from mzq.cli import main` leaves one OS thread, whatever the caller's OPENBLAS_NUM_THREADS.
+
+    numpy's OpenBLAS starts a worker thread per extra core as it loads, unless
+    cli pinned it first. On a one-core host there is no worker to start, so
+    there this passes without the pin too.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if caller_value is not None:
+        env["OPENBLAS_NUM_THREADS"] = caller_value
+    probe = "import os; from mzq.cli import main; print(len(os.listdir('/proc/self/task')))"
+    out = subprocess.run([sys.executable, "-c", probe], check=True, capture_output=True,
+                         text=True, env={**env, "PYTHONPATH": str(SRC)}).stdout
+    assert out.strip() == "1"
+
+
+def test_package_import_loads_no_numpy():
+    probe = "import sys; import mzq; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], check=True, capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(SRC)}).stdout
+    assert out.strip() == "False"
 
 
 def test_one_fork_and_no_worker_modules():
