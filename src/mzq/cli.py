@@ -40,7 +40,8 @@ from .components import (
     read_utf8,
     sweep,
     synthesize,
-    write_csv_columns,
+    write_csv,
+    write_json,
     write_trace_csv,
     write_trace_json,
 )
@@ -150,13 +151,13 @@ def _build_transmon(obj: dict, where: str) -> TransmonParams:
 
 
 def _out_name(config: dict, key: str, default: str, endings: tuple[str, ...] = ()) -> str:
-    """config[key] as the name of a file in --out: no directory part, not '' or '..'.
+    """config[key] as the name of a file in --out: no directory part or NUL, not '' or '..'.
 
     The name must also encode in the file system's encoding, which an ASCII
     locale narrows to ASCII.
     """
     name = _str(config, key, "config", default=default)
-    if Path(name).name != name or name in ("", "..") or name.endswith(endings):
+    if Path(name).name != name or name in ("", "..") or "\0" in name or name.endswith(endings):
         tail = f" that ends in neither of {endings}" if endings else ""
         raise ConfigError(f"config.{key}: {name!r} must be a file name in --out{tail}")
     try:
@@ -165,6 +166,13 @@ def _out_name(config: dict, key: str, default: str, endings: tuple[str, ...] = (
         raise ConfigError(f"config.{key}: {name!r} is not a file name in the file system "
                           f"encoding {sys.getfilesystemencoding()}") from None
     return name
+
+
+def _in_path(config: dict, key: str) -> Path:
+    name = _str(config, key, "config")
+    if "\0" in name:  # open would refuse it naming no key, after any work before it
+        raise ConfigError(f"config.{key}: {name!r} must be a path without a NUL")
+    return Path(name)
 
 
 def _one_input(config: dict, keys: tuple[str, ...]) -> str:
@@ -243,16 +251,20 @@ def cmd_trace(config: dict, out_dir: Path, say, seed: int | None = None, *,
     label = _str(config, "label", "config", default="")
     basename = _out_name(config, "basename", "trace")
     flux = _num(config, "flux_phi0", "config", default=None)
-    if synth:
-        noise = _num(config, "noise_sigma", "config", minimum=0)
-        if seed is None:
-            seed = _int(config, "seed", "config", default=0, minimum=0)
-        elif seed < 0:
-            raise ConfigError("--seed: must be >= 0")
-        trace = synthesize(spec, freqs, drive_port=drive, noise_sigma=noise,
-                           seed=seed, label=label)
-    else:
-        trace = sweep(spec, freqs, drive_port=drive, label=label)
+    with np.errstate(all="ignore"):  # a sample that overflows is refused below
+        if synth:
+            noise = _num(config, "noise_sigma", "config", minimum=0)
+            if seed is None:
+                seed = _int(config, "seed", "config", default=0, minimum=0)
+            elif seed < 0:
+                raise ConfigError("--seed: must be >= 0")
+            trace = synthesize(spec, freqs, drive_port=drive, noise_sigma=noise,
+                               seed=seed, label=label)
+        else:
+            trace = sweep(spec, freqs, drive_port=drive, label=label)
+    for p, v in trace.values.items():  # read_trace would refuse it, so neither file is written
+        if not np.isfinite(v).all():
+            raise ValueError(f"path {p!r} has a non-finite sample, so no file is written")
     trace.flux_phi0 = flux
     csv_path = out_dir / f"{basename}.csv"
     json_path = out_dir / f"{basename}.json"
@@ -288,14 +300,6 @@ def _fit_options(config: dict) -> dict | None:
     return opts
 
 
-def _write_residuals(path: Path, trace, model: dict[str, np.ndarray]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        write_csv_columns(fh, ("freq_hz", "path", "data_re", "data_im", "model_re", "model_im"))
-        for name, m in model.items():
-            d = trace.values[name]
-            write_csv_columns(fh, None, trace.freqs, name, d.real, d.imag, m.real, m.imag)
-
-
 def _fit_one_trace(trace_path: Path, template: CircuitSpec,
                    init: QubitScatterer | None, options: dict | None,
                    out_dir: Path, say):
@@ -303,7 +307,9 @@ def _fit_one_trace(trace_path: Path, template: CircuitSpec,
     result = fit_spectrum(trace, template, init=init, options=options)
     fit_path, resid_path = (out_dir / f"{trace_path.stem}{end}" for end in _FIT_OUTPUTS)
     write_fit_json(fit_path, result)
-    _write_residuals(resid_path, trace, result.curves)
+    write_csv(resid_path, ("freq_hz", "path", "data_re", "data_im", "model_re", "model_im"),
+              *((trace.freqs, p, trace.values[p].real, trace.values[p].imag, m.real, m.imag)
+                for p, m in result.curves.items()))
     say(f"wrote {fit_path}")
     say(f"wrote {resid_path}")
     flux = trace.flux_phi0 if trace.flux_phi0 is not None else math.nan
@@ -340,11 +346,11 @@ def cmd_fit_spectrum(config: dict, out_dir: Path, say) -> int:
     options = _fit_options(config)
 
     if source != "input_dir":
-        path = Path(_str(config, source, "config"))
+        path = _in_path(config, source)
         _fit_one_trace(path, template, init, options, out_dir, say)
         return 0
 
-    batch_dir = Path(_str(config, "input_dir", "config"))
+    batch_dir = _in_path(config, "input_dir")
     if not batch_dir.is_dir():
         raise ConfigError(f"config.input_dir: {batch_dir} is not a directory")
     rates_name = _out_name(config, "rates_csv", "rates.csv", _FIT_OUTPUTS)
@@ -407,14 +413,13 @@ _FIT_RATES_KEYS = {"rates_csv", "transmon", "rel_err_max", "band_points"}
 
 
 def _write_csv(path: Path, say, header, *columns) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        write_csv_columns(fh, header, *columns)
+    write_csv(path, header, columns)
     say(f"wrote {path}")
 
 
 def cmd_fit_rates(config: dict, out_dir: Path, say) -> int:
     _check_keys(config, "config", _FIT_RATES_KEYS)
-    rates_path = Path(_str(config, "rates_csv", "config"))
+    rates_path = _in_path(config, "rates_csv")
     transmon = _build_transmon(_obj(config, "transmon", "config"), "config.transmon")
     rel_err_max = _num(config, "rel_err_max", "config", default=REL_ERR_MAX_DEFAULT, minimum=0,
                        strict=True)
@@ -478,14 +483,12 @@ def cmd_fit_rates(config: dict, out_dir: Path, say) -> int:
 
 def cmd_classify(config: dict, out_dir: Path, say) -> int:
     _check_keys(config, "config", {"input_csv", "input_json"})
-    path = Path(_str(config, _one_input(config, ("input_csv", "input_json")), "config"))
+    path = _in_path(config, _one_input(config, ("input_csv", "input_json")))
     trace = read_trace(path)
     label = classify_regime(trace)
     doc = {"label": label.value, "path": trace.cross_path()}
     out_path = out_dir / f"{path.stem}_label.json"
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_path, doc)
     say(label.value)
     say(f"wrote {out_path}")
     return 0

@@ -539,6 +539,21 @@ def write_csv_columns(fh, header, *columns) -> None:
                            for c, f in zip(columns, is_float))))
 
 
+def write_csv(path: str | Path, header, *blocks) -> None:
+    """Write a CSV file: the header row, then each block, a tuple of write_csv_columns' columns."""
+    with open(path, "w", encoding="utf-8") as fh:
+        write_csv_columns(fh, header)
+        for columns in blocks:
+            write_csv_columns(fh, None, *columns)
+
+
+def write_json(path: str | Path, doc) -> None:
+    """Write doc as strict JSON: indent 2, keys sorted, no NaN or infinity, a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
+
+
 def read_utf8(path: str | Path) -> str:
     """A file's text decoded as UTF-8; otherwise refused at the line of its first bad byte."""
     try:
@@ -619,12 +634,8 @@ def trace_from_csv(text: str) -> SpectrumTrace:
 
 def write_trace_csv(path: str | Path, trace: SpectrumTrace) -> None:
     """Write a trace as CSV (freq_hz,re,im,path,label), one path block at a time."""
-    with open(path, "w", encoding="utf-8") as fh:
-        write_csv_columns(fh, CSV_HEADER)
-        for p in PATHS:
-            if p in trace.values:
-                vals = trace.values[p]
-                write_csv_columns(fh, None, trace.freqs, vals.real, vals.imag, p, trace.label)
+    write_csv(path, CSV_HEADER, *((trace.freqs, trace.values[p].real, trace.values[p].imag, p,
+                                   trace.label) for p in PATHS if p in trace.values))
 
 
 # ---------------------------------------------------------------------------

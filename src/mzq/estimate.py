@@ -7,7 +7,6 @@ second stage fits rate-vs-frequency models to a table of extracted rates.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
@@ -28,7 +27,8 @@ from .components import (
     # unused: perfbench/test_perfbench.py::test_tracer_records_nested_layers_and_restores_originals
     # reads mzq.estimate.sweep; ROADMAP item 1 frees it
     sweep,
-    write_csv_columns,
+    write_csv,
+    write_json,
 )
 from .leastsq import (
     BadInitialization,
@@ -150,9 +150,7 @@ def write_fit_json(path, result: FitResult) -> None:
            "rel_err": _json_floats(result.rel_err),
            "residual_rms": _json_float(result.residual_rms),
            "iterations": result.iterations, "converged": result.converged}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 @dataclass
@@ -210,9 +208,8 @@ def rates_from_csv(text: str) -> RateDataset:
 
 
 def write_rates_csv(path, rates: RateDataset) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        write_csv_columns(fh, RATES_CSV_HEADER.split(","), rates.omega01, rates.gamma1,
-                          rates.gamma_phi, rates.flux, rates.rel_err_gamma_phi)
+    write_csv(path, RATES_CSV_HEADER.split(","), (rates.omega01, rates.gamma1, rates.gamma_phi,
+                                                   rates.flux, rates.rel_err_gamma_phi))
 
 
 def read_rates_csv(path) -> RateDataset:

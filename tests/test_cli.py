@@ -104,6 +104,17 @@ def test_a_file_name_an_ascii_locale_cannot_write_exits_2_naming_its_key(tmp_pat
     assert not any(out.iterdir())
 
 
+def test_synth_refuses_samples_no_reader_accepts(tmp_path, capsys):
+    # noise of 1e308 overflows some samples to inf, which read_trace refuses
+    cfg = _write(tmp_path / "synth.json", {"circuit": {}, "grid": {**GRID_CFG, "points": 50},
+                                           "noise_sigma": 1e308})
+    out = tmp_path / "out"
+    assert _run("synth", "--config", cfg, "--out", str(out)) == 2
+    assert capsys.readouterr() == (
+        "", "error: path 's12' has a non-finite sample, so no file is written\n")
+    assert not any(out.iterdir())
+
+
 def test_simulate_writes_matching_csv_and_json(tmp_path):
     cfg = _write(tmp_path / "sim.json", {
         "circuit": {"qubit": QUBIT_CFG},
@@ -499,8 +510,16 @@ def _trace_config(command, **edits):
     return make
 
 
+def _batch_config(tmp_path, **keys):
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    write_trace_json(batch / "t.json", synthesize(make_interferometer(qubit=_truth_qubit()),
+                                                  np.linspace(5.17e9, 5.23e9, 201)))
+    return {"input_dir": str(batch), "init": QUBIT_CFG, **keys}
+
+
 # values a type check alone lets through: float() overflows on them, numpy refuses
-# their size, or a required object is null
+# their size, a required object is null, or a file name holds a NUL
 @pytest.mark.parametrize("command, make_config, key", [
     ("simulate", lambda tmp: {"circuit": {"cal_scale_re": _HUGE}, "grid": GRID_CFG},
      "config.circuit.cal_scale_re"),
@@ -532,11 +551,21 @@ def _trace_config(command, **edits):
      "config.basename"),
     ("synth", lambda tmp: {"circuit": {}, "grid": GRID_CFG, "noise_sigma": 0.01,
                            "basename": str(tmp / "abs")}, "config.basename"),
+    # a NUL, which the OS refuses naming no key, and only once the file is opened
+    ("simulate", lambda tmp: {"circuit": {}, "grid": GRID_CFG, "basename": "a\0b"},
+     "config.basename"),
+    ("fit-spectrum", lambda tmp: _batch_config(tmp, rates_csv="r\0.csv"), "config.rates_csv"),
+    ("fit-spectrum", lambda tmp: {"input_json": "t\0.json"}, "config.input_json"),
+    ("classify", lambda tmp: {"input_csv": "t\0.csv"}, "config.input_csv"),
+    ("fit-rates", lambda tmp: {"rates_csv": "r\0.csv", "transmon": TRANSMON_CFG},
+     "config.rates_csv"),
 ], ids=["cal-scale-huge", "lines-delay-huge", "flux-huge", "noise-huge",
         "classify-trace-flux-huge", "fit-spectrum-trace-flux-huge",
         "classify-trace-noise-huge", "fit-spectrum-trace-noise-huge",
         "grid-points-1e17", "grid-points-1e30", "band-points-1e17", "band-points-1e30",
-        "grid-null", "transmon-null", "basename-parent-dir", "basename-absolute"])
+        "grid-null", "transmon-null", "basename-parent-dir", "basename-absolute",
+        "basename-nul", "rates-csv-out-nul", "input-json-nul", "input-csv-nul",
+        "rates-csv-in-nul"])
 def test_value_out_of_range_exits_2_naming_its_key(tmp_path, capsys, command, make_config, key):
     cfg = _write(tmp_path / "cfg.json", make_config(tmp_path))
     out = tmp_path / "out"

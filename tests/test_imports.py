@@ -156,7 +156,8 @@ def test_one_fork_and_no_worker_modules():
 
 def test_one_reader_for_every_input_file():
     # configs, traces and rate tables are read through components'
-    # read_utf8, parse_json and csv_table; every text file is written as UTF-8
+    # read_utf8, parse_json and csv_table; every output file is opened, as
+    # UTF-8, by components' write_csv, write_json and write_trace_json
     calls = []
     for path in sorted((SRC / "mzq").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -166,6 +167,7 @@ def test_one_reader_for_every_input_file():
                 calls.append((path.name, name, node))
     for name in ("read_text", "loads", "reader"):
         assert [p for p, n, _ in calls if n == name] == ["components.py"], name
+    assert [p for p, n, _ in calls if n == "dump"] == ["components.py"]
     for name in ("read_bytes", "load", "readline", "readlines", "splitlines"):
         assert [p for p, n, _ in calls if n == name] == [], name
     modes = []
@@ -174,6 +176,9 @@ def test_one_reader_for_every_input_file():
         encoding = {k.arg: k.value.value for k in node.keywords}.get("encoding")
         modes.append((p, mode, encoding))
     # the binary pair is the result pipe of cli._in_two_processes's child
-    assert sorted(set(modes)) == [("cli.py", "rb", None), ("cli.py", "w", "utf-8"),
-                                  ("cli.py", "wb", None), ("components.py", "w", "utf-8"),
-                                  ("estimate.py", "w", "utf-8")]
+    assert sorted(set(modes)) == [("cli.py", "rb", None), ("cli.py", "wb", None),
+                                  ("components.py", "w", "utf-8")]
+    tree = ast.parse((SRC / "mzq" / "components.py").read_text())
+    openers = [f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+               and any(getattr(getattr(c, "func", None), "id", "") == "open" for c in ast.walk(f))]
+    assert sorted(openers) == ["write_csv", "write_json", "write_trace_json"]
