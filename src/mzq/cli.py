@@ -150,21 +150,27 @@ def _build_transmon(obj: dict, where: str) -> TransmonParams:
                       ec=_num(obj, "ec_mhz", where, minimum=0, strict=True) * 1e6)
 
 
-def _out_name(config: dict, key: str, default: str, endings: tuple[str, ...] = ()) -> str:
-    """config[key] as the name of a file in --out: no directory part or NUL, not '' or '..'.
+def _out_name(config: dict, key: str, default: str, out_dir: Path, suffix: str = "",
+              endings: tuple[str, ...] = ()) -> str:
+    """config[key] as the name of a file in out_dir: no directory part or NUL, not '' or '..'.
 
     The name must also encode in the file system's encoding, which an ASCII
-    locale narrows to ASCII.
+    locale narrows to ASCII, and with suffix, the longest ending the command
+    appends, fit in out_dir's PC_NAME_MAX bytes.
     """
     name = _str(config, key, "config", default=default)
     if Path(name).name != name or name in ("", "..") or "\0" in name or name.endswith(endings):
         tail = f" that ends in neither of {endings}" if endings else ""
         raise ConfigError(f"config.{key}: {name!r} must be a file name in --out{tail}")
     try:
-        os.fsencode(name)
+        size = len(os.fsencode(name + suffix))
     except UnicodeEncodeError:
         raise ConfigError(f"config.{key}: {name!r} is not a file name in the file system "
                           f"encoding {sys.getfilesystemencoding()}") from None
+    limit = os.pathconf(out_dir, "PC_NAME_MAX")  # -1: no limit
+    if 0 <= limit < size:
+        raise ConfigError(f"config.{key}: {name + suffix!r} is {size} bytes, over the "
+                          f"{limit}-byte file name limit of {out_dir}")
     return name
 
 
@@ -249,7 +255,7 @@ def cmd_trace(config: dict, out_dir: Path, say, seed: int | None = None, *,
     freqs = _build_grid(_obj(config, "grid", "config"), "config.grid")
     drive = _int(config, "drive_port", "config", default=2, choices=DRIVE_PORTS)
     label = _str(config, "label", "config", default="")
-    basename = _out_name(config, "basename", "trace")
+    basename = _out_name(config, "basename", "trace", out_dir, ".json")
     flux = _num(config, "flux_phi0", "config", default=None)
     with np.errstate(all="ignore"):  # a sample that overflows is refused below
         if synth:
@@ -353,7 +359,7 @@ def cmd_fit_spectrum(config: dict, out_dir: Path, say) -> int:
     batch_dir = _in_path(config, "input_dir")
     if not batch_dir.is_dir():
         raise ConfigError(f"config.input_dir: {batch_dir} is not a directory")
-    rates_name = _out_name(config, "rates_csv", "rates.csv", _FIT_OUTPUTS)
+    rates_name = _out_name(config, "rates_csv", "rates.csv", out_dir, endings=_FIT_OUTPUTS)
     taken = batch_dir / rates_name
     if taken.is_file():  # the listing skips it, so it may only be an earlier rate table
         try:

@@ -183,7 +183,7 @@ class SpectrumTrace:
             raise ValueError("freqs must be a non-empty 1-D array")
         if not np.isfinite(f).all():
             raise ValueError("freqs must be finite")
-        if f.size > 1 and not np.all(np.diff(f) > 0):
+        if not np.all(f[1:] > f[:-1]):  # np.diff would overflow across a span over 1.8e308
             raise ValueError("freqs must be strictly increasing")
         self.freqs = f
         vals = {}
@@ -502,8 +502,8 @@ def make_interferometer(center_hz: float = 5.746e9, qubit: QubitScatterer | None
 CSV_HEADER = ("freq_hz", "re", "im", "path", "label")
 
 
-def write_csv_columns(fh, header, *columns) -> None:
-    """Write a header row (unless None), then equal-length columns as CSV rows.
+def write_csv_columns(fh, *columns) -> None:
+    """Write equal-length columns as CSV rows.
 
     A float array is written with 17 significant digits, enough to round-trip
     float64 exactly, spelled as format(float(x), ".17g") spells it (nan, inf,
@@ -521,9 +521,6 @@ def write_csv_columns(fh, header, *columns) -> None:
     if len(lengths) > 1:
         raise ValueError(f"columns differ in length: {sorted(lengths)}")
     rows = lengths.pop() if lengths else 0
-    writer = csv.writer(fh, lineterminator="\n")
-    if header is not None:
-        writer.writerow(header)
     is_float = [isinstance(c, np.ndarray) and c.dtype.kind == "f" for c in columns]
     if any(is_float) and all(f or isinstance(c, str) for c, f in zip(columns, is_float)):
         template = io.StringIO()
@@ -534,17 +531,17 @@ def write_csv_columns(fh, header, *columns) -> None:
             block = np.column_stack([c[start:start + BLOCK_POINTS] for c in floats])
             fh.write((template.getvalue() * len(block)) % tuple(block.ravel().tolist()))
         return
-    writer.writerows(zip(*([c] * rows if isinstance(c, str)
-                           else map("{:.17g}".format, c.tolist()) if f else c
-                           for c, f in zip(columns, is_float))))
+    csv.writer(fh, lineterminator="\n").writerows(
+        zip(*([c] * rows if isinstance(c, str) else map("{:.17g}".format, c.tolist()) if f else c
+              for c, f in zip(columns, is_float))))
 
 
 def write_csv(path: str | Path, header, *blocks) -> None:
     """Write a CSV file: the header row, then each block, a tuple of write_csv_columns' columns."""
     with open(path, "w", encoding="utf-8") as fh:
-        write_csv_columns(fh, header)
+        csv.writer(fh, lineterminator="\n").writerow(header)
         for columns in blocks:
-            write_csv_columns(fh, None, *columns)
+            write_csv_columns(fh, *columns)
 
 
 def write_json(path: str | Path, doc) -> None:

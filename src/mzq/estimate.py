@@ -220,6 +220,23 @@ def read_rates_csv(path) -> RateDataset:
 # background detrending and regime classification
 # ---------------------------------------------------------------------------
 
+# np.median and np.percentile load numpy.ma, which no mzq process needs. These give
+# numpy's bits: a mean summed from +0.0, a quantile partitioned where numpy does
+def _median(a: np.ndarray):
+    """np.median(a) of a 1-d array: NaN if any entry is, else the mean of its middle pair."""
+    s = np.sort(a)
+    return s[-1] if np.isnan(s[-1]) else (0.0 + s[(s.size - 1) // 2] + s[s.size // 2]) / 2
+
+
+def _quantile(a: np.ndarray, q: float):
+    """np.quantile(a, q) by numpy's default linear method, of a 1-d array without NaN."""
+    v = a.size * q + (1 - q) - 1  # the virtual index; at or past the end numpy takes s[-1]
+    i, j = (math.floor(v), math.floor(v) + 1) if v < a.size - 1 else (-1, -1)
+    s = np.partition(a, sorted({0, -1, i, j}))
+    t, lo, hi = v - i, s[i], s[j]
+    return hi - (hi - lo) * (1 - t) if t >= 0.5 else lo + (hi - lo) * t
+
+
 def _detrend(freqs: np.ndarray, mag: np.ndarray):
     """Fit a cubic baseline, up to 6 times with 3.5-sigma clipping, to skip the feature.
 
@@ -229,13 +246,13 @@ def _detrend(freqs: np.ndarray, mag: np.ndarray):
     """
     x = np.linspace(-1.0, 1.0, freqs.size)
     mask = np.ones(freqs.size, dtype=bool)
-    resid = mag - np.median(mag)
+    resid = mag - _median(mag)
     sigma = 0.0
     for _ in range(6):
         coef = np.polyfit(x[mask], mag[mask], 3)
         resid = mag - np.polyval(coef, x)
-        med = np.median(resid[mask])
-        sigma = 1.4826 * np.median(np.abs(resid[mask] - med))
+        med = _median(resid[mask])
+        sigma = 1.4826 * _median(np.abs(resid[mask] - med))
         if sigma == 0:
             break
         new_mask = np.abs(resid - med) < 3.5 * sigma
@@ -475,7 +492,7 @@ def fit_spectrum(trace: SpectrumTrace, spec_template: CircuitSpec,
         delay_0 = -slope / (2 * math.pi)
         unwound = ratio * np.exp(2j * np.pi * rel * delay_0)
         pick = unwound[outer]
-        scale_0 = complex(np.median(pick.real), np.median(pick.imag))
+        scale_0 = complex(_median(pick.real), _median(pick.imag))
     else:
         delay_0, scale_0 = 0.0, 1.0 + 0.0j
     if abs(scale_0) < 1e-9:
@@ -504,9 +521,9 @@ def fit_spectrum(trace: SpectrumTrace, spec_template: CircuitSpec,
             f"spectrum fit stopped after {res.iterations} iterations, cost {res.cost:.3g}")
 
     qubit = _fold_qubit(res.x, rabi)
-    if qubit.r0 in (_R0_MIN, 1 - _R0_MIN):
-        # a reflection amplitude pinned at the fold bound is an escaped fit,
-        # not an estimate; its jacobian column is dead so the intervals lie
+    if qubit.r0 == _R0_MIN:
+        # r0 on its lower fold bound is an escaped fit; on the upper one, full
+        # reflection, it is an estimate whose dead column gives an infinite interval
         raise NoConvergence("reflection amplitude pinned at its bound")
     params = {
         "omega01": qubit.omega01,
@@ -594,7 +611,7 @@ def fit_gamma1(rates: RateDataset) -> FitResult:
     if w.max() - w.min() < 2 * math.pi * 100e6:
         raise IllPosed("omega01 values cluster within 100 MHz")
 
-    alpha_0 = float(np.percentile(g / w, 25))
+    alpha_0 = float(_quantile(g / w, 0.25))
     bump = g - alpha_0 * w
     i0 = int(np.argmax(bump))
     height_0 = max(float(bump[i0]), 0.0)
@@ -680,7 +697,7 @@ def fit_ou(rates: RateDataset, transmon: TransmonParams,
     g = kept.gamma_phi
     sqrt_w = 1.0 / (kept.rel_err_gamma_phi * g)
 
-    sigma_0 = math.sqrt(2) * float(np.median(g / slopes))
+    sigma_0 = math.sqrt(2) * float(_median(g / slopes))
     x0 = np.array([sigma_0, 0.0])
     x_scale = np.array([max(sigma_0, 1e-6), 2 * math.pi * 1e6])
     result = _fit_rate_curve("flux-noise", ["sigma", "kappa"], ou_curve, ou_jacobian, slopes, g,

@@ -243,15 +243,14 @@ def richardson_jacobian(fn, x, steps) -> np.ndarray:
 
 
 def csv_columns_oracle(header, *columns) -> str:
-    """write_csv_columns text written row by row: one writerow per sample.
+    """write_csv text written row by row: the header row, then one writerow per sample.
 
     A float array's entries go through _fmt, a str repeats on every row and
     any other column's entries are written as given.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    if header is not None:
-        writer.writerow(header)
+    writer.writerow(header)
     rows = max((len(c) for c in columns if not isinstance(c, str)), default=0)
     for i in range(rows):
         writer.writerow([c if isinstance(c, str)

@@ -104,6 +104,28 @@ def test_a_file_name_an_ascii_locale_cannot_write_exits_2_naming_its_key(tmp_pat
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command, key", [("simulate", "basename"),
+                                          ("fit-spectrum", "rates_csv")])
+def test_a_file_name_too_long_for_out_exits_2_naming_its_key(tmp_path, capsys, command, key):
+    out = tmp_path / "out"
+    out.mkdir()
+    limit = os.pathconf(out, "PC_NAME_MAX")
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    write_trace_json(batch / "t.json", synthesize(make_interferometer(qubit=_truth_qubit()),
+                                                  np.linspace(5.17e9, 5.23e9, 201)))
+    # simulate's <basename>.csv fits the limit and its .json does not: 251 bytes at 255
+    doc = ({"circuit": {"qubit": QUBIT_CFG}, "grid": GRID_CFG, "basename": "x" * (limit - 4)}
+           if command == "simulate" else
+           {"input_dir": str(batch), "init": QUBIT_CFG, "rates_csv": "x" * (limit + 1)})
+    cfg = _write(tmp_path / "cfg.json", doc)
+    assert _run(command, "--config", cfg, "--out", str(out), "--quiet") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config.{key}: ")
+    assert err.endswith(f" is {limit + 1} bytes, over the {limit}-byte file name limit of {out}\n")
+    assert not any(out.iterdir())
+
+
 def test_synth_refuses_samples_no_reader_accepts(tmp_path, capsys):
     # noise of 1e308 overflows some samples to inf, which read_trace refuses
     cfg = _write(tmp_path / "synth.json", {"circuit": {}, "grid": {**GRID_CFG, "points": 50},
@@ -1408,6 +1430,26 @@ def _printing_case(command, tmp_path):
                                             np.linspace(5.17e9, 5.23e9, 201)))
     return ({"input_json": str(trace_path), "init": QUBIT_CFG}, [],
             ["scan_fit.json", "scan_residuals.csv"])
+
+
+def test_no_fit_or_classify_loads_numpy_ma(tmp_path):
+    # np.median and np.percentile would load numpy.ma, an import every fit
+    # process would pay. pytest's own process may hold it, so the commands run
+    # in a fresh one; fit-spectrum fits one trace, so no forked child hides a load
+    runs = []
+    for command in ("fit-rates", "fit-spectrum", "classify"):
+        work = tmp_path / command
+        work.mkdir()
+        doc, _, _ = _printing_case(command, work)
+        runs.append([command, "--config", _write(work / "cfg.json", doc),
+                     "--out", str(work / "out"), "--quiet"])
+    probe = ("import json, sys; from mzq.cli import main; "
+             f"codes = [main(argv) for argv in {runs!r}]; "
+             "print(json.dumps([codes, 'numpy.ma' in sys.modules]))")
+    out = subprocess.run([sys.executable, "-c", probe], check=True, capture_output=True,
+                         text=True, env={**os.environ,
+                                         "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+    assert json.loads(out.stdout) == [[0, 0, 0], False]
 
 
 @pytest.mark.parametrize("command", ["simulate", "synth", "fit-spectrum", "fit-rates",

@@ -34,6 +34,7 @@ from mzq.components import (
     total_matrix_stack,
     trace_from_csv,
     trace_from_json,
+    write_csv,
     write_csv_columns,
     write_trace_csv,
     write_trace_json,
@@ -455,6 +456,15 @@ def test_sweep_refuses_what_its_trace_or_splitter_refuses(grid, drive_port, mess
         synthesize(spec, grid, drive_port=drive_port, noise_sigma=0.01)
 
 
+def test_a_grid_wider_than_the_float_range_is_ordered_without_overflow():
+    # np.diff of this grid overflows to inf, with a RuntimeWarning
+    edge = 1.7976931348623157e308
+    trace = SpectrumTrace(freqs=[-edge, edge], values={"s12": np.ones(2, complex)})
+    assert list(trace.freqs) == [-edge, edge]
+    with pytest.raises(ValueError, match="strictly increasing"):
+        SpectrumTrace(freqs=[edge, -edge], values={"s12": np.ones(2, complex)})
+
+
 def _peak_above_base(fn, *args):
     """(result, peak bytes traced during fn(*args) beyond those it keeps, bytes it keeps)."""
     tracemalloc.start()
@@ -674,8 +684,8 @@ _CSV_TEXT = st.text(st.sampled_from(list('a%",\n\' ')), max_size=6)
 
 @st.composite
 def _csv_blocks(draw):
-    """(header, columns) for write_csv_columns: float arrays and strs take the
-    row template, int arrays and lists of str send the block through csv.writer."""
+    """(header, columns) for write_csv: float arrays and strs take the row
+    template, int arrays and lists of str send the block through csv.writer."""
     n = draw(st.integers(0, 8))
     column = st.one_of(
         st.lists(st.floats() | _ODD_FLOATS, min_size=n, max_size=n).map(np.array),
@@ -684,8 +694,7 @@ def _csv_blocks(draw):
         .map(lambda v: np.array(v, dtype=np.int64)),
         st.lists(_CSV_TEXT, min_size=n, max_size=n))
     columns = draw(st.lists(column, max_size=6))
-    header = draw(st.none() | st.lists(_CSV_TEXT, min_size=len(columns),
-                                       max_size=len(columns)))
+    header = draw(st.lists(_CSV_TEXT, min_size=len(columns), max_size=len(columns)))
     return header, columns
 
 
@@ -697,9 +706,10 @@ def test_csv_columns_match_the_row_by_row_oracle(block):
 
 def _check_csv_columns(block):
     header, columns = block
-    buf = io.StringIO()
-    write_csv_columns(buf, header, *columns)
-    assert buf.getvalue() == csv_columns_oracle(header, *columns)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "block.csv"
+        write_csv(path, header, columns)
+        assert path.read_bytes().decode() == csv_columns_oracle(header, *columns)
 
 
 @pytest.mark.parametrize("columns", [(np.ones(3), np.ones(2)),
@@ -708,7 +718,7 @@ def _check_csv_columns(block):
 def test_unequal_columns_raise_before_anything_is_written(columns):
     buf = io.StringIO()
     with pytest.raises(ValueError, match="columns differ in length"):
-        write_csv_columns(buf, ("a", "b", "c")[:len(columns)], *columns)
+        write_csv_columns(buf, *columns)
     assert buf.getvalue() == ""
 
 

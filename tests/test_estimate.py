@@ -53,7 +53,7 @@ from mzq.estimate import (
     write_rates_csv,
 )
 from mzq.components import _reflection_embedding
-from mzq.estimate import _embedded_spectrum, _fold_qubit, _mobius_coefficients
+from mzq.estimate import _embedded_spectrum, _fold_qubit, _median, _mobius_coefficients, _quantile
 from mzq.leastsq import NoConvergence
 from mzq.netcore import SingularSystem
 from mzq.physics import (
@@ -87,6 +87,50 @@ def _qubit_trace(noise=0.0, seed=0, points=601, qubit=TRUTH):
     f0 = qubit.omega01 / (2 * math.pi)
     grid = np.linspace(f0 - 30e6, f0 + 30e6, points)
     return synthesize(spec, grid, noise_sigma=noise, seed=seed)
+
+
+# ---------------------------------------------------------------------------
+# the median and the quartile without numpy.ma
+# ---------------------------------------------------------------------------
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+_ORDER_CASES = {
+    "n=1": [2.5], "n=2": [3.0, -1.0], "odd": [5.0, 1.0, 4.0, 2.0, 3.0],
+    "even": [0.1, 0.7, 0.3, 0.2], "ties": [2.0, 1.0, 2.0, 2.0, 1.0, 3.0],
+    "negative": [-4.0, -1e-3, -7.5, -2.0], "zero": [-0.0], "zeros": [0.0, -0.0, -0.0, 0.0],
+    "signed-zero ties": [-0.0, 1.0, 0.0, -0.0, -1.0, 0.0, 0.0],
+    "trace magnitudes": list(np.abs(_qubit_trace(noise=0.01, seed=3).values["s12"])),
+    "gamma1/omega01": list(2e-4 * np.random.default_rng(5).random(37)),
+    "gamma_phi/slope": list(3e-4 * np.random.default_rng(6).random(96)),
+    "rad/s": list(2 * math.pi * 1e9 * np.random.default_rng(7).random(16)),
+}
+
+
+@pytest.mark.parametrize("values", _ORDER_CASES.values(), ids=_ORDER_CASES.keys())
+def test_median_and_quartile_give_numpys_bits(values):
+    a = np.array(values)
+    assert _bits(_median(a)) == _bits(np.median(a))
+    assert _bits(_quantile(a, 0.25)) == _bits(np.percentile(a, 25))
+
+
+def test_median_and_quartile_give_numpys_bits_on_random_arrays():
+    rng = np.random.default_rng(2024)
+    for k in range(3000):
+        a = rng.normal(size=int(rng.integers(1, 700))) * 10.0 ** rng.uniform(-10, 10)
+        if k % 3 == 0:  # ties
+            a = np.round(a / np.abs(a).max(), 1)
+        elif k % 3 == 1:  # ties of -0.0 and 0.0 between -1 and 1
+            a = np.round(0.3 * rng.normal(size=a.size)) * np.sign(rng.normal(size=a.size))
+        assert _bits(_median(a)) == _bits(np.median(a)), k
+        assert _bits(_quantile(a, 0.25)) == _bits(np.percentile(a, 25)), k
+
+
+def test_median_of_an_array_with_nan_is_nan():
+    for a in ([math.nan], [1.0, math.nan, 2.0], [math.nan, -math.inf, 0.0, math.inf]):
+        assert math.isnan(_median(np.array(a)))
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +271,30 @@ def test_fit_input_validation():
                              values={p: trace.values[p] for p in ("s32", "s14")})
     with pytest.raises(ValueError, match=r"^trace has no cross path \(s12 or s34\)$"):
         fit_spectrum(no_cross, make_interferometer())
+
+
+def test_a_fit_at_full_reflection_returns_an_infinite_r0_interval():
+    # a transmon that decays only into the line reflects fully on resonance,
+    # and about half of all noise draws put the best fit on r0's upper bound
+    full = replace(TRUTH, r0=1.0)
+    at_bound = 0
+    for seed in range(10):
+        result = fit_spectrum(_qubit_trace(noise=0.01, seed=seed, qubit=full),
+                              make_interferometer(), init=full)
+        assert (result.params["r0"] == 1 - estimate._R0_MIN) == (result.ci95["r0"] == math.inf)
+        at_bound += result.ci95["r0"] == math.inf
+        for name in ("omega01", "gamma1", "gamma_phi"):
+            assert math.isfinite(result.params[name]) and math.isfinite(result.ci95[name])
+            true = getattr(full, name)
+            assert abs(result.params[name] - true) / true < REL_ERR_MAX_DEFAULT
+    assert at_bound >= 1
+
+
+def test_a_fit_that_escapes_to_no_reflection_is_refused():
+    # no scatterer in the trace: r0 runs to its lower fold bound, whose column is dead
+    grid = np.linspace(5.17e9, 5.23e9, 601)
+    with pytest.raises(NoConvergence, match="reflection amplitude pinned at its bound"):
+        fit_spectrum(synthesize(make_interferometer(), grid), make_interferometer(), init=TRUTH)
 
 
 def test_iteration_starved_fit_raises():

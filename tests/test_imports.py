@@ -43,6 +43,25 @@ def test_runtime_dependencies_are_numpy_only():
     assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["test"])
 
 
+def test_no_call_reaches_numpy_ma():
+    # np.median, np.percentile, np.quantile, the np.nan* reductions and
+    # np.unique import numpy.ma, which no mzq process needs: estimate's
+    # _median and _quantile give the two values mzq takes
+    reaching = r"ma|median|percentile|quantile|nan\w+|unique"
+    reached = set()
+    for path in sorted((SRC / "mzq").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in ("np", "numpy") and re.fullmatch(reaching, node.attr)):
+                reached.add((path.name, node.attr))
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                         else [f"{node.module}.{alias.name}" for alias in node.names])
+                reached |= {(path.name, n) for n in names
+                            if re.fullmatch(rf"numpy\.({reaching})(\..*)?", n)}
+    assert reached == set()
+
+
 # (module, name) pairs imported for a reader outside the module. perfbench's
 # tracer test reads mzq.estimate.sweep (ROADMAP items 1-2 free it).
 IMPORTED_FOR_OTHERS = {("estimate.py", "sweep")}
