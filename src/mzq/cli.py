@@ -3,7 +3,8 @@
 Each command takes a single JSON config plus an output directory. Configs
 are validated strictly (unknown keys are errors) and use bench units:
 GHz for frequencies, MHz for rates, ns for delays. Exit codes: 0 ok,
-2 config or parse problem, 3 forward-model degeneracy, 4 fit failure.
+2 config or parse problem or a stdout that cannot take the output,
+3 forward-model degeneracy, 4 fit failure.
 """
 from __future__ import annotations
 
@@ -154,24 +155,29 @@ def _out_name(config: dict, key: str, default: str, out_dir: Path, suffix: str =
               endings: tuple[str, ...] = ()) -> str:
     """config[key] as the name of a file in out_dir: no directory part or NUL, not '' or '..'.
 
-    The name must also encode in the file system's encoding, which an ASCII
-    locale narrows to ASCII, and with suffix, the longest ending the command
-    appends, fit in out_dir's PC_NAME_MAX bytes.
+    With suffix, the longest ending the command appends, it must also pass
+    _check_name.
     """
     name = _str(config, key, "config", default=default)
     if Path(name).name != name or name in ("", "..") or "\0" in name or name.endswith(endings):
         tail = f" that ends in neither of {endings}" if endings else ""
         raise ConfigError(f"config.{key}: {name!r} must be a file name in --out{tail}")
+    _check_name(f"config.{key}", name, suffix, out_dir)
+    return name
+
+
+def _check_name(where: str, name: str, suffix: str, out_dir: Path) -> None:
+    """Refuse name + suffix, naming where, unless it encodes in the file system encoding
+    (an ASCII locale narrows it to ASCII) and fits in out_dir's PC_NAME_MAX bytes."""
     try:
         size = len(os.fsencode(name + suffix))
     except UnicodeEncodeError:
-        raise ConfigError(f"config.{key}: {name!r} is not a file name in the file system "
+        raise ConfigError(f"{where}: {name!r} is not a file name in the file system "
                           f"encoding {sys.getfilesystemencoding()}") from None
     limit = os.pathconf(out_dir, "PC_NAME_MAX")  # -1: no limit
     if 0 <= limit < size:
-        raise ConfigError(f"config.{key}: {name + suffix!r} is {size} bytes, over the "
+        raise ConfigError(f"{where}: {name + suffix!r} is {size} bytes, over the "
                           f"{limit}-byte file name limit of {out_dir}")
-    return name
 
 
 def _in_path(config: dict, key: str) -> Path:
@@ -290,6 +296,7 @@ _FIT_SPECTRUM_KEYS = {"input_csv", "input_json", "input_dir", "circuit", "init",
                       "options", "rates_csv"}
 # the endings of the two files _fit_one_trace writes for each trace
 _FIT_OUTPUTS = ("_fit.json", "_residuals.csv")
+_LONGEST_OUTPUT = max(_FIT_OUTPUTS, key=len)
 
 
 def _fit_options(config: dict) -> dict | None:
@@ -353,6 +360,7 @@ def cmd_fit_spectrum(config: dict, out_dir: Path, say) -> int:
 
     if source != "input_dir":
         path = _in_path(config, source)
+        _check_name(f"config.{source}: {path.name}", path.stem, _LONGEST_OUTPUT, out_dir)
         _fit_one_trace(path, template, init, options, out_dir, say)
         return 0
 
@@ -384,6 +392,7 @@ def cmd_fit_spectrum(config: dict, out_dir: Path, say) -> int:
         if by_stem.setdefault(p.stem, p) is not p:
             raise ConfigError(f"config.input_dir: {by_stem[p.stem].name} and {p.name} share "
                               "a stem, so their fits would write the same files")
+        _check_name(f"config.input_dir: {p.name}", p.stem, _LONGEST_OUTPUT, out_dir)
 
     fit_args = (template, init, options, out_dir)
     half = len(files) // 2
@@ -418,8 +427,8 @@ def cmd_fit_spectrum(config: dict, out_dir: Path, say) -> int:
 _FIT_RATES_KEYS = {"rates_csv", "transmon", "rel_err_max", "band_points"}
 
 
-def _write_csv(path: Path, say, header, *columns) -> None:
-    write_csv(path, header, columns)
+def _write_csv(path: Path, say, header, *blocks) -> None:
+    write_csv(path, header, *blocks)
     say(f"wrote {path}")
 
 
@@ -441,17 +450,19 @@ def cmd_fit_rates(config: dict, out_dir: Path, say) -> int:
     # data points and the 33%-rule sidecar are written before any fit runs
     checks, slopes = excluded_rows(rates, transmon, rel_err_max)
     _write_csv(out_dir / "points_gamma1.csv", say, ("omega01_rad_s", "gamma1_rad_s"),
-               rates.omega01, rates.gamma1)
+               (rates.omega01, rates.gamma1))
     _write_csv(out_dir / "points_gamma_phi.csv", say,
                ("omega01_rad_s", "slope_rad_s_per_phi0", "gamma_phi_rad_s", "rel_err_gamma_phi"),
-               rates.omega01, slopes, rates.gamma_phi, rates.rel_err_gamma_phi)
+               (rates.omega01, slopes, rates.gamma_phi, rates.rel_err_gamma_phi))
 
     reasons = [";".join(name for name, hit in checks.items() if hit[i]) for i in range(len(rates))]
     rows = [i for i, reason in enumerate(reasons) if reason]
+    # one block per row: its index as a float, which %.17g spells as the integer, and its reason
+    table = np.column_stack((np.arange(len(rates), dtype=float), rates.omega01, rates.gamma_phi,
+                             rates.rel_err_gamma_phi))
     _write_csv(out_dir / "excluded_rows.csv", say,
                ("row", "omega01_rad_s", "gamma_phi_rad_s", "rel_err_gamma_phi", "reason"),
-               rows, rates.omega01[rows], rates.gamma_phi[rows],
-               rates.rel_err_gamma_phi[rows], [reasons[i] for i in rows])
+               *((*table[i:i + 1].T, reasons[i]) for i in rows))
 
     kept_slopes = np.delete(slopes, rows)  # the rows both gamma_phi fits keep
     phi_cols = ("slope_rad_s_per_phi0", "gamma_phi_rad_s")
@@ -475,8 +486,8 @@ def cmd_fit_rates(config: dict, out_dir: Path, say) -> int:
         say(f"wrote {out_dir / f'{name}_fit.json'}")
         # a fit that returns kept at least 4 rows, whose x values span a range
         grid = np.linspace(xs.min(), xs.max(), band_points)
-        _write_csv(out_dir / curve_name, say, (*cols, "lo95_rad_s", "hi95_rad_s"), grid,
-                   *result.band(grid))
+        _write_csv(out_dir / curve_name, say, (*cols, "lo95_rad_s", "hi95_rad_s"),
+                   (grid, *result.band(grid)))
 
     for name, err in failures:
         print(f"{name} fit failed: {err}", file=sys.stderr)
@@ -489,11 +500,13 @@ def cmd_fit_rates(config: dict, out_dir: Path, say) -> int:
 
 def cmd_classify(config: dict, out_dir: Path, say) -> int:
     _check_keys(config, "config", {"input_csv", "input_json"})
-    path = _in_path(config, _one_input(config, ("input_csv", "input_json")))
+    source = _one_input(config, ("input_csv", "input_json"))
+    path = _in_path(config, source)
+    out_path = out_dir / f"{path.stem}_label.json"
+    _check_name(f"config.{source}: {path.name}", out_path.name, "", out_dir)
     trace = read_trace(path)
     label = classify_regime(trace)
     doc = {"label": label.value, "path": trace.cross_path()}
-    out_path = out_dir / f"{path.stem}_label.json"
     write_json(out_path, doc)
     say(label.value)
     say(f"wrote {out_path}")
@@ -529,6 +542,27 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one mzq command: with argv, return its exit code; with none, end the process.
+
+    With argv None, as the console script and `python -m mzq.cli` run it,
+    stdout and stderr are flushed once the command returns, its files closed
+    and its forked children reaped, and os._exit ends the process: no atexit
+    handler or interpreter teardown runs. A stdout that cannot take the
+    output (a closed pipe, a full disk) is one error line and exit 2.
+    """
+    code = _run(argv)
+    if argv is not None:
+        return code
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = 2
+    sys.stderr.flush()
+    os._exit(code)
+
+
+def _run(argv: list[str] | None) -> int:
     args = _parser().parse_args(argv)
     try:
         try:

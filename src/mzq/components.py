@@ -505,35 +505,30 @@ CSV_HEADER = ("freq_hz", "re", "im", "path", "label")
 def write_csv_columns(fh, *columns) -> None:
     """Write equal-length columns as CSV rows.
 
-    A float array is written with 17 significant digits, enough to round-trip
-    float64 exactly, spelled as format(float(x), ".17g") spells it (nan, inf,
-    -0). A str is repeated on every row; any other column is written as given.
+    A column is a float array, written with 17 significant digits, enough to
+    round-trip float64 exactly, spelled as format(float(x), ".17g") spells it
+    (nan, inf, -0), or a str, repeated on every row. Any other column raises
+    TypeError, and columns of unequal length raise ValueError, before
+    anything is written.
 
-    A block of only float arrays and strs is rendered from one row template:
-    csv.writer quotes each str once, each float field is %.17g, and a single %
-    fills the template repeated once per row, for at most BLOCK_POINTS rows at
-    a time, so the memory it takes is set by that block and the bytes are
-    those of one fill. A block with any other column (ints, a list of str)
-    goes through csv.writer row by row. Columns of unequal length raise
-    ValueError before anything is written.
+    Every block is rendered from one row template: csv.writer quotes each str
+    once, each float field is %.17g, and a single % fills the template
+    repeated once per row, for at most BLOCK_POINTS rows at a time, so the
+    memory it takes is set by that block and the bytes are those of one fill.
     """
-    lengths = {len(c) for c in columns if not isinstance(c, str)}
+    floats = [c for c in columns if not isinstance(c, str)]
+    for c in floats:
+        if not (isinstance(c, np.ndarray) and c.dtype.kind == "f"):
+            raise TypeError(f"a CSV column is a float array or a str, not {c!r:.40}")
+    lengths = {len(c) for c in floats}
     if len(lengths) > 1:
         raise ValueError(f"columns differ in length: {sorted(lengths)}")
-    rows = lengths.pop() if lengths else 0
-    is_float = [isinstance(c, np.ndarray) and c.dtype.kind == "f" for c in columns]
-    if any(is_float) and all(f or isinstance(c, str) for c, f in zip(columns, is_float)):
-        template = io.StringIO()
-        csv.writer(template, lineterminator="\n").writerow(
-            ["%.17g" if f else c.replace("%", "%%") for c, f in zip(columns, is_float)])
-        floats = [c for c, f in zip(columns, is_float) if f]
-        for start in range(0, rows, BLOCK_POINTS):
-            block = np.column_stack([c[start:start + BLOCK_POINTS] for c in floats])
-            fh.write((template.getvalue() * len(block)) % tuple(block.ravel().tolist()))
-        return
-    csv.writer(fh, lineterminator="\n").writerows(
-        zip(*([c] * rows if isinstance(c, str) else map("{:.17g}".format, c.tolist()) if f else c
-              for c, f in zip(columns, is_float))))
+    template = io.StringIO()
+    csv.writer(template, lineterminator="\n").writerow(
+        [c.replace("%", "%%") if isinstance(c, str) else "%.17g" for c in columns])
+    for start in range(0, lengths.pop() if lengths else 0, BLOCK_POINTS):
+        block = np.column_stack([c[start:start + BLOCK_POINTS] for c in floats])
+        fh.write((template.getvalue() * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_csv(path: str | Path, header, *blocks) -> None:

@@ -245,17 +245,14 @@ def richardson_jacobian(fn, x, steps) -> np.ndarray:
 def csv_columns_oracle(header, *columns) -> str:
     """write_csv text written row by row: the header row, then one writerow per sample.
 
-    A float array's entries go through _fmt, a str repeats on every row and
-    any other column's entries are written as given.
+    A float array's entries go through _fmt and a str repeats on every row.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     rows = max((len(c) for c in columns if not isinstance(c, str)), default=0)
     for i in range(rows):
-        writer.writerow([c if isinstance(c, str)
-                         else _fmt(c[i]) if isinstance(c, np.ndarray) and c.dtype.kind == "f"
-                         else c[i] for c in columns])
+        writer.writerow([c if isinstance(c, str) else _fmt(c[i]) for c in columns])
     return buf.getvalue()
 
 

@@ -1,6 +1,7 @@
 """End-to-end command-line runs against temporary workspaces."""
 import csv
 import errno
+import io
 import json
 import math
 import os
@@ -124,6 +125,65 @@ def test_a_file_name_too_long_for_out_exits_2_naming_its_key(tmp_path, capsys, c
     assert err.startswith(f"error: config.{key}: ")
     assert err.endswith(f" is {limit + 1} bytes, over the {limit}-byte file name limit of {out}\n")
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command, key", [("fit-spectrum", "input_json"),
+                                          ("fit-spectrum", "input_dir"),
+                                          ("classify", "input_json")])
+def test_an_output_name_an_input_stem_makes_too_long_exits_2_before_any_work(tmp_path, capsys,
+                                                                             command, key):
+    out = tmp_path / "out"
+    out.mkdir()
+    limit = os.pathconf(out, "PC_NAME_MAX")
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    # <stem>.json and <stem>_fit.json fit the limit; <stem>_residuals.csv and _label.json do not
+    stem = "x" * (limit - 10)
+    trace = synthesize(make_interferometer(qubit=_truth_qubit()), np.linspace(5.17e9, 5.23e9, 201))
+    for name in ("t.json", f"{stem}.json"):
+        write_trace_json(batch / name, trace)
+    doc = {key: str(batch if key == "input_dir" else batch / f"{stem}.json")}
+    if command == "fit-spectrum":
+        doc["init"] = QUBIT_CFG
+    cfg = _write(tmp_path / "cfg.json", doc)
+    assert _run(command, "--config", cfg, "--out", str(out), "--quiet") == 2
+    name = stem + ("_label.json" if command == "classify" else "_residuals.csv")
+    assert capsys.readouterr().err == (
+        f"error: config.{key}: {stem}.json: {name!r} is {len(name)} bytes, over the "
+        f"{limit}-byte file name limit of {out}\n")
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("sink", [
+    "pipe", "closed-pipe",
+    pytest.param("/dev/full", marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                                       reason="no /dev/full"))])
+def test_a_process_ends_after_its_command_and_a_stdout_that_fails_exits_2(tmp_path, sink):
+    cfg = _write(tmp_path / "sim.json", {"circuit": {"qubit": QUBIT_CFG}, "grid": GRID_CFG})
+    out = tmp_path / "out"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    argv = [sys.executable, "-c", "import atexit, sys; atexit.register(print, 'atexit ran', "
+            "file=sys.stderr); from mzq.cli import main; sys.exit(main())",
+            "simulate", "--config", cfg, "--out", str(out)]
+    if sink == "pipe":
+        done = subprocess.run(argv, capture_output=True, env=env)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout == f"wrote {out / 'trace.csv'}\nwrote {out / 'trace.json'}\n".encode()
+    else:
+        if sink == "closed-pipe":
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+        else:
+            write_end = os.open(sink, os.O_WRONLY)
+        try:
+            done = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, env=env)
+        finally:
+            os.close(write_end)
+        code = errno.EPIPE if sink == "closed-pipe" else errno.ENOSPC
+        assert (done.returncode, done.stderr) == (
+            2, f"error: [Errno {code}] {os.strerror(code)}\n".encode())
+    assert sorted(p.name for p in out.iterdir()) == ["trace.csv", "trace.json"]
 
 
 def test_synth_refuses_samples_no_reader_accepts(tmp_path, capsys):
@@ -1128,6 +1188,37 @@ def test_degenerate_flux_rows_keep_their_exclusion_reasons(tmp_path):
     # each gamma_phi fit keeps only unlisted rows, so equal counts make a partition
     for fit in (fit_gamma_phi_power, fit_ou):
         assert len(lines) - 1 + fit(rates, transmon).dof + 2 == len(rates)
+
+
+def test_excluded_rows_of_mixed_reasons_match_the_row_by_row_oracle(tmp_path):
+    rates = read_rates_csv(_rates_table(tmp_path))
+    cols = {name: getattr(rates, name).copy() for name in ("gamma_phi", "flux",
+                                                           "rel_err_gamma_phi")}
+    for i, marks in {2: {"rel_err_gamma_phi": 0.5, "gamma_phi": -1e5},
+                     4: {"flux": math.nan, "rel_err_gamma_phi": math.nan},
+                     7: {"flux": 0.0},
+                     9: {"rel_err_gamma_phi": 0.5, "flux": math.nan, "gamma_phi": 0.0}}.items():
+        for name, value in marks.items():
+            cols[name][i] = value
+    rates = replace(rates, **cols)
+    write_rates_csv(tmp_path / "rates.csv", rates)
+    cfg = _write(tmp_path / "rates_cfg.json", {
+        "rates_csv": str(tmp_path / "rates.csv"), "transmon": TRANSMON_CFG, "band_points": 20})
+    out = tmp_path / "out"
+    assert _run("fit-rates", "--config", cfg, "--out", str(out), "--quiet") == 0
+
+    want = {2: "rel_err_at_or_above_max;gamma_phi_not_positive",
+            4: "flux_unknown;rel_err_not_positive",
+            7: "zero_flux_sensitivity",
+            9: "rel_err_at_or_above_max;flux_unknown;gamma_phi_not_positive",
+            30: "rel_err_at_or_above_max", 31: "flux_unknown"}
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("row", "omega01_rad_s", "gamma_phi_rad_s", "rel_err_gamma_phi", "reason"))
+    for i, reason in want.items():
+        writer.writerow([i, *(format(float(x), ".17g") for x in (
+            rates.omega01[i], rates.gamma_phi[i], rates.rel_err_gamma_phi[i])), reason])
+    assert (out / "excluded_rows.csv").read_text() == buf.getvalue()
 
 
 def test_ou_band_takes_its_dof_from_the_rows_the_fit_keeps(tmp_path):
