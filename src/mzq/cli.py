@@ -359,6 +359,8 @@ def cmd_fit_spectrum(config: dict, out_dir: Path, say) -> int:
     options = _fit_options(config)
 
     if source != "input_dir":
+        if "rates_csv" in config:  # one trace gives no rate table to name
+            raise ConfigError("config.rates_csv: only input_dir mode writes a rate table")
         path = _in_path(config, source)
         _check_name(f"config.{source}: {path.name}", path.stem, _LONGEST_OUTPUT, out_dir)
         _fit_one_trace(path, template, init, options, out_dir, say)

@@ -234,9 +234,10 @@ _ARM_SWAP = [2, 3, 0, 1]
 
 
 def tl_stack(params: LineParams, omegas: np.ndarray) -> np.ndarray:
-    """Line factors exp(-r_k + i*phase_rate_k*omega) of the four segments, shape (N,4)."""
+    """Line factors exp(-r_k + i*phase_rate_k*omega) of the four segments, shape (4,N)."""
     w = np.asarray(omegas, dtype=float).reshape(-1)
-    return np.exp(-np.asarray(params.attenuation) + 1j * np.asarray(params.phase_rate) * w[:, None])
+    return np.exp(-np.asarray(params.attenuation)[:, None]
+                  + 1j * np.asarray(params.phase_rate)[:, None] * w)
 
 
 def _branchline_coefficients(theta: np.ndarray):
@@ -264,7 +265,7 @@ def _branchline_coefficients(theta: np.ndarray):
 
 
 def bs_stack(model: BeamSplitterModel, omegas: np.ndarray) -> np.ndarray:
-    """Splitter transfer matrices for each frequency, shape (N,4,4).
+    """Splitter transfer matrices for each frequency, shape (4,4,N).
 
     The ideal splitter comes back as a read-only broadcast view of one matrix.
     """
@@ -272,7 +273,7 @@ def bs_stack(model: BeamSplitterModel, omegas: np.ndarray) -> np.ndarray:
     if np.any(w <= 0):
         raise ValueError("omega must be > 0")
     if model.kind == "ideal":
-        return np.broadcast_to(_IDEAL_BS, (w.size, 4, 4))
+        return np.broadcast_to(_IDEAL_BS[..., None], (4, 4, w.size))
 
     theta = (math.pi / 2) * w / model.center_frequency
     refl, iso, thru, cross = _branchline_coefficients(theta)
@@ -289,7 +290,7 @@ def bs_stack(model: BeamSplitterModel, omegas: np.ndarray) -> np.ndarray:
                    (cross * refl - thru * iso) / delta, -cross / delta])
     av = au[_ARM_SWAP]
     top = refl * au + iso * av + np.array([thru, zero, cross, zero])
-    return np.moveaxis(np.array([top, au, top[_ARM_SWAP], av]), -1, 0)
+    return np.array([top, au, top[_ARM_SWAP], av])
 
 
 def _lineshape(q: QubitScatterer, w: np.ndarray):
@@ -327,12 +328,12 @@ def _qubit_r_and_grad(q: QubitScatterer, omegas: np.ndarray):
 
 
 def _transfer_block(r: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Transfer blocks (1/t) * [[t^2 - r^2, r], [-r, 1]], shape (N,2,2)."""
-    return np.moveaxis(np.array([[(t**2 - r**2) / t, r / t], [-r / t, 1 / t]]), -1, 0)
+    """Transfer blocks (1/t) * [[t^2 - r^2, r], [-r, 1]], shape (2,2,N)."""
+    return np.array([[(t**2 - r**2) / t, r / t], [-r / t, 1 / t]])
 
 
 def qubit_stack(q: QubitScatterer, omegas: np.ndarray) -> np.ndarray:
-    """Scatterer transfer blocks at the lineshape's r, shape (N,2,2), gated on |t|."""
+    """Scatterer transfer blocks at the lineshape's r, shape (2,2,N), gated on |t|."""
     w = np.asarray(omegas, dtype=float).reshape(-1)
     r, t = qubit_rt_many(q, w)
     small = np.abs(t) < T_DEGENERATE
@@ -356,22 +357,19 @@ def total_matrix_stack(spec: CircuitSpec, omegas: np.ndarray,
     line.scatterer.line is block diagonal: d_k^2 on the empty arm and
     d_k * Q_kl * d_l on the scatterer arm, with d the line factors and Q the
     scatterer block. It is applied to the right splitter row by row, then the
-    left splitter multiplies the result. The work runs frequency-last; the
-    (N,4,4) result is a view of that layout.
+    left splitter multiplies the result. Shape (4,4,N).
     """
     w = np.asarray(omegas, dtype=float).reshape(-1)
-    bs = np.moveaxis(bs_stack(spec.splitter, w), 0, -1)
-    d = tl_stack(spec.lines, w).T
+    bs = bs_stack(spec.splitter, w)
+    d = tl_stack(spec.lines, w)
     inner_bs = (d * d)[:, None] * bs
     if r is not None or spec.qubit is not None:
         arm = slice(0, 2) if spec.qubit_arm == "a" else slice(2, 4)
         # the unscaled block stays a temporary: a name on it would add N*64 bytes to the peak
-        block = (d[arm, None]
-                 * np.moveaxis(qubit_stack(spec.qubit, w) if r is None
-                               else _transfer_block(r, 1 - r), 0, -1)
-                 * d[None, arm])
+        block = (d[arm, None] * (qubit_stack(spec.qubit, w) if r is None
+                                 else _transfer_block(r, 1 - r)) * d[None, arm])
         inner_bs[arm] = np.einsum("kln,ljn->kjn", block, bs[arm])
-    return np.moveaxis(np.einsum("ikn,kjn->ijn", bs, inner_bs), -1, 0)
+    return np.einsum("ikn,kjn->ijn", bs, inner_bs)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +422,7 @@ def _calibrated_paths(spec: CircuitSpec, w: np.ndarray, x: np.ndarray,
                       paths) -> dict[str, np.ndarray]:
     """The named paths of the port solutions x, times spec's calibration."""
     cal = spec.cal_scale * np.exp(-1j * w * spec.cal_delay)
-    return {p: x[:, i, j] * cal for p in paths for i, j in [_PATH_ENTRY[p]]}
+    return {p: x[i, j] * cal for p in paths for i, j in [_PATH_ENTRY[p]]}
 
 
 def _reflection_embedding(spec: CircuitSpec, freqs: np.ndarray, paths):
@@ -444,7 +442,7 @@ def _reflection_embedding(spec: CircuitSpec, freqs: np.ndarray, paths):
     b_tot = total_matrix_stack(spec, w, np.full(w.size, 0.5)) - 2 * a_tot
 
     def solve_at(r: np.ndarray) -> dict[str, np.ndarray]:
-        totals = (a_tot + r[:, None, None] * b_tot) / (1 - r)[:, None, None]
+        totals = (a_tot + r * b_tot) / (1 - r)
         return _calibrated_paths(spec, w, netcore.solve_port_system_many(totals, frequencies=f),
                                  paths)
 

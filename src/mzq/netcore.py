@@ -35,19 +35,20 @@ class SingularSystem(ArithmeticError):
 def _det_and_cond1(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """det(B) and the exact 1-norm condition of the port system, per total.
 
+    m is a (4,4,...) stack: m[i, j] holds M[i, j] of every total.
     B = M[(1,3),(1,3)] and P = M[(0,2),(1,3)]. Ordered as rows (0, 2, 1, 3)
     the 4x4 port system is [[I, -P], [0, B]], whose inverse is
     [[I, P B^-1], [0, B^-1]] with B^-1 = adj(B) / det(B). A singular B
     gives an infinite condition.
     """
-    t = np.moveaxis(m, (-2, -1), (0, 1))  # t[i, j] is the stack of M[i, j]
-    det = t[1, 1] * t[3, 3] - t[1, 3] * t[3, 1]
-    norm = np.maximum(np.abs(t[:, 1]).sum(axis=0), np.abs(t[:, 3]).sum(axis=0))
+    det = m[1, 1] * m[3, 3] - m[1, 3] * m[3, 1]
+    col1, col3 = np.abs(m[:, 1]), np.abs(m[:, 3])
+    norm = np.maximum(col1.sum(axis=0), col3.sum(axis=0))
     # column sums of [P; I] adj(B), adj(B) = [[M33, -M13], [-M31, M11]]
-    inv0 = (np.abs(t[3, 3]) + np.abs(t[3, 1]) + np.abs(t[0, 1] * t[3, 3] - t[0, 3] * t[3, 1])
-            + np.abs(t[2, 1] * t[3, 3] - t[2, 3] * t[3, 1]))
-    inv1 = (np.abs(t[1, 3]) + np.abs(t[1, 1]) + np.abs(t[0, 3] * t[1, 1] - t[0, 1] * t[1, 3])
-            + np.abs(t[2, 3] * t[1, 1] - t[2, 1] * t[1, 3]))
+    inv0 = (col3[3] + col1[3] + np.abs(m[0, 1] * m[3, 3] - m[0, 3] * m[3, 1])
+            + np.abs(m[2, 1] * m[3, 3] - m[2, 3] * m[3, 1]))
+    inv1 = (col3[1] + col1[1] + np.abs(m[0, 3] * m[1, 1] - m[0, 1] * m[1, 3])
+            + np.abs(m[2, 3] * m[1, 1] - m[2, 1] * m[1, 3]))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         cond = np.maximum(norm, 1.0) * np.maximum(np.maximum(inv0, inv1) / np.abs(det), 1.0)
     return det, np.where(np.isnan(cond), np.inf, cond)  # B = 0 gives 0/0
@@ -58,7 +59,8 @@ def solve_port_system_many(
 ) -> np.ndarray:
     """Solve both unit-drive port problems for a stack of total matrices.
 
-    Returns an array of shape (..., 4, 2): column 0 holds (a1_out, a3_out,
+    totals has shape (4,4,...), frequency-last as total_matrix_stack builds
+    it. Returns an array of shape (4,2,...): column 0 holds (a1_out, a3_out,
     a4_out, a2_out) for a unit port-2 drive, column 1 the same for a unit
     port-4 drive.
 
@@ -80,13 +82,10 @@ def solve_port_system_many(
             frequency=freq,
         )
 
-    t = np.moveaxis(m, (-2, -1), (0, 1))
-    out = np.empty(m.shape[:-2] + (4, 2), dtype=complex)
+    out = np.empty((4, 2) + m.shape[2:], dtype=complex)
     for k, drive in enumerate((2, 0)):  # M's input column of a port-2, port-4 drive
-        a4_out = (t[1, 3] * t[3, drive] - t[3, 3] * t[1, drive]) / det
-        a2_out = (t[3, 1] * t[1, drive] - t[1, 1] * t[3, drive]) / det
-        out[..., 0, k] = t[0, drive] + t[0, 1] * a4_out + t[0, 3] * a2_out
-        out[..., 1, k] = t[2, drive] + t[2, 1] * a4_out + t[2, 3] * a2_out
-        out[..., 2, k] = a4_out
-        out[..., 3, k] = a2_out
+        a4_out = out[2, k] = (m[1, 3] * m[3, drive] - m[3, 3] * m[1, drive]) / det
+        a2_out = out[3, k] = (m[3, 1] * m[1, drive] - m[1, 1] * m[3, drive]) / det
+        out[0, k] = m[0, drive] + m[0, 1] * a4_out + m[0, 3] * a2_out
+        out[1, k] = m[2, drive] + m[2, 1] * a4_out + m[2, 3] * a2_out
     return out

@@ -106,7 +106,7 @@ def transfer_chain_oracle(spec, omegas: np.ndarray) -> np.ndarray:
 def sweep_whole_grid_oracle(spec, freqs: np.ndarray) -> dict[str, np.ndarray]:
     """sweep's calibrated paths in one pass over the whole grid.
 
-    One (N,4,4) stack of totals, one gated port solve of all N and the four
+    One (4,4,N) stack of totals, one gated port solve of all N and the four
     path entries times the calibration: the gates see every frequency at
     once, in the order splitter, scatterer, port condition.
     """
@@ -117,7 +117,7 @@ def sweep_whole_grid_oracle(spec, freqs: np.ndarray) -> dict[str, np.ndarray]:
     # or more, and its in-place complex-scalar loop rounds differently in the last bit
     cal = np.multiply(spec.cal_scale, np.exp(-1j * w * spec.cal_delay))
     entries = {"s12": (0, 0), "s32": (1, 0), "s34": (1, 1), "s14": (0, 1)}
-    return {p: x[:, i, j] * cal for p, (i, j) in entries.items()}
+    return {p: x[i, j] * cal for p, (i, j) in entries.items()}
 
 
 def solve_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -180,8 +180,8 @@ def test_acceptance_8_property_suite():
     for kind in ("ideal", "branchline"):
         splitter = BeamSplitterModel(kind=kind, center_frequency=2 * math.pi * 6e9)
         spec = CircuitSpec(splitter=splitter, lines=lines, qubit=q)
-        ok &= np.allclose(total_matrix_stack(spec, w), transfer_chain_oracle(spec, w),
-                          rtol=1e-12, atol=1e-12)
+        ok &= np.allclose(np.moveaxis(total_matrix_stack(spec, w), -1, 0),
+                          transfer_chain_oracle(spec, w), rtol=1e-12, atol=1e-12)
 
     # scatterer unitarity: r + t = 1 exactly, lossless circuit conserves power
     w = q.omega01 + np.linspace(-1e8, 1e8, 101)

@@ -388,6 +388,9 @@ def test_config_problems_exit_2(tmp_path, capsys):
         ("fit-spectrum", {"input_csv": "a.csv",
                           "init": {**QUBIT_CFG, "gamma1_mhz": 0, "gamma_phi_mhz": 0}},
          [], "config.init: gamma1/2"),
+        # one trace gives no rate table, so a rates_csv is refused before the trace is read
+        ("fit-spectrum", {"input_csv": "a.csv", "rates_csv": "r.csv"}, [], "config.rates_csv"),
+        ("fit-spectrum", {"input_json": "a.json", "rates_csv": "r.csv"}, [], "config.rates_csv"),
         ("fit-rates", {"rates_csv": "a.csv", "transmon": {**TRANSMON_CFG, "ej_max_ghz": 1.0}},
          [], "config.transmon: transmon regime"),
         ("synth", {**synth, "seed": -3}, [], "config.seed"),

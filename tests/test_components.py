@@ -64,18 +64,18 @@ IDEAL_BS = np.array(
 
 def test_line_with_zero_parameters_is_identity():
     d = tl_stack(LineParams(), np.array([W_CENTER, 2 * W_CENTER]))
-    assert d.shape == (2, 4)
-    assert np.array_equal(d, np.ones((2, 4), dtype=complex))
+    assert d.shape == (4, 2)
+    assert np.array_equal(d, np.ones((4, 2), dtype=complex))
 
 
 def test_line_half_wave_flips_sign():
     d = 1.0 / (2 * CENTER_HZ)
-    factors = tl_stack(LineParams(phase_rate=(d, d, d, d)), np.array([W_CENTER]))[0]
+    factors = tl_stack(LineParams(phase_rate=(d, d, d, d)), np.array([W_CENTER]))[:, 0]
     assert np.allclose(factors, -1, rtol=0, atol=1e-12)
 
 
 def test_line_attenuation_damps_one_segment():
-    d = tl_stack(LineParams(attenuation=(0.1, 0.0, 0.0, 0.0)), np.array([W_CENTER]))[0]
+    d = tl_stack(LineParams(attenuation=(0.1, 0.0, 0.0, 0.0)), np.array([W_CENTER]))[:, 0]
     assert abs(d[0] - math.exp(-0.1)) <= 1e-15
     assert d[1] == 1 and d[2] == 1 and d[3] == 1
 
@@ -94,7 +94,7 @@ def test_line_rejects_bad_parameters():
 # ---------------------------------------------------------------------------
 
 def test_ideal_splitter_matrix():
-    m = bs_stack(BeamSplitterModel(kind="ideal"), np.array([W_CENTER]))[0]
+    m = bs_stack(BeamSplitterModel(kind="ideal"), np.array([W_CENTER]))[..., 0]
     assert np.allclose(m, IDEAL_BS, rtol=0, atol=1e-15)
     assert abs(m[0, 0] - (-1j / math.sqrt(2))) <= 1e-15
     assert abs(m[0, 2] - (-1 / math.sqrt(2))) <= 1e-15
@@ -102,9 +102,9 @@ def test_ideal_splitter_matrix():
 
 def test_branchline_matches_ideal_at_center_only():
     bl = BeamSplitterModel(kind="branchline", center_frequency=W_CENTER)
-    at_center = bs_stack(bl, np.array([W_CENTER]))[0]
+    at_center = bs_stack(bl, np.array([W_CENTER]))[..., 0]
     assert np.max(np.abs(at_center - IDEAL_BS)) <= 1e-9
-    off = bs_stack(bl, np.array([1.2 * W_CENTER]))[0]
+    off = bs_stack(bl, np.array([1.2 * W_CENTER]))[..., 0]
     assert np.max(np.abs(off - IDEAL_BS)) > 0.1
 
 
@@ -118,15 +118,15 @@ def test_branchline_is_singular_at_twice_center():
 def test_branchline_rows_match_the_column_loop_oracle():
     bl = BeamSplitterModel(kind="branchline", center_frequency=W_CENTER)
     w = W_CENTER * np.linspace(0.3, 1.7, 57)
-    assert np.array_equal(bs_stack(bl, w), splitter_stack_oracle(bl, w))
+    assert np.array_equal(np.moveaxis(bs_stack(bl, w), -1, 0), splitter_stack_oracle(bl, w))
 
 
 def test_ideal_splitter_stack_is_a_read_only_view():
     ideal = BeamSplitterModel(kind="ideal")
     w = W_CENTER * np.linspace(0.5, 1.5, 5)
     m = bs_stack(ideal, w)
-    assert m.shape == (5, 4, 4) and not m.flags.writeable
-    assert np.array_equal(m, splitter_stack_oracle(ideal, w))
+    assert m.shape == (4, 4, 5) and not m.flags.writeable
+    assert np.array_equal(np.moveaxis(m, -1, 0), splitter_stack_oracle(ideal, w))
 
 
 def test_splitter_model_validation():
@@ -190,8 +190,8 @@ def test_scatterer_block_at_half_reflection():
     # r = t = 1/2 on resonance gives the transfer block [[0, 1], [-1, 2]]
     q = QubitScatterer(omega01=W_CENTER, gamma1=2e6, gamma_phi=1e6, r0=0.5)
     blocks = qubit_stack(q, np.array([W_CENTER]))
-    assert blocks.shape == (1, 2, 2)
-    assert np.allclose(blocks[0], [[0, 1], [-1, 2]], rtol=0, atol=1e-14)
+    assert blocks.shape == (2, 2, 1)
+    assert np.allclose(blocks[..., 0], [[0, 1], [-1, 2]], rtol=0, atol=1e-14)
 
 
 def test_scatterer_block_inverts_back_to_r_and_t():
@@ -205,7 +205,7 @@ def test_scatterer_block_inverts_back_to_r_and_t():
         )
         w = np.array([W_CENTER + rng.uniform(-3e6, 3e6)])
         r, t = qubit_rt_many(q, w)
-        block = qubit_stack(q, w)[0]
+        block = qubit_stack(q, w)[..., 0]
         t_back = 1 / block[1, 1]
         r_back = block[0, 1] * t_back
         assert abs(t_back - t[0]) <= 1e-12
@@ -345,7 +345,7 @@ def test_total_matrix_stack_matches_the_transfer_chain_oracle(kind, arm, with_qu
             qubit_arm=arm,
         )
         want = transfer_chain_oracle(spec, w)
-        got = total_matrix_stack(spec, w)
+        got = np.moveaxis(total_matrix_stack(spec, w), -1, 0)
         scale = np.abs(want).max(axis=(1, 2))[:, None, None]
         assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
@@ -358,7 +358,7 @@ def test_lossless_circuit_conserves_power_in_both_drive_columns(kind, delays, ra
     spec = CircuitSpec(splitter=BeamSplitterModel(kind=kind, center_frequency=W_CENTER),
                        lines=LineParams(phase_rate=tuple(delays)))
     out = solve_port_system_many(total_matrix_stack(spec, W_CENTER * np.array(ratios)))
-    power = np.sum(np.abs(out) ** 2, axis=-2)  # (a1_out, a3_out, a4_out, a2_out) per drive
+    power = np.sum(np.abs(out) ** 2, axis=0)  # (a1_out, a3_out, a4_out, a2_out) per drive
     assert np.max(np.abs(power - 1.0)) <= 1e-13
 
 
@@ -366,7 +366,7 @@ def test_total_matrix_stack_shapes():
     spec = make_interferometer()
     w = 2 * math.pi * np.linspace(5.6e9, 5.9e9, 7)
     totals = total_matrix_stack(spec, w)
-    assert totals.shape == (7, 4, 4)
+    assert totals.shape == (4, 4, 7)
 
 
 # ---------------------------------------------------------------------------

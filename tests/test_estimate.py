@@ -464,6 +464,19 @@ def test_spectrum_fit_keeps_the_port_gate(monkeypatch):
     assert err.value.frequency in trace.freqs
 
 
+def test_every_fit_evaluation_goes_through_the_port_gate(monkeypatch):
+    # one gated solve per residual evaluation, plus three Mobius probes and the final curves
+    trace, solves, evals = _qubit_trace(noise=0.01, seed=3), [], []
+    solve, lm = netcore.solve_port_system_many, estimate.levenberg_marquardt
+    monkeypatch.setattr(netcore, "solve_port_system_many",
+                        lambda *a, **k: solves.append(a) or solve(*a, **k))
+    monkeypatch.setattr(estimate, "levenberg_marquardt",
+                        lambda fun, *a, **k: lm(lambda x: evals.append(x) or fun(x), *a, **k))
+    result = fit_spectrum(trace, make_interferometer(), init=TRUTH)
+    assert result.converged and evals
+    assert len(solves) == len(evals) + 4
+
+
 # ---------------------------------------------------------------------------
 # relaxation-model fit
 # ---------------------------------------------------------------------------
