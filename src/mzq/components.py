@@ -553,10 +553,17 @@ def read_utf8(path: str | Path) -> str:
         raise TraceParseError(f"line {line}: not UTF-8 text") from None
 
 
+def _unique_keys(pairs: list) -> dict:
+    if len(doc := dict(pairs)) < len(pairs):
+        keys = [k for k, _ in pairs]
+        raise TraceParseError(f"duplicate key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return doc
+
+
 def parse_json(text: str):
-    """The value of a JSON text; a syntax error names its line, and deep nesting is refused."""
+    """A JSON text's value; a syntax error names its line; deep nesting and repeated keys raise."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as err:
         raise TraceParseError(f"line {err.lineno}: {err.msg}") from None
     except RecursionError:

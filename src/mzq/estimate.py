@@ -32,7 +32,6 @@ from .components import (
 )
 from .leastsq import (
     BadInitialization,
-    LMResult,
     NoConvergence,
     confidence_half_widths,
     covariance,
@@ -126,21 +125,22 @@ class FitResult:
         return out
 
 
-def _lm_fit_result(res: LMResult, params: dict[str, float], residual_rms: float,
-                   curves: dict[str, np.ndarray] | None = None,
-                   rate_model: tuple | None = None) -> FitResult:
-    """Result of a converged LM fit: one covariance, ci95 on the leading params.
+def _fit_result(x: np.ndarray, jacobian: np.ndarray, residual: np.ndarray, iterations: int,
+                params: dict[str, float], residual_rms: float,
+                curves: dict[str, np.ndarray] | None = None,
+                rate_model: tuple | None = None) -> FitResult:
+    """Result of a converged fit at x: one covariance, ci95 on the leading params.
 
-    rate_model, a rate fit's (curve, jacobian), gives the result its band at res.x.
+    rate_model, a rate fit's (curve, jacobian), gives the result its band at x.
     """
-    m, n = res.jacobian.shape
-    cov = covariance(res)
+    m, n = jacobian.shape
+    cov = covariance(jacobian, residual)
     hw = confidence_half_widths(cov, m - n)
     ci95 = {k: float(h) for k, h in zip(params, hw)}
-    band = None if rate_model is None else partial(prediction_band, *rate_model, res.x, cov,
+    band = None if rate_model is None else partial(prediction_band, *rate_model, x, cov,
                                                    dof=m - n)
     return FitResult(params=params, ci95=ci95, residual_rms=residual_rms,
-                     iterations=res.iterations, converged=True, covariance=cov, dof=m - n,
+                     iterations=iterations, converged=True, covariance=cov, dof=m - n,
                      curves=curves, band=band)
 
 
@@ -167,25 +167,21 @@ class RateDataset:
     rel_err_gamma_phi: np.ndarray
 
     def __post_init__(self):
-        arrays = {}
-        for name in ("omega01", "gamma1", "gamma_phi", "flux", "rel_err_gamma_phi"):
-            a = np.asarray(getattr(self, name), dtype=float)
+        for f in fields(self):
+            a = np.asarray(getattr(self, f.name), dtype=float)
             if a.ndim != 1:
-                raise ValueError(f"{name} must be 1-d")
-            arrays[name] = a
-            object.__setattr__(self, name, a)
-        n = arrays["omega01"].size
-        if any(a.size != n for a in arrays.values()):
+                raise ValueError(f"{f.name} must be 1-d")
+            setattr(self, f.name, a)
+        if any(getattr(self, f.name).size != self.omega01.size for f in fields(self)):
             raise ValueError("rate columns must have equal length")
-        if not np.all(np.isfinite(arrays["omega01"])) or np.any(arrays["omega01"] <= 0):
+        if not np.all(np.isfinite(self.omega01)) or np.any(self.omega01 <= 0):
             raise ValueError("omega01 must be finite and > 0 in every row")
 
     def __len__(self) -> int:
         return self.omega01.size
 
     def subset(self, mask: np.ndarray) -> "RateDataset":
-        return RateDataset(self.omega01[mask], self.gamma1[mask], self.gamma_phi[mask],
-                           self.flux[mask], self.rel_err_gamma_phi[mask])
+        return RateDataset(*(getattr(self, f.name)[mask] for f in fields(self)))
 
 
 def rates_from_csv(text: str) -> RateDataset:
@@ -208,8 +204,7 @@ def rates_from_csv(text: str) -> RateDataset:
 
 
 def write_rates_csv(path, rates: RateDataset) -> None:
-    write_csv(path, RATES_CSV_HEADER.split(","), (rates.omega01, rates.gamma1, rates.gamma_phi,
-                                                   rates.flux, rates.rel_err_gamma_phi))
+    write_csv(path, RATES_CSV_HEADER.split(","), [getattr(rates, f.name) for f in fields(rates)])
 
 
 def read_rates_csv(path) -> RateDataset:
@@ -535,7 +530,8 @@ def fit_spectrum(trace: SpectrumTrace, spec_template: CircuitSpec,
         "phase_slope": float(res.x[6]),
     }
     rms = float(np.sqrt(np.mean(res.residual**2)) / max(np.sqrt(np.mean(data_vec**2)), 1e-300))
-    return _lm_fit_result(res, params, rms, curves=model(res.x))
+    return _fit_result(res.x, res.jacobian, res.residual, res.iterations, params, rms,
+                       curves=model(res.x))
 
 
 # ---------------------------------------------------------------------------
@@ -589,11 +585,11 @@ def _fit_rate_curve(model: str, names: list[str], curve, jacobian, xs: np.ndarra
                               jac=lambda x: jacobian(x, xs) * sqrt_w[:, None])
     if not res.converged:
         raise NoConvergence(f"{model} fit stopped after {res.iterations} iterations")
-    res = replace(res, x=np.abs(res.x), jacobian=jacobian(np.abs(res.x), xs) * sqrt_w[:, None])
+    x = np.abs(res.x)
     rms = float(np.sqrt(np.mean(res.residual**2)) /
                 max(np.sqrt(np.mean((y * sqrt_w) ** 2)), 1e-300))
-    return _lm_fit_result(res, dict(zip(names, map(float, res.x))), rms,
-                          rate_model=(curve, jacobian))
+    return _fit_result(x, jacobian(x, xs) * sqrt_w[:, None], res.residual, res.iterations,
+                       dict(zip(names, map(float, x))), rms, rate_model=(curve, jacobian))
 
 
 def fit_gamma1(rates: RateDataset) -> FitResult:
@@ -668,15 +664,12 @@ def fit_gamma_phi_power(rates: RateDataset, transmon: TransmonParams,
     (intercept, eta), *_ = np.linalg.lstsq(design, sqrt_w * y, rcond=None)
     amplitude = math.exp(intercept)
     resid = design @ [intercept, eta] - sqrt_w * y
-    cost = float(resid @ resid)
+    rms = math.sqrt(float(resid @ resid) / float(sqrt_w @ sqrt_w))
     # the log residual is linear in (log amplitude, eta), so its Jacobian in
     # (amplitude, eta) is exact and covariance() carries the delta method
-    res = LMResult(x=np.array([amplitude, eta]), cost=cost, cost_history=[cost],
-                   residual=resid, jacobian=design / [amplitude, 1.0], iterations=1,
-                   converged=True)
-    rms = math.sqrt(cost / float(sqrt_w @ sqrt_w))
-    return _lm_fit_result(res, {"amplitude": amplitude, "eta": float(eta)}, rms,
-                          rate_model=(power_curve, power_jacobian))
+    return _fit_result(np.array([amplitude, eta]), design / [amplitude, 1.0], resid, 1,
+                       {"amplitude": amplitude, "eta": float(eta)}, rms,
+                       rate_model=(power_curve, power_jacobian))
 
 
 def fit_ou(rates: RateDataset, transmon: TransmonParams,

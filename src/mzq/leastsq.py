@@ -167,8 +167,8 @@ def levenberg_marquardt(fn: Callable[[np.ndarray], np.ndarray],
                     jacobian=jmat / scale, iterations=iterations, converged=converged)
 
 
-def covariance(result: LMResult) -> np.ndarray:
-    """Parameter covariance s^2 (J^T J)^-1 with s^2 the residual variance.
+def covariance(jacobian: np.ndarray, residual: np.ndarray) -> np.ndarray:
+    """Parameter covariance s^2 (J^T J)^-1 of an (m, n) Jacobian, s^2 = r.r / max(m - n, 1).
 
     A parameter weighing more than sqrt(eps) in a direction whose singular
     value (column-normalised Jacobian) is at most sqrt(eps) of the largest
@@ -180,12 +180,11 @@ def covariance(result: LMResult) -> np.ndarray:
     factors of its blocks, which keep its singular values and right
     singular vectors to rounding.
     """
-    m, n = result.jacobian.shape
-    s2 = result.cost / max(m - n, 1)
-    jac = result.jacobian
-    norms = np.linalg.norm(jac, axis=0)
+    m, n = jacobian.shape
+    s2 = float(residual @ residual) / max(m - n, 1)
+    norms = np.linalg.norm(jacobian, axis=0)
     norms[norms == 0] = 1.0
-    a = jac / norms
+    a = jacobian / norms
     rows = max(QR_BLOCK_ELEMENTS // n, 2 * n)
     while a.shape[0] > rows:
         a = np.concatenate([np.linalg.qr(a[i:i + rows], mode="r")

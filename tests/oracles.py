@@ -325,18 +325,18 @@ def power_law_oracle(slopes: np.ndarray, gamma_phi: np.ndarray, rel_err: np.ndar
     return params, ci95, cov
 
 
-def covariance_svd_oracle(result) -> np.ndarray:
+def covariance_svd_oracle(jacobian: np.ndarray, residual: np.ndarray) -> np.ndarray:
     """leastsq.covariance by one SVD of the whole column-normalised Jacobian.
 
     The same identifiability rule: a parameter weighing more than sqrt(eps)
     in a direction whose singular value is at most sqrt(eps) of the largest
     gets an inf variance and NaN covariances.
     """
-    m, n = result.jacobian.shape
-    s2 = result.cost / max(m - n, 1)
-    norms = np.linalg.norm(result.jacobian, axis=0)
+    m, n = jacobian.shape
+    s2 = float(residual @ residual) / max(m - n, 1)
+    norms = np.linalg.norm(jacobian, axis=0)
     norms[norms == 0] = 1.0
-    _, sv, vt = np.linalg.svd(result.jacobian / norms, full_matrices=False)
+    _, sv, vt = np.linalg.svd(jacobian / norms, full_matrices=False)
     null = sv <= SQRT_EPS * sv[0]
     seen = vt[~null] / sv[~null, None]
     cov = s2 * (seen.T @ seen) / np.outer(norms, norms)

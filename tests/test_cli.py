@@ -354,6 +354,20 @@ def test_config_problems_exit_2(tmp_path, capsys):
     assert _run("simulate", "--config", bad_key, "--out", out) == 2
     assert "bogus" in capsys.readouterr().err
 
+    # json.loads keeps the last of a repeated key, which would run; a config
+    # refuses the repeat at the top level and inside an object
+    repeated = {
+        "basename": '{"grid": {"start_ghz": 5.17, "stop_ghz": 5.23, "points": 201},\n'
+                    ' "circuit": {}, "basename": "first", "basename": "second"}\n',
+        "splitter": '{"grid": {"start_ghz": 5.17, "stop_ghz": 5.23, "points": 201},\n'
+                    ' "circuit": {"splitter": "branchline", "splitter": "ideal"}}\n',
+    }
+    for key, text in repeated.items():
+        cfg = tmp_path / f"repeated_{key}.json"
+        cfg.write_text(text)
+        assert _run("simulate", "--config", str(cfg), "--out", out) == 2, key
+        assert capsys.readouterr().err == f"error: config: duplicate key '{key}'\n"
+
     not_object = tmp_path / "bad2.json"
     not_object.write_text("[1, 2, 3]\n")
     assert _run("simulate", "--config", str(not_object), "--out", out) == 2
@@ -497,6 +511,14 @@ def _nested_json(trace, tmp_path):
     return path
 
 
+def _freq_hz_twice(trace, tmp_path):
+    # the second freq_hz is the trace's own grid, which json.loads would keep and fit
+    path = tmp_path / "scan.json"
+    write_trace_json(path, trace)
+    path.write_text('{"freq_hz": [5.2e9],\n' + path.read_text()[1:])
+    return path
+
+
 def _bad_json(**edits):
     def make(trace, tmp_path):
         path = tmp_path / "scan.json"
@@ -545,12 +567,13 @@ def _bad_json(**edits):
     (_byte_ff_on_line_2, "error: line 2: not UTF-8 text"),
     (_nested_json, "error: JSON nested too deeply"),
     (_no_cross_path, "error: trace has no cross path (s12 or s34)"),
+    (_freq_hz_twice, "error: duplicate key 'freq_hz'"),
 ], ids=["csv-nan-sample", "csv-oversized-field", "csv-multiline-label", "json-inf-sample",
         "json-drive-port-string", "json-drive-port-bool", "json-flux-string", "json-flux-nan",
         "json-re-im-lengths", "json-label-null", "json-label-number", "json-noise-bool",
         "json-noise-string", "json-freq-string", "json-re-string", "json-im-string",
         "json-im-null", "json-paths-list", "json-paths-number", "json-path-list",
-        "csv-byte-ff", "json-nested", "csv-no-cross-path"])
+        "csv-byte-ff", "json-nested", "csv-no-cross-path", "json-freq-twice"])
 def test_bad_trace_input_exits_2(tmp_path, capsys, make_input, message):
     trace = synthesize(make_interferometer(qubit=_truth_qubit()),
                        np.linspace(5.17e9, 5.23e9, 51))

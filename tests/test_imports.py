@@ -201,3 +201,18 @@ def test_one_reader_for_every_input_file():
     openers = [f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
                and any(getattr(getattr(c, "func", None), "id", "") == "open" for c in ast.walk(f))]
     assert sorted(openers) == ["write_csv", "write_json", "write_trace_json"]
+
+
+def test_only_levenberg_marquardt_builds_an_lm_result():
+    # an LMResult is one optimizer run; a fit without one, such as the
+    # closed-form power law, hands leastsq.covariance its Jacobian and residual
+    builders = []
+    for path in sorted((SRC / "mzq").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                    if name == "LMResult":
+                        builders.append((path.name, getattr(top, "name", None)))
+    assert builders == [("leastsq.py", "levenberg_marquardt")]
