@@ -166,14 +166,19 @@ def _out_name(config: dict, key: str, default: str, out_dir: Path, suffix: str =
     return name
 
 
-def _check_name(where: str, name: str, suffix: str, out_dir: Path) -> None:
-    """Refuse name + suffix, naming where, unless it encodes in the file system encoding
-    (an ASCII locale narrows it to ASCII) and fits in out_dir's PC_NAME_MAX bytes."""
+def _fs_encoded(where: str, name: str) -> bytes:
+    """name in the file system encoding (an ASCII locale narrows it to ASCII), or refused."""
     try:
-        size = len(os.fsencode(name + suffix))
+        return os.fsencode(name)
     except UnicodeEncodeError:
         raise ConfigError(f"{where}: {name!r} is not a file name in the file system "
                           f"encoding {sys.getfilesystemencoding()}") from None
+
+
+def _check_name(where: str, name: str, suffix: str, out_dir: Path) -> None:
+    """Refuse name + suffix, naming where, unless _fs_encoded takes it and it fits in
+    out_dir's PC_NAME_MAX bytes."""
+    size = len(_fs_encoded(where, name) + os.fsencode(suffix))
     limit = os.pathconf(out_dir, "PC_NAME_MAX")  # -1: no limit
     if 0 <= limit < size:
         raise ConfigError(f"{where}: {name + suffix!r} is {size} bytes, over the "
@@ -184,6 +189,7 @@ def _in_path(config: dict, key: str) -> Path:
     name = _str(config, key, "config")
     if "\0" in name:  # open would refuse it naming no key, after any work before it
         raise ConfigError(f"config.{key}: {name!r} must be a path without a NUL")
+    _fs_encoded(f"config.{key}", name)  # else open fails naming no key, and is_dir is False
     return Path(name)
 
 

@@ -201,6 +201,10 @@ class SpectrumTrace:
             raise ValueError("noise_sigma must be finite and >= 0")
         if "\r" in self.label:  # csv.writer leaves it unquoted: the CSV would not read back
             raise ValueError("label must not contain a carriage return")
+        try:  # both trace files are UTF-8, which cannot hold a lone surrogate
+            self.label.encode()
+        except UnicodeEncodeError:
+            raise ValueError("label must encode as UTF-8") from None
         if self.drive_port not in (None, *DRIVE_PORTS):
             raise ValueError("drive_port must be None, 2 or 4")
 

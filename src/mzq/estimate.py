@@ -298,33 +298,32 @@ def classify_regime(trace: SpectrumTrace) -> RegimeLabel:
 # per-spectrum fit
 # ---------------------------------------------------------------------------
 
-# fold bounds: gamma1 stays off 0 so the saturation term is finite, and r0
-# stays off full reflection so |t| = |1 - r| >= 1 - Re(r) >= _R0_MIN
+def _fold(x, lower=0.0, upper=math.inf):
+    """|x| held in [lower, upper], which keeps a fit's model valid at any step, and its
+    derivative in x: the sign of x, + at 0 (where fit_ou starts kappa), 0 where a bound
+    above 0 holds it."""
+    x = np.asarray(x, dtype=float)
+    a = np.abs(x)
+    held = ((a <= lower) & np.greater(lower, 0)) | (a >= upper)
+    return np.clip(a, lower, upper), np.where(x < 0, -1.0, 1.0) * ~held
+
+
+# fold bounds of (omega01, gamma1, gamma_phi, r0): gamma1 stays off 0 so the
+# saturation term is finite, and r0 stays off full reflection so
+# |t| = |1 - r| >= 1 - Re(r) >= _R0_MIN
 _GAMMA1_MIN = 1e-3
 _R0_MIN = 1e-6
+_QUBIT_BOUNDS = ((0.0, _GAMMA1_MIN, 0.0, _R0_MIN), (math.inf, math.inf, math.inf, 1 - _R0_MIN))
 
 
-def _fold_qubit(x: np.ndarray, rabi: float) -> QubitScatterer:
-    # reflective folding keeps the forward model valid at any step the optimizer tries
-    return QubitScatterer(
-        omega01=abs(x[0]),
-        gamma1=max(abs(x[1]), _GAMMA1_MIN),
-        gamma_phi=abs(x[2]),
-        r0=min(max(abs(x[3]), _R0_MIN), 1 - _R0_MIN),
-        rabi=rabi,
-    )
-
-
-def _fold_derivative(x: np.ndarray, live=1.0) -> np.ndarray:
-    """d|x|/dx times live: the sign of x, + at 0 (where fit_ou starts kappa), 0 on a clamp."""
-    return np.where(x < 0, -1.0, 1.0) * live
+def _fold_qubit(x, rabi: float) -> QubitScatterer:
+    return QubitScatterer(*_fold(x[:4], *_QUBIT_BOUNDS)[0], rabi=rabi)
 
 
 def _reflection_gradient(x: np.ndarray, rabi: float, w: np.ndarray):
-    """Reflection r at the folded x and dr/dx[:4] by _fold_derivative, shapes (N,) and (N,4)."""
+    """Reflection r at the folded x and dr/dx[:4] through the fold, shapes (N,) and (N,4)."""
     r, grad = _qubit_r_and_grad(_fold_qubit(x, rabi), w)
-    live = [1.0, abs(x[1]) > _GAMMA1_MIN, 1.0, _R0_MIN < abs(x[3]) < 1 - _R0_MIN]
-    return r, grad * _fold_derivative(x[:4], live)
+    return r, grad * _fold(x[:4], *_QUBIT_BOUNDS)[1]
 
 
 # the reflection at which, with 0 and its negative, each path's Mobius form is sampled
@@ -515,77 +514,77 @@ def fit_spectrum(trace: SpectrumTrace, spec_template: CircuitSpec,
         raise NoConvergence(
             f"spectrum fit stopped after {res.iterations} iterations, cost {res.cost:.3g}")
 
-    qubit = _fold_qubit(res.x, rabi)
-    if qubit.r0 == _R0_MIN:
+    folded, slope = _fold(res.x[:4], *_QUBIT_BOUNDS)
+    if folded[3] == _R0_MIN:
         # r0 on its lower fold bound is an escaped fit; on the upper one, full
         # reflection, it is an estimate whose dead column gives an infinite interval
         raise NoConvergence("reflection amplitude pinned at its bound")
-    params = {
-        "omega01": qubit.omega01,
-        "gamma1": qubit.gamma1,
-        "gamma_phi": qubit.gamma_phi,
-        "r0": qubit.r0,
-        "scale_re": float(res.x[4]),
-        "scale_im": float(res.x[5]),
-        "phase_slope": float(res.x[6]),
-    }
+    x = np.concatenate([folded, res.x[4:]])  # the covariance is in these, the reported params
+    params = dict(zip(("omega01", "gamma1", "gamma_phi", "r0", "scale_re", "scale_im",
+                       "phase_slope"), map(float, x)))
     rms = float(np.sqrt(np.mean(res.residual**2)) / max(np.sqrt(np.mean(data_vec**2)), 1e-300))
-    return _fit_result(res.x, res.jacobian, res.residual, res.iterations, params, rms,
-                       curves=model(res.x))
+    return _fit_result(x, res.jacobian * np.concatenate([slope, np.ones(3)]), res.residual,
+                       res.iterations, params, rms, curves=model(res.x))
 
 
 # ---------------------------------------------------------------------------
 # rate-model fits
 # ---------------------------------------------------------------------------
 
-def _fold_bath(x) -> BathModel:
-    return BathModel(abs(x[0]), abs(x[1]), max(abs(x[2]), 1.0), abs(x[3]))
+_BATH_LOWER = (0.0, 0.0, 1.0, 0.0)  # the fwhm stays at 1 rad/s or more
+
+
+def _fold_bath(x):  # the bath at the folded x, and the fold's derivative
+    folded, slope = _fold(x[:4], _BATH_LOWER)
+    return BathModel(*folded), slope
 
 
 def gamma1_curve(x, w: np.ndarray) -> np.ndarray:
     """Relaxation model at the folded parameters x = (alpha, center, fwhm, height)."""
-    return gamma1_model(_fold_bath(x), w)
+    return gamma1_model(_fold_bath(x)[0], w)
 
 
 def power_curve(x, slopes: np.ndarray) -> np.ndarray:
     """Dephasing power law at x = (amplitude, eta): |amplitude| * slopes**eta."""
-    return abs(x[0]) * slopes ** x[1]
+    return _fold(x[0])[0] * slopes ** x[1]
 
 
 def ou_curve(x, slopes: np.ndarray) -> np.ndarray:
     """Dephasing rate at the folded flux-noise parameters x = (sigma, kappa)."""
-    return gamma_phi_rate(abs(x[0]) * slopes, abs(x[1]))
+    sigma, kappa = _fold(x[:2])[0]
+    return gamma_phi_rate(sigma * slopes, kappa)
 
 
 def gamma1_jacobian(x, w: np.ndarray) -> np.ndarray:
     """d gamma1_curve / dx, shape (N, 4); the fwhm column is 0 on its clamp at 1 rad/s."""
-    bath = _fold_bath(x)
+    bath, slope = _fold_bath(x)
     h, hw, dw = bath.lorentz_height, bath.lorentz_fwhm / 2, w - bath.lorentz_center
     den = dw**2 + hw**2
     cols = [w, 2 * h * hw**2 * dw / den**2, h * hw * dw**2 / den**2, hw**2 / den]
-    return np.column_stack(cols) * _fold_derivative(x[:4], [1, 1, abs(x[2]) > 1.0, 1])
+    return np.column_stack(cols) * slope
 
 
 def power_jacobian(x, slopes: np.ndarray) -> np.ndarray:
     """d power_curve / dx, shape (N, 2)."""
-    return np.column_stack([slopes ** x[1] * _fold_derivative(x[0]),
+    return np.column_stack([slopes ** x[1] * _fold(x[0])[1],
                             power_curve(x, slopes) * np.log(slopes)])
 
 
 def ou_jacobian(x, slopes: np.ndarray) -> np.ndarray:
     """d ou_curve / dx, shape (N, 2), from physics.gamma_phi_rate_partials."""
-    d_v, d_kappa = gamma_phi_rate_partials(abs(x[0]) * slopes, abs(x[1]))
-    return np.column_stack([d_v * slopes, d_kappa]) * _fold_derivative(x[:2])
+    (sigma, kappa), slope = _fold(x[:2])
+    d_v, d_kappa = gamma_phi_rate_partials(sigma * slopes, kappa)
+    return np.column_stack([d_v * slopes, d_kappa]) * slope
 
 
 def _fit_rate_curve(model: str, names: list[str], curve, jacobian, xs: np.ndarray, y: np.ndarray,
-                    sqrt_w: np.ndarray, x0: np.ndarray, x_scale: np.ndarray) -> FitResult:
-    """Weighted LM fit of curve(x, xs), even in each x_i, to y with jac=jacobian; reports |x|."""
+                    sqrt_w: np.ndarray, x0: np.ndarray, x_scale: np.ndarray, lower=0.0):
+    """Weighted LM fit of curve(x, xs), folded by _fold(x, lower), to y; reports the folded x."""
     res = levenberg_marquardt(lambda x: (curve(x, xs) - y) * sqrt_w, x0, x_scale=x_scale,
                               jac=lambda x: jacobian(x, xs) * sqrt_w[:, None])
     if not res.converged:
         raise NoConvergence(f"{model} fit stopped after {res.iterations} iterations")
-    x = np.abs(res.x)
+    x = _fold(res.x, lower)[0]
     rms = float(np.sqrt(np.mean(res.residual**2)) /
                 max(np.sqrt(np.mean((y * sqrt_w) ** 2)), 1e-300))
     return _fit_result(x, jacobian(x, xs) * sqrt_w[:, None], res.residual, res.iterations,
@@ -617,7 +616,7 @@ def fit_gamma1(rates: RateDataset) -> FitResult:
     x_scale = np.array([max(alpha_0, 1e-5), 2 * math.pi * 1e9, 2 * math.pi * 1e9,
                         max(height_0, 2 * math.pi * 1e4)])
     return _fit_rate_curve("relaxation-model", [f.name for f in fields(BathModel)], gamma1_curve,
-                           gamma1_jacobian, w, g, np.ones_like(g), x0, x_scale)
+                           gamma1_jacobian, w, g, np.ones_like(g), x0, x_scale, _BATH_LOWER)
 
 
 def excluded_rows(rates: RateDataset, transmon: TransmonParams, rel_err_max: float):

@@ -254,6 +254,16 @@ def test_carriage_return_label_exits_2_before_writing(tmp_path, capsys):
     assert not (out / "trace.csv").exists()
 
 
+def test_a_label_utf8_cannot_encode_exits_2_before_writing(tmp_path, capsys):
+    cfg = tmp_path / "sim.json"  # json.loads reads the escape as a lone surrogate
+    cfg.write_text('{"circuit": {}, "grid": {"start_ghz": 5.17, "stop_ghz": 5.23, "points": 201},'
+                   ' "label": "a\\ud800b"}\n')
+    out = tmp_path / "out"
+    assert _run("simulate", "--config", str(cfg), "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: label must encode as UTF-8\n"
+    assert not any(out.iterdir())
+
+
 def test_flux_tag_survives_the_json_side(tmp_path):
     cfg = _write(tmp_path / "sim.json", {
         "circuit": {"qubit": QUBIT_CFG},
@@ -420,6 +430,26 @@ def test_config_problems_exit_2(tmp_path, capsys):
         cfg = _write(tmp_path / f"model_{k}.json", doc)
         assert _run(command, "--config", cfg, "--out", out, *extra) == 2, where
         assert capsys.readouterr().err.startswith(f"error: {where}")
+
+    # an input path the file system encoding cannot spell is refused naming its key
+    encoding = f"is not a file name in the file system encoding {sys.getfilesystemencoding()}\n"
+    for command, doc, key in (
+            ("fit-rates", {"rates_csv": "r\ud800.csv", "transmon": TRANSMON_CFG}, "rates_csv"),
+            ("fit-spectrum", {"input_dir": "d\ud800", "init": QUBIT_CFG}, "input_dir")):
+        cfg = _write(tmp_path / f"unencodable_{key}.json", doc)
+        assert _run(command, "--config", cfg, "--out", out) == 2, key
+        assert capsys.readouterr().err == f"error: config.{key}: {doc[key]!r} {encoding}"
+
+
+def test_an_input_name_the_file_system_encoding_cannot_spell_exits_2(tmp_path, capfd):
+    cfg = _write(tmp_path / "cfg.json", {"input_csv": "t\ud800.csv"})
+    out = tmp_path / "out"
+    assert _run("classify", "--config", cfg, "--out", str(out)) == 2
+    err = capfd.readouterr().err  # as a process's stderr, it takes any str
+    assert err.startswith("error: config.input_csv: ")
+    assert err.endswith(" is not a file name in the file system encoding "
+                        f"{sys.getfilesystemencoding()}\n")
+    assert not any(out.iterdir())
 
 
 def test_full_reflection_on_grid_exits_3(tmp_path, capsys):

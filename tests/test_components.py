@@ -278,6 +278,21 @@ def test_default_circuit_crosses_over_at_center():
     assert abs(trace.values["s32"][0]) < 0.3
 
 
+@pytest.mark.parametrize("kind", ["ideal", "branchline"])
+def test_a_scatterer_in_arm_b_mirrors_arm_a(kind):
+    # the cross paths stay and the through paths swap; with ideal splitters no
+    # path's magnitude moves at all
+    q = QubitScatterer(omega01=W_CENTER, gamma1=2 * math.pi * 1e6, gamma_phi=2 * math.pi * 0.4e6,
+                       r0=0.9, rabi=2 * math.pi * 1.5e6)
+    grid = np.linspace(CENTER_HZ - 250e6, CENTER_HZ + 250e6, 201)
+    a, b = (sweep(make_interferometer(qubit=q, qubit_arm=arm, splitter_kind=kind), grid).values
+            for arm in "ab")
+    for p, mirror in (("s12", "s12"), ("s34", "s34"), ("s32", "s14"), ("s14", "s32")):
+        assert np.abs(b[p] - a[mirror]).max() <= 1e-12, p
+        if kind == "ideal":
+            assert np.abs(np.abs(b[p]) - np.abs(a[p])).max() <= 1e-12, p
+
+
 def test_symmetric_lossless_circuit_routes_all_power_across():
     d = 1.0 / (2 * CENTER_HZ)
     spec = CircuitSpec(

@@ -54,7 +54,7 @@ from mzq.estimate import (
 )
 from mzq.components import _reflection_embedding
 from mzq.estimate import _embedded_spectrum, _fold_qubit, _median, _mobius_coefficients, _quantile
-from mzq.leastsq import NoConvergence
+from mzq.leastsq import NoConvergence, covariance
 from mzq.netcore import SingularSystem
 from mzq.physics import (
     BathModel,
@@ -295,6 +295,25 @@ def test_a_fit_that_escapes_to_no_reflection_is_refused():
     grid = np.linspace(5.17e9, 5.23e9, 601)
     with pytest.raises(NoConvergence, match="reflection amplitude pinned at its bound"):
         fit_spectrum(synthesize(make_interferometer(), grid), make_interferometer(), init=TRUTH)
+
+
+def test_a_fit_whose_r0_entry_ends_negative_reports_the_covariance_of_its_params():
+    # a line this broad leads the optimizer across r0 = 0; the model is even in
+    # that entry, so the reported r0 is its fold and so must the covariance be
+    broad = replace(TRUTH, gamma_phi=2 * math.pi * 5e6)
+    trace, runs = _qubit_trace(noise=0.01, seed=3, qubit=broad), []
+    lm = estimate.levenberg_marquardt
+    with mock.patch.object(estimate, "levenberg_marquardt",
+                           lambda *a, **k: runs.append(lm(*a, **k)) or runs[-1]):
+        result = fit_spectrum(trace, make_interferometer(), init=TRUTH)
+    assert runs[-1].x[3] < 0 < result.params["r0"]
+    _, jacobian, _ = _embedded_spectrum(make_interferometer(), trace.freqs, TRUTH.rabi,
+                                        ["s12", "s34"])
+    cols = jacobian(np.array(list(result.params.values())))
+    want = covariance(np.concatenate([half for c in cols.values() for half in (c.real, c.imag)]),
+                      runs[-1].residual)
+    np.testing.assert_allclose(result.covariance, want, rtol=1e-9, atol=0)
+    assert want[3, 1] < 0 and result.covariance[3, 1] < 0  # corr(r0, gamma1)
 
 
 def test_iteration_starved_fit_raises():
@@ -589,6 +608,19 @@ def test_fwhm_column_is_zero_on_its_clamp():
         x = np.array([*_BATH_X[:2], fwhm, _BATH_X[3]])
         jac = gamma1_jacobian(x, _W)
         assert not jac[:, 2].any() and jac[:, 3].all()
+
+
+def test_a_gamma1_fit_reports_the_fwhm_its_curve_used():
+    # LM stopping below the fwhm clamp ran the curve at 1 rad/s, so that is the estimate
+    rates, _ = _gamma1_rates(noise=0.05, seed=1)
+    lm = estimate.levenberg_marquardt
+
+    def below_the_clamp(*args, **kwargs):
+        res = lm(*args, **kwargs)
+        return replace(res, x=np.array([*res.x[:2], -0.5, res.x[3]]))
+
+    with mock.patch.object(estimate, "levenberg_marquardt", below_the_clamp):
+        assert fit_gamma1(rates).params["lorentz_fwhm"] == 1.0
 
 
 # ---------------------------------------------------------------------------
