@@ -30,6 +30,7 @@ from .components import (
     QubitScatterer,
     TraceParseError,
     _check_keys,
+    _check_label,
     _int,
     _is_number,
     _num,
@@ -266,7 +267,7 @@ def cmd_trace(config: dict, out_dir: Path, say, seed: int | None = None, *,
     spec = _build_circuit(_obj(config, "circuit", "config"), "config.circuit")
     freqs = _build_grid(_obj(config, "grid", "config"), "config.grid")
     drive = _int(config, "drive_port", "config", default=2, choices=DRIVE_PORTS)
-    label = _str(config, "label", "config", default="")
+    label = _construct("config.label", _check_label, _str(config, "label", "config", default=""))
     basename = _out_name(config, "basename", "trace", out_dir, ".json")
     flux = _num(config, "flux_phi0", "config", default=None)
     with np.errstate(all="ignore"):  # a sample that overflows is refused below

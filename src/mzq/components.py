@@ -17,7 +17,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -114,11 +114,8 @@ class QubitScatterer:
     rabi: float = 0.0
 
     def __post_init__(self):
-        _require_finite(self.omega01, "omega01")
-        _require_finite(self.gamma1, "gamma1")
-        _require_finite(self.gamma_phi, "gamma_phi")
-        _require_finite(self.r0, "r0")
-        _require_finite(self.rabi, "rabi")
+        for f in fields(self):
+            _require_finite(getattr(self, f.name), f.name)
         if self.omega01 <= 0:
             raise ValueError("omega01 must be > 0")
         if self.gamma1 < 0 or self.gamma_phi < 0:
@@ -157,6 +154,16 @@ class CircuitSpec:
             raise ValueError("cal_scale must be finite and nonzero")
         object.__setattr__(self, "cal_scale", scale)
         _require_finite(self.cal_delay, "cal_delay")
+
+
+def _check_label(label: str) -> str:  # the label, refused where a trace file cannot hold it
+    if "\r" in label:  # csv.writer leaves it unquoted: the CSV would not read back
+        raise ValueError("label must not contain a carriage return")
+    try:  # both trace files are UTF-8, which cannot hold a lone surrogate
+        label.encode()
+    except UnicodeEncodeError:
+        raise ValueError("label must encode as UTF-8") from None
+    return label
 
 
 @dataclass
@@ -199,12 +206,7 @@ class SpectrumTrace:
         self.values = vals
         if not math.isfinite(self.noise_sigma) or self.noise_sigma < 0:
             raise ValueError("noise_sigma must be finite and >= 0")
-        if "\r" in self.label:  # csv.writer leaves it unquoted: the CSV would not read back
-            raise ValueError("label must not contain a carriage return")
-        try:  # both trace files are UTF-8, which cannot hold a lone surrogate
-            self.label.encode()
-        except UnicodeEncodeError:
-            raise ValueError("label must encode as UTF-8") from None
+        _check_label(self.label)
         if self.drive_port not in (None, *DRIVE_PORTS):
             raise ValueError("drive_port must be None, 2 or 4")
 
@@ -318,7 +320,7 @@ def qubit_rt_many(q: QubitScatterer, omegas: np.ndarray):
 
 
 def _qubit_r_and_grad(q: QubitScatterer, omegas: np.ndarray):
-    """Reflection r and dr/d(omega01, gamma1, gamma_phi, r0), shapes (N,) and (N,4)."""
+    """r (N,) and dr/d(omega01, gamma1, gamma_phi, r0) (N,4): the fitted fields, in field order."""
     r, detune, sat, den = _lineshape(q, np.asarray(omegas, dtype=float).reshape(-1))
     g2 = q.gamma2
     dr_ddetune = q.r0 * (-1j * den - 2 * detune * (1 - 1j * detune)) / den**2

@@ -308,22 +308,19 @@ def _fold(x, lower=0.0, upper=math.inf):
     return np.clip(a, lower, upper), np.where(x < 0, -1.0, 1.0) * ~held
 
 
-# fold bounds of (omega01, gamma1, gamma_phi, r0): gamma1 stays off 0 so the
-# saturation term is finite, and r0 stays off full reflection so
-# |t| = |1 - r| >= 1 - Re(r) >= _R0_MIN
+# The spectrum fit's vector: the qubit's fitted fields in field order, with fold bounds, then
+# the calibration. gamma1 > 0 keeps saturation finite, r0 < 1 keeps |1 - r| >= 1 - Re(r) >= _R0_MIN
 _GAMMA1_MIN = 1e-3
 _R0_MIN = 1e-6
-_QUBIT_BOUNDS = ((0.0, _GAMMA1_MIN, 0.0, _R0_MIN), (math.inf, math.inf, math.inf, 1 - _R0_MIN))
+_QUBIT_BOUNDS = {"omega01": (0.0, math.inf), "gamma1": (_GAMMA1_MIN, math.inf),
+                 "gamma_phi": (0.0, math.inf), "r0": (_R0_MIN, 1 - _R0_MIN)}
+_CALIBRATION = ("scale_re", "scale_im", "phase_slope")
+_NQ = len(_QUBIT_BOUNDS)  # x[:_NQ] is the qubit's, x[_NQ:] the calibration's
 
 
-def _fold_qubit(x, rabi: float) -> QubitScatterer:
-    return QubitScatterer(*_fold(x[:4], *_QUBIT_BOUNDS)[0], rabi=rabi)
-
-
-def _reflection_gradient(x: np.ndarray, rabi: float, w: np.ndarray):
-    """Reflection r at the folded x and dr/dx[:4] through the fold, shapes (N,) and (N,4)."""
-    r, grad = _qubit_r_and_grad(_fold_qubit(x, rabi), w)
-    return r, grad * _fold(x[:4], *_QUBIT_BOUNDS)[1]
+def _fold_qubit(x, rabi: float):  # the scatterer at the folded x, and the fold's derivative
+    folded, slope = _fold(x[:_NQ], *zip(*_QUBIT_BOUNDS.values()))
+    return QubitScatterer(**dict(zip(_QUBIT_BOUNDS, folded)), rabi=rabi), slope
 
 
 # the reflection at which, with 0 and its negative, each path's Mobius form is sampled
@@ -343,32 +340,31 @@ def _mobius_coefficients(solve_at, n: int) -> dict[str, tuple]:
     return out
 
 
-def _embedded_spectrum(template: CircuitSpec, freqs: np.ndarray, rabi: float,
+def _embedded_spectrum(template: CircuitSpec, freqs: np.ndarray, f_ref: float, rabi: float,
                        paths: list[str]):
     """Calibrated cross paths and their Jacobian as functions of the fit vector x.
 
-    Returns (model, jacobian, mobius): model(x) solves the template's
-    reflection embedding at the folded lineshape's r and applies the fit
-    calibration; jacobian(x) maps each path to its (N,7) complex derivative,
-    dS/dr = (b - a d)/(1 + d r)^2 times dr/dx, and closed-form calibration
-    columns; mobius holds each path's (a, b, d), whose a is the background.
+    Returns (model, jacobian, mobius): model(x) solves the template's reflection embedding at
+    the folded lineshape's r, calibrated at f_ref; jacobian(x) maps each path to dS/dx, from
+    dS/dr = (b - a d)/(1 + d r)^2 and closed-form calibration columns; mobius holds (a, b, d).
     """
     w = 2 * math.pi * freqs
-    f_ref = float(np.mean(freqs))
     solve_at = _reflection_embedding(template, freqs, paths)
     mobius = _mobius_coefficients(solve_at, w.size)
 
     def model(x) -> dict[str, np.ndarray]:
-        # qubit_stack's |t| gate is not needed: the fold keeps r0 <= 1 - _R0_MIN,
-        # so |1 - r| >= 1 - Re(r) >= _R0_MIN, far above T_DEGENERATE, for any x
-        r = qubit_rt_many(_fold_qubit(x, rabi), w)[0]
-        cal = calibration_curve(x[4], x[5], x[6], freqs, f_ref)
+        # qubit_stack's |t| gate is not needed: the fold keeps |t| >= _R0_MIN >> T_DEGENERATE
+        r = qubit_rt_many(_fold_qubit(x, rabi)[0], w)[0]
+        cal = calibration_curve(*x[_NQ:], freqs, f_ref)
         return {p: s * cal for p, s in solve_at(r).items()}
 
     def jacobian(x) -> dict[str, np.ndarray]:
-        r, dr = _reflection_gradient(x, rabi, w)
-        unwind = calibration_curve(1.0, 0.0, x[6], freqs, f_ref)
-        scale = complex(x[4], x[5])
+        qubit, slope = _fold_qubit(x, rabi)
+        r, dr = _qubit_r_and_grad(qubit, w)
+        dr *= slope
+        scale_re, scale_im, delay = x[_NQ:]
+        unwind = calibration_curve(1.0, 0.0, delay, freqs, f_ref)
+        scale = complex(scale_re, scale_im)
         out = {}
         for p, (a, b, d) in mobius.items():
             den = 1 + d * r
@@ -471,7 +467,7 @@ def fit_spectrum(trace: SpectrumTrace, spec_template: CircuitSpec,
     # calibration start: compare data with the qubit-free background; the
     # line fit uses only the outer bands, away from the scatterer feature
     f_ref = float(np.mean(freqs))
-    model, model_jacobian, mobius = _embedded_spectrum(spec_template, freqs, rabi, paths)
+    model, model_jacobian, mobius = _embedded_spectrum(spec_template, freqs, f_ref, rabi, paths)
     background = mobius[primary][0]
     ok = np.abs(background) > 1e-12
     if ok.sum() >= 4:
@@ -514,16 +510,16 @@ def fit_spectrum(trace: SpectrumTrace, spec_template: CircuitSpec,
         raise NoConvergence(
             f"spectrum fit stopped after {res.iterations} iterations, cost {res.cost:.3g}")
 
-    folded, slope = _fold(res.x[:4], *_QUBIT_BOUNDS)
-    if folded[3] == _R0_MIN:
+    qubit, slope = _fold_qubit(res.x, rabi)
+    if qubit.r0 == _R0_MIN:
         # r0 on its lower fold bound is an escaped fit; on the upper one, full
         # reflection, it is an estimate whose dead column gives an infinite interval
         raise NoConvergence("reflection amplitude pinned at its bound")
-    x = np.concatenate([folded, res.x[4:]])  # the covariance is in these, the reported params
-    params = dict(zip(("omega01", "gamma1", "gamma_phi", "r0", "scale_re", "scale_im",
-                       "phase_slope"), map(float, x)))
+    params = {k: float(getattr(qubit, k)) for k in _QUBIT_BOUNDS}
+    params.update(zip(_CALIBRATION, map(float, res.x[_NQ:])))
+    res.jacobian[:, :_NQ] *= slope  # so the covariance is in the reported params
     rms = float(np.sqrt(np.mean(res.residual**2)) / max(np.sqrt(np.mean(data_vec**2)), 1e-300))
-    return _fit_result(x, res.jacobian * np.concatenate([slope, np.ones(3)]), res.residual,
+    return _fit_result(np.array([*params.values()]), res.jacobian, res.residual,
                        res.iterations, params, rms, curves=model(res.x))
 
 

@@ -260,7 +260,7 @@ def test_a_label_utf8_cannot_encode_exits_2_before_writing(tmp_path, capsys):
                    ' "label": "a\\ud800b"}\n')
     out = tmp_path / "out"
     assert _run("simulate", "--config", str(cfg), "--out", str(out)) == 2
-    assert capsys.readouterr().err == "error: label must encode as UTF-8\n"
+    assert capsys.readouterr().err == "error: config.label: label must encode as UTF-8\n"
     assert not any(out.iterdir())
 
 
@@ -425,6 +425,10 @@ def test_config_problems_exit_2(tmp_path, capsys):
          "config.grid.stop_ghz"),
         ("simulate", {"circuit": {"cal_scale_re": 0}, "grid": GRID_CFG}, [],
          "config.circuit: cal_scale"),
+        # a label neither trace file can hold is refused where it is read, before the sweep
+        ("simulate", {"circuit": {}, "grid": GRID_CFG, "label": "a\rb"}, [],
+         "config.label: label must not contain a carriage return\n"),
+        ("synth", {**synth, "label": "a\ud800b"}, [], "config.label: label must encode as UTF-8\n"),
     ]
     for k, (command, doc, extra, where) in enumerate(cases):
         cfg = _write(tmp_path / f"model_{k}.json", doc)

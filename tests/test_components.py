@@ -3,7 +3,7 @@ import io
 import math
 import tempfile
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -235,6 +235,15 @@ def test_scatterer_parameter_validation():
     with pytest.raises(ValueError):
         # a drive needs a relaxation channel to saturate against
         QubitScatterer(omega01=W_CENTER, gamma1=0.0, gamma_phi=1e6, r0=0.9, rabi=1e6)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", [f.name for f in fields(QubitScatterer)])
+def test_scatterer_refuses_a_non_finite_field_by_name(name, bad):
+    good = dict(omega01=W_CENTER, gamma1=1e6, gamma_phi=1e5, r0=0.9, rabi=1e6)
+    with pytest.raises(ValueError) as err:
+        QubitScatterer(**{**good, name: bad})
+    assert str(err.value) == f"{name} must be finite, got {bad!r}"
 
 
 def test_far_detuned_scatterer_leaves_circuit_unchanged():

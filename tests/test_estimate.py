@@ -3,7 +3,7 @@ import cmath
 import json
 import math
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -52,8 +52,9 @@ from mzq.estimate import (
     write_fit_json,
     write_rates_csv,
 )
-from mzq.components import _reflection_embedding
-from mzq.estimate import _embedded_spectrum, _fold_qubit, _median, _mobius_coefficients, _quantile
+from mzq.components import _qubit_r_and_grad, _reflection_embedding
+from mzq.estimate import (_CALIBRATION, _QUBIT_BOUNDS, _embedded_spectrum, _fold_qubit, _median,
+                           _mobius_coefficients, _quantile)
 from mzq.leastsq import NoConvergence, covariance
 from mzq.netcore import SingularSystem
 from mzq.physics import (
@@ -307,8 +308,8 @@ def test_a_fit_whose_r0_entry_ends_negative_reports_the_covariance_of_its_params
                            lambda *a, **k: runs.append(lm(*a, **k)) or runs[-1]):
         result = fit_spectrum(trace, make_interferometer(), init=TRUTH)
     assert runs[-1].x[3] < 0 < result.params["r0"]
-    _, jacobian, _ = _embedded_spectrum(make_interferometer(), trace.freqs, TRUTH.rabi,
-                                        ["s12", "s34"])
+    _, jacobian, _ = _embedded_spectrum(make_interferometer(), trace.freqs,
+                                        float(np.mean(trace.freqs)), TRUTH.rabi, ["s12", "s34"])
     cols = jacobian(np.array(list(result.params.values())))
     want = covariance(np.concatenate([half for c in cols.values() for half in (c.real, c.imag)]),
                       runs[-1].residual)
@@ -372,6 +373,15 @@ def test_cross_paths_are_affine_then_mobius_in_the_reflection(kind, arm, delays,
 
 
 _X_SCALE = np.array([2 * math.pi * 1e6] * 3 + [0.1] * 3 + [1e-9])
+_N_FIT = len(_QUBIT_BOUNDS) + len(_CALIBRATION)  # the spectrum fit's vector
+
+
+def test_the_fit_vector_table_follows_the_scatterer_fields():
+    # a fitted field is one row of _QUBIT_BOUNDS: its keys are QubitScatterer's
+    # fields but the drive, in field order, and the gradient has a column for each
+    assert list(_QUBIT_BOUNDS) == [f.name for f in fields(QubitScatterer) if f.name != "rabi"]
+    r, grad = _qubit_r_and_grad(TRUTH, np.linspace(5.19e9, 5.21e9, 5) * 2 * math.pi)
+    assert grad.shape == (r.size, len(_QUBIT_BOUNDS))
 
 
 @pytest.mark.parametrize("rabi", [0.0, TRUTH.rabi], ids=["undriven", "driven"])
@@ -388,14 +398,14 @@ _X_SCALE = np.array([2 * math.pi * 1e6] * 3 + [0.1] * 3 + [1e-9])
 ], ids=["plain", "negative", "gamma1-floor", "r0-clamped"])
 def test_spectrum_jacobian_matches_central_differences(rabi, x, clamped):
     trace = _qubit_trace(points=201)
-    model, jacobian, _ = _embedded_spectrum(make_interferometer(), trace.freqs, rabi,
-                                            ["s12", "s34"])
+    model, jacobian, _ = _embedded_spectrum(make_interferometer(), trace.freqs,
+                                            float(np.mean(trace.freqs)), rabi, ["s12", "s34"])
     x = np.array(x)
     jac = jacobian(x)
     steps = 1e-4 * _X_SCALE
     steps[clamped] = 1e-5 * np.abs(x[clamped])  # stay on the clamp
     for k, h in enumerate(steps):
-        up, down = model(x + h * np.eye(7)[k]), model(x - h * np.eye(7)[k])
+        up, down = model(x + h * np.eye(_N_FIT)[k]), model(x - h * np.eye(_N_FIT)[k])
         for p, cols in jac.items():
             central = (up[p] - down[p]) / (2 * h)
             # scaled columns, as the fit sees them; measured worst 6e-8
@@ -409,7 +419,7 @@ def test_spectrum_jacobian_matches_central_differences(rabi, x, clamped):
 @given(x=st.lists(st.floats(-1e12, 1e12), min_size=4, max_size=4).filter(lambda v: v[0] != 0),
        rabi=st.floats(0.0, 1e9), offsets=st.lists(st.floats(-1e9, 1e9), max_size=5))
 def test_folded_reflection_stays_clear_of_full_reflection(x, rabi, offsets):
-    q = _fold_qubit(x, rabi)
+    q = _fold_qubit(x, rabi)[0]
     w = q.omega01 + np.array([0.0, *offsets])  # resonance is the worst point
     r, t = qubit_rt_many(q, w)
     assert np.abs(t).min() >= 1e-6 > T_DEGENERATE
@@ -419,11 +429,12 @@ def test_spectrum_jacobian_at_a_zero_rate_is_the_right_hand_derivative():
     # gamma_phi = 0 sits on the fold's kink; the column must not be zero there,
     # or a fit started at 0 could never leave it
     trace = _qubit_trace(points=201)
-    model, jacobian, _ = _embedded_spectrum(make_interferometer(), trace.freqs, TRUTH.rabi,
+    model, jacobian, _ = _embedded_spectrum(make_interferometer(), trace.freqs,
+                                            float(np.mean(trace.freqs)), TRUTH.rabi,
                                             ["s12", "s34"])
     x = np.array([TRUTH.omega01, TRUTH.gamma1, 0.0, 0.9, 1.0, 0.0, 0.0])
     h = 1e-7 * _X_SCALE[2]
-    up, at = model(x + h * np.eye(7)[2]), model(x)
+    up, at = model(x + h * np.eye(_N_FIT)[2]), model(x)
     for p, cols in jacobian(x).items():
         forward = (up[p] - at[p]) / h
         assert cols[:, 2].any()
