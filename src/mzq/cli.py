@@ -96,11 +96,11 @@ def _build_qubit(obj: dict | None, where: str) -> QubitScatterer | None:
                       rabi=_num(obj, "rabi_mhz", where, default=0.0, minimum=0) * MHZ)
 
 
-def _build_circuit(obj: dict | None, where: str) -> CircuitSpec:
+def _build_circuit(obj: dict | None, where: str, with_qubit: bool = True) -> CircuitSpec:
     if obj is None:
         obj = {}
-    _check_keys(obj, where, {"splitter", "center_ghz", "qubit_arm", "qubit", "lines",
-                             "cal_scale_re", "cal_scale_im", "cal_delay_ns"})
+    _check_keys(obj, where, {"splitter", "center_ghz", "qubit_arm", "lines", "cal_scale_re",
+                             "cal_scale_im", "cal_delay_ns"} | ({"qubit"} if with_qubit else set()))
     kind = _str(obj, "splitter", where, default="ideal", choices={"ideal", "branchline"})
     center_hz = _num(obj, "center_ghz", where, default=5.746, minimum=0, strict=True) * 1e9
     arm = _str(obj, "qubit_arm", where, default="a", choices={"a", "b"})
@@ -360,8 +360,9 @@ def cmd_fit_spectrum(config: dict, out_dir: Path, say) -> int:
     """
     _check_keys(config, "config", _FIT_SPECTRUM_KEYS)
     source = _one_input(config, ("input_csv", "input_json", "input_dir"))
+    # the fitted scatterer replaces the template's, so a qubit there is refused, not ignored
     template = _build_circuit(_obj(config, "circuit", "config", default=None),
-                              "config.circuit")
+                              "config.circuit", with_qubit=False)
     init = _build_qubit(_obj(config, "init", "config", default=None), "config.init")
     options = _fit_options(config)
 
@@ -473,19 +474,18 @@ def cmd_fit_rates(config: dict, out_dir: Path, say) -> int:
                ("row", "omega01_rad_s", "gamma_phi_rad_s", "rel_err_gamma_phi", "reason"),
                *((*table[i:i + 1].T, reasons[i]) for i in rows))
 
-    kept_slopes = np.delete(slopes, rows)  # the rows both gamma_phi fits keep
     phi_cols = ("slope_rad_s_per_phi0", "gamma_phi_rad_s")
-    reports = (  # name, fit, x values of the rows it keeps, curve file, its x and y columns
-        ("gamma1", lambda: fit_gamma1(rates), rates.omega01, "curve_gamma1.csv",
+    reports = (  # name, fit, curve file, its x and y columns
+        ("gamma1", lambda: fit_gamma1(rates), "curve_gamma1.csv",
          ("omega01_rad_s", "gamma1_rad_s")),
         ("gamma_phi_power", lambda: fit_gamma_phi_power(rates, transmon, rel_err_max),
-         kept_slopes, "curve_gamma_phi_power.csv", phi_cols),
-        ("ou", lambda: fit_ou(rates, transmon, rel_err_max), kept_slopes,
-         "curve_gamma_phi_ou.csv", phi_cols),
+         "curve_gamma_phi_power.csv", phi_cols),
+        ("ou", lambda: fit_ou(rates, transmon, rel_err_max), "curve_gamma_phi_ou.csv",
+         phi_cols),
     )
 
     failures = []
-    for name, fit, xs, curve_name, cols in reports:
+    for name, fit, curve_name, cols in reports:
         try:
             result = fit()
         except Exception as exc:
@@ -493,10 +493,8 @@ def cmd_fit_rates(config: dict, out_dir: Path, say) -> int:
             continue
         write_fit_json(out_dir / f"{name}_fit.json", result)
         say(f"wrote {out_dir / f'{name}_fit.json'}")
-        # a fit that returns kept at least 4 rows, whose x values span a range
-        grid = np.linspace(xs.min(), xs.max(), band_points)
         _write_csv(out_dir / curve_name, say, (*cols, "lo95_rad_s", "hi95_rad_s"),
-                   (grid, *result.band(grid)))
+                   result.band(band_points))
 
     for name, err in failures:
         print(f"{name} fit failed: {err}", file=sys.stderr)

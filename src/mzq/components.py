@@ -333,32 +333,30 @@ def _qubit_r_and_grad(q: QubitScatterer, omegas: np.ndarray):
                         r / q.r0], axis=1)
 
 
-def _transfer_block(r: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Transfer blocks (1/t) * [[t^2 - r^2, r], [-r, 1]], shape (2,2,N)."""
-    return np.array([[(t**2 - r**2) / t, r / t], [-r / t, 1 / t]])
-
-
-def qubit_stack(q: QubitScatterer, omegas: np.ndarray) -> np.ndarray:
-    """Scatterer transfer blocks at the lineshape's r, shape (2,2,N), gated on |t|."""
-    w = np.asarray(omegas, dtype=float).reshape(-1)
-    r, t = qubit_rt_many(q, w)
+def _transmission(r: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """t = 1 - r per frequency, refused at the first |t| below T_DEGENERATE."""
+    t = 1 - r
     small = np.abs(t) < T_DEGENERATE
     if np.any(small):
         idx = int(np.argmax(small))
-        raise DegenerateScatterer(
-            f"|t| = {abs(t[idx]):.3g} below {T_DEGENERATE:.0e}",
-            frequency=w[idx] / (2 * math.pi),
-        )
-    return _transfer_block(r, t)
+        raise DegenerateScatterer(f"|t| = {abs(t[idx]):.3g} below {T_DEGENERATE:.0e}",
+                                  frequency=w[idx] / (2 * math.pi))
+    return t
+
+
+def qubit_stack(r: np.ndarray, omegas: np.ndarray) -> np.ndarray:
+    """Blocks (1/t) [[t^2 - r^2, r], [-r, 1]] of a scatterer reflecting r, t = _transmission."""
+    t = _transmission(r, np.asarray(omegas, dtype=float).reshape(-1))
+    return np.array([[(t**2 - r**2) / t, r / t], [-r / t, 1 / t]])
 
 
 def total_matrix_stack(spec: CircuitSpec, omegas: np.ndarray,
                        r: np.ndarray | None = None) -> np.ndarray:
     """Total transfer matrix splitter.line.scatterer.line.splitter per frequency.
 
-    The scatterer block is qubit_stack of spec.qubit, or the arm is empty.
-    A given r, the scatterer's reflection per frequency, replaces spec.qubit
-    and is not gated: the caller keeps |1 - r| clear of 0.
+    The scatterer block is qubit_stack of r, the scatterer's reflection per
+    frequency, which is spec.qubit's lineshape when r is not given; with
+    neither the arm is empty.
 
     line.scatterer.line is block diagonal: d_k^2 on the empty arm and
     d_k * Q_kl * d_l on the scatterer arm, with d the line factors and Q the
@@ -369,11 +367,12 @@ def total_matrix_stack(spec: CircuitSpec, omegas: np.ndarray,
     bs = bs_stack(spec.splitter, w)
     d = tl_stack(spec.lines, w)
     inner_bs = (d * d)[:, None] * bs
-    if r is not None or spec.qubit is not None:
+    if r is None and spec.qubit is not None:
+        r = qubit_rt_many(spec.qubit, w)[0]
+    if r is not None:
         arm = slice(0, 2) if spec.qubit_arm == "a" else slice(2, 4)
         # the unscaled block stays a temporary: a name on it would add N*64 bytes to the peak
-        block = (d[arm, None] * (qubit_stack(spec.qubit, w) if r is None
-                                 else _transfer_block(r, 1 - r)) * d[None, arm])
+        block = d[arm, None] * qubit_stack(r, w) * d[None, arm]
         inner_bs[arm] = np.einsum("kln,ljn->kjn", block, bs[arm])
     return np.einsum("ikn,kjn->ijn", bs, inner_bs)
 
@@ -438,9 +437,9 @@ def _reflection_embedding(spec: CircuitSpec, freqs: np.ndarray, paths):
     (1 - r) M(r) = A + r B, with M the total transfer matrix. A is the
     total at r = 0 and B follows from one more build at r = 1/2, both by
     total_matrix_stack. Returns solve_at(r): the paths of
-    M(r) through the gated port solve, which are sweep's values for a
-    scatterer that reflects r, to rounding. r is not gated on |t|: the
-    caller keeps |1 - r| clear of 0.
+    M(r) through both of sweep's gates, |1 - r| (_transmission) and the
+    port solve's condition, which are sweep's values for a scatterer that
+    reflects r, to rounding.
     """
     f = np.asarray(freqs, dtype=float).reshape(-1)
     w = 2 * math.pi * f
@@ -448,7 +447,7 @@ def _reflection_embedding(spec: CircuitSpec, freqs: np.ndarray, paths):
     b_tot = total_matrix_stack(spec, w, np.full(w.size, 0.5)) - 2 * a_tot
 
     def solve_at(r: np.ndarray) -> dict[str, np.ndarray]:
-        totals = (a_tot + r * b_tot) / (1 - r)
+        totals = (a_tot + r * b_tot) / _transmission(r, w)
         return _calibrated_paths(spec, w, netcore.solve_port_system_many(totals, frequencies=f),
                                  paths)
 

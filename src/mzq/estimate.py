@@ -88,8 +88,9 @@ class FitResult:
     leading params keys, in their order, so a band through the reported
     params reads it as is; dof is the residual degrees of freedom behind the
     intervals; curves (spectrum fits) maps each fitted cross path to the
-    calibrated model at the fitted point; band (rate fits) maps a grid xs to
-    the fitted curve over it and its 95% band, (y, lo, hi). None of the four
+    calibrated model at the fitted point; band (rate fits) maps a point count
+    to (grid, y, lo, hi), the fitted curve and its 95% band over that many
+    points spanning the x values of the rows the fit used. None of the four
     is serialized.
     """
 
@@ -101,7 +102,7 @@ class FitResult:
     covariance: np.ndarray | None = field(default=None, repr=False, compare=False)
     dof: int | None = field(default=None, compare=False)
     curves: dict[str, np.ndarray] | None = field(default=None, repr=False, compare=False)
-    band: Callable[[np.ndarray], tuple] | None = field(default=None, repr=False, compare=False)
+    band: Callable[[int], tuple] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         for k, hw in self.ci95.items():
@@ -125,20 +126,21 @@ class FitResult:
         return out
 
 
-def _fit_result(x: np.ndarray, jacobian: np.ndarray, residual: np.ndarray, iterations: int,
+def _fit_result(jacobian: np.ndarray, residual: np.ndarray, iterations: int,
                 params: dict[str, float], residual_rms: float,
                 curves: dict[str, np.ndarray] | None = None,
                 rate_model: tuple | None = None) -> FitResult:
-    """Result of a converged fit at x: one covariance, ci95 on the leading params.
+    """Result of a converged fit at params: one covariance, ci95 on the leading params.
 
-    rate_model, a rate fit's (curve, jacobian), gives the result its band at x.
+    rate_model, a rate fit's (curve, jacobian, xs) with xs the x values of the
+    rows it used, gives the result its band at the vector of params' values.
     """
     m, n = jacobian.shape
     cov = covariance(jacobian, residual)
     hw = confidence_half_widths(cov, m - n)
     ci95 = {k: float(h) for k, h in zip(params, hw)}
-    band = None if rate_model is None else partial(prediction_band, *rate_model, x, cov,
-                                                   dof=m - n)
+    band = None if rate_model is None else partial(prediction_band, *rate_model,
+                                                   np.array([*params.values()]), cov, m - n)
     return FitResult(params=params, ci95=ci95, residual_rms=residual_rms,
                      iterations=iterations, converged=True, covariance=cov, dof=m - n,
                      curves=curves, band=band)
@@ -353,7 +355,6 @@ def _embedded_spectrum(template: CircuitSpec, freqs: np.ndarray, f_ref: float, r
     mobius = _mobius_coefficients(solve_at, w.size)
 
     def model(x) -> dict[str, np.ndarray]:
-        # qubit_stack's |t| gate is not needed: the fold keeps |t| >= _R0_MIN >> T_DEGENERATE
         r = qubit_rt_many(_fold_qubit(x, rabi)[0], w)[0]
         cal = calibration_curve(*x[_NQ:], freqs, f_ref)
         return {p: s * cal for p, s in solve_at(r).items()}
@@ -426,12 +427,12 @@ def fit_spectrum(trace: SpectrumTrace, spec_template: CircuitSpec,
     The model is sweep's, evaluated through the scatterer's exact embedding:
     with r the scatterer reflection, (1 - r) M(r) = A + r B per frequency,
     so A and B are built once per trace and the fit runs no sweep.
-    Every evaluated point, the converged one included, still goes through
-    the port solve and its condition gate, so SingularSystem names the
-    frequency as sweep would; sweep's |t| gate cannot trip because the fold
-    keeps |1 - r| >= 1e-6. The Jacobian is closed form: each cross path is
-    Mobius in r, S = (a + b r)/(1 + d r). gamma1 and r0 start off their
-    fold clamps, where their columns are live.
+    Every evaluated point, the converged one included, passes both of
+    sweep's gates, |1 - r| and the port solve's condition, so SingularSystem
+    names the frequency as sweep would. The Jacobian is closed form: each
+    cross path is Mobius in r, S = (a + b r)/(1 + d r). gamma1 and r0 start
+    off their fold clamps, where their columns are live. spec_template's
+    qubit is ignored: the fitted scatterer takes its place.
 
     The result's curves hold the calibrated model of each fitted cross path
     at the converged point, from one more evaluation on the same embedding.
@@ -519,8 +520,8 @@ def fit_spectrum(trace: SpectrumTrace, spec_template: CircuitSpec,
     params.update(zip(_CALIBRATION, map(float, res.x[_NQ:])))
     res.jacobian[:, :_NQ] *= slope  # so the covariance is in the reported params
     rms = float(np.sqrt(np.mean(res.residual**2)) / max(np.sqrt(np.mean(data_vec**2)), 1e-300))
-    return _fit_result(np.array([*params.values()]), res.jacobian, res.residual,
-                       res.iterations, params, rms, curves=model(res.x))
+    return _fit_result(res.jacobian, res.residual, res.iterations, params, rms,
+                       curves=model(res.x))
 
 
 # ---------------------------------------------------------------------------
@@ -583,8 +584,8 @@ def _fit_rate_curve(model: str, names: list[str], curve, jacobian, xs: np.ndarra
     x = _fold(res.x, lower)[0]
     rms = float(np.sqrt(np.mean(res.residual**2)) /
                 max(np.sqrt(np.mean((y * sqrt_w) ** 2)), 1e-300))
-    return _fit_result(x, jacobian(x, xs) * sqrt_w[:, None], res.residual, res.iterations,
-                       dict(zip(names, map(float, x))), rms, rate_model=(curve, jacobian))
+    return _fit_result(jacobian(x, xs) * sqrt_w[:, None], res.residual, res.iterations,
+                       dict(zip(names, map(float, x))), rms, rate_model=(curve, jacobian, xs))
 
 
 def fit_gamma1(rates: RateDataset) -> FitResult:
@@ -662,9 +663,9 @@ def fit_gamma_phi_power(rates: RateDataset, transmon: TransmonParams,
     rms = math.sqrt(float(resid @ resid) / float(sqrt_w @ sqrt_w))
     # the log residual is linear in (log amplitude, eta), so its Jacobian in
     # (amplitude, eta) is exact and covariance() carries the delta method
-    return _fit_result(np.array([amplitude, eta]), design / [amplitude, 1.0], resid, 1,
+    return _fit_result(design / [amplitude, 1.0], resid, 1,
                        {"amplitude": amplitude, "eta": float(eta)}, rms,
-                       rate_model=(power_curve, power_jacobian))
+                       rate_model=(power_curve, power_jacobian, slopes))
 
 
 def fit_ou(rates: RateDataset, transmon: TransmonParams,
@@ -672,7 +673,9 @@ def fit_ou(rates: RateDataset, transmon: TransmonParams,
     """Fit the flux-noise amplitude and rate through the dephasing model.
 
     Rows that excluded_rows sets aside are dropped; each kept row is
-    weighted by its inverse variance, 1/(rel_err gamma_phi)^2. Reports
+    weighted by 1/(rel_err gamma_phi)^2, its inverse variance up to one
+    factor common to every row, which the fit's s^2 absorbs: sigma, kappa
+    and their intervals do not depend on it. Reports
     sigma and kappa with 95% intervals plus kappa_upper95, the one-sided 95%
     upper bound for kappa, which is the meaningful statement when kappa is
     indistinguishable from zero. The search starts at the quasi-static point

@@ -244,13 +244,14 @@ def confidence_half_widths(cov: np.ndarray, dof: int) -> np.ndarray:
 
 
 def prediction_band(curve: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                    jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray], pvec: np.ndarray,
-                    cov: np.ndarray, xs: np.ndarray, dof: int):
-    """Curve over xs with its delta-method 95% band, cov being that of every entry of pvec.
+                    jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray], xs: np.ndarray,
+                    pvec: np.ndarray, cov: np.ndarray, dof: int, points: int):
+    """(grid, y, lo, hi): curve and delta-method 95% band on linspace(min(xs), max(xs), points).
 
-    jacobian(pvec, xs) is d curve(pvec, xs) / dpvec, shape (len(xs), len(pvec)).
+    cov is that of every entry of pvec; jacobian(pvec, grid) is d curve / dpvec, per point.
     """
-    y, grad = curve(pvec, xs), jacobian(pvec, xs)
+    grid = np.linspace(xs.min(), xs.max(), points)
+    y, grad = curve(pvec, grid), jacobian(pvec, grid)
     var = np.einsum("ni,ij,nj->n", grad, cov, grad)
     half = t_quantile(dof, 0.975) * np.sqrt(np.maximum(var, 0.0))
-    return y, y - half, y + half
+    return grid, y, y - half, y + half

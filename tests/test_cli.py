@@ -415,6 +415,11 @@ def test_config_problems_exit_2(tmp_path, capsys):
         # one trace gives no rate table, so a rates_csv is refused before the trace is read
         ("fit-spectrum", {"input_csv": "a.csv", "rates_csv": "r.csv"}, [], "config.rates_csv"),
         ("fit-spectrum", {"input_json": "a.json", "rates_csv": "r.csv"}, [], "config.rates_csv"),
+        # the fitted scatterer would replace a template qubit, so it is refused, not ignored
+        ("fit-spectrum", {"input_csv": "a.csv", "circuit": {"qubit": QUBIT_CFG}}, [],
+         "config.circuit: unknown keys ['qubit']\n"),
+        ("fit-spectrum", {"input_dir": str(tmp_path), "circuit": {"qubit": QUBIT_CFG}}, [],
+         "config.circuit: unknown keys ['qubit']\n"),
         ("fit-rates", {"rates_csv": "a.csv", "transmon": {**TRANSMON_CFG, "ej_max_ghz": 1.0}},
          [], "config.transmon: transmon regime"),
         ("synth", {**synth, "seed": -3}, [], "config.seed"),
@@ -1297,19 +1302,22 @@ def test_ou_band_takes_its_dof_from_the_rows_the_fit_keeps(tmp_path):
     assert _run("fit-rates", "--config", cfg, "--out", str(out), "--quiet") == 0
 
     lines = (out / "curve_gamma_phi_ou.csv").read_text().splitlines()[1:]
-    xs, y, lo, hi = np.array([[float(v) for v in ln.split(",")] for ln in lines]).T
+    written = np.array([[float(v) for v in ln.split(",")] for ln in lines]).T
     ou = fit_ou(read_rates_csv(rates_path), TransmonParams(ej_max=20.0e9, ec=592.4e6))
     pvec = np.array([ou.params["sigma"], ou.params["kappa"]])
     kept = len(rates) - 3  # less the noisy row, the untagged row and the negative one
-    band = prediction_band(ou_curve, ou_jacobian, pvec, ou.covariance, xs, kept - 2)
-    assert np.array_equal(np.array([y, lo, hi]), np.array(band))
-    assert np.array_equal(np.array(ou.band(xs)), np.array(band))
-    _, _, hi_usable = prediction_band(ou_curve, ou_jacobian, pvec, ou.covariance, xs, kept - 1)
+    points = (out / "points_gamma_phi.csv").read_text().splitlines()[1:]
+    slopes = [float(ln.split(",")[1]) for ln in points[:kept]]
+    band = prediction_band(ou_curve, ou_jacobian, np.array(slopes), pvec, ou.covariance,
+                           kept - 2, 20)
+    assert np.array_equal(written, np.array(band))
+    assert np.array_equal(np.array(ou.band(20)), np.array(band))
+    *_, hi_usable = prediction_band(ou_curve, ou_jacobian, np.array(slopes), pvec,
+                                    ou.covariance, kept - 1, 20)
+    y, hi = written[1], written[3]
     assert not np.allclose(hi_usable - y, hi - y, rtol=1e-4, atol=0)
 
     # each slope band spans the rows its fit keeps (the first 30), not the row set aside
-    points = (out / "points_gamma_phi.csv").read_text().splitlines()[1:]
-    slopes = [float(ln.split(",")[1]) for ln in points[:kept]]
     assert float(points[-1].split(",")[1]) > max(slopes)
     for name in ("curve_gamma_phi_ou.csv", "curve_gamma_phi_power.csv"):
         curve = (out / name).read_text().splitlines()[1:]
@@ -1409,7 +1417,8 @@ def test_band_matches_a_pointwise_reference():
     pvec = np.array([200e-6, 2 * MHZ])
     cov = np.array([[1e-11, 2e-2], [2e-2, 4e10]])
     xs = np.linspace(1e9, 3e10, 40)
-    y, lo, hi = prediction_band(ou_curve, ou_jacobian, pvec, cov, xs, 30)
+    grid, y, lo, hi = prediction_band(ou_curve, ou_jacobian, xs, pvec, cov, 30, xs.size)
+    assert np.array_equal(grid, xs)
     quantile = stats.t.ppf(0.975, 30)
     for j, x in enumerate(xs):
         # the exact delta method: a gradient by Richardson-extrapolated central

@@ -39,6 +39,7 @@ from mzq.components import (
     write_trace_csv,
     write_trace_json,
 )
+from mzq.components import _reflection_embedding
 from mzq.netcore import SingularSystem, solve_port_system_many
 
 from oracles import (csv_columns_oracle, splitter_stack_oracle, sweep_whole_grid_oracle,
@@ -189,7 +190,7 @@ def test_drive_saturation_suppresses_reflection():
 def test_scatterer_block_at_half_reflection():
     # r = t = 1/2 on resonance gives the transfer block [[0, 1], [-1, 2]]
     q = QubitScatterer(omega01=W_CENTER, gamma1=2e6, gamma_phi=1e6, r0=0.5)
-    blocks = qubit_stack(q, np.array([W_CENTER]))
+    blocks = qubit_stack(qubit_rt_many(q, np.array([W_CENTER]))[0], np.array([W_CENTER]))
     assert blocks.shape == (2, 2, 1)
     assert np.allclose(blocks[..., 0], [[0, 1], [-1, 2]], rtol=0, atol=1e-14)
 
@@ -205,7 +206,7 @@ def test_scatterer_block_inverts_back_to_r_and_t():
         )
         w = np.array([W_CENTER + rng.uniform(-3e6, 3e6)])
         r, t = qubit_rt_many(q, w)
-        block = qubit_stack(q, w)[..., 0]
+        block = qubit_stack(r, w)[..., 0]
         t_back = 1 / block[1, 1]
         r_back = block[0, 1] * t_back
         assert abs(t_back - t[0]) <= 1e-12
@@ -217,10 +218,26 @@ def test_scatterer_block_inverts_back_to_r_and_t():
 def test_full_reflection_on_resonance_is_degenerate():
     q = QubitScatterer(omega01=W_CENTER, gamma1=2e6, gamma_phi=1e6, r0=1.0)
     with pytest.raises(DegenerateScatterer) as err:
-        qubit_stack(q, np.array([W_CENTER]))
+        qubit_stack(qubit_rt_many(q, np.array([W_CENTER]))[0], np.array([W_CENTER]))
     assert isinstance(err.value, SingularSystem)  # one handler covers every degeneracy
     assert err.value.frequency == pytest.approx(CENTER_HZ, rel=1e-12)
     assert f"{CENTER_HZ:.9g}" in str(err.value)
+
+
+@pytest.mark.parametrize("build", [
+    lambda spec, f, r: total_matrix_stack(spec, 2 * math.pi * f, r),
+    lambda spec, f, r: _reflection_embedding(spec, f, CROSS_PATHS)(r),
+], ids=["chain", "embedding"])
+def test_a_given_reflection_of_one_passes_the_same_gate(build):
+    # sweep, the chain's r path and the embedding share one |1 - r| gate: full
+    # reflection at one interior frequency is refused there, not divided by
+    f = np.linspace(5.7e9, 5.8e9, 5)
+    r = np.full(f.size, 0.5 + 0.1j)
+    r[2] = 1.0
+    with pytest.raises(DegenerateScatterer) as err:
+        build(make_interferometer(), f, r)
+    assert err.value.frequency == pytest.approx(f[2], rel=1e-12)
+    assert f"{f[2]:.9g} Hz" in str(err.value)
 
 
 def test_scatterer_parameter_validation():

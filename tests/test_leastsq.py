@@ -249,6 +249,14 @@ def test_stationary_point_counts_as_converged():
     assert res.cost == pytest.approx(1 + 4 + 0.25)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 5: the stationary exit reports a start "
+                   "that never moved as converged")
+def test_a_start_on_a_cost_maximum_is_not_reported_as_converged():
+    # 1 - x^2 is flat only at x0 = 0, where the cost 1 is a maximum; cost 0 lies at x = +-1
+    res = levenberg_marquardt(lambda x: 1 - x**2, [0.0], jac=lambda x: np.array([[-2 * x[0]]]))
+    assert res.cost < 1 or not res.converged
+
+
 def test_bad_starts_are_rejected():
     ok = lambda p: np.asarray([p[0], p[0] - 1.0])
     with pytest.raises(BadInitialization):
