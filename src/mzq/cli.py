@@ -421,9 +421,8 @@ def cmd_fit_spectrum(config: dict, out_dir: Path, say) -> int:
     failures += back_failures
 
     if rows:
-        cols = [np.array([r[i] for r in rows]) for i in range(5)]
         rates_path = out_dir / rates_name
-        write_rates_csv(rates_path, RateDataset(*cols))
+        write_rates_csv(rates_path, RateDataset(*np.array(rows, dtype=float).T))
         say(f"wrote {rates_path}")
     for name, err in failures:
         print(f"fit failed for {name}: {err}", file=sys.stderr)

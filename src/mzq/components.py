@@ -313,12 +313,6 @@ def _lineshape(q: QubitScatterer, w: np.ndarray):
     return q.r0 * (1 - 1j * detune) / den, detune, sat, den
 
 
-def qubit_rt_many(q: QubitScatterer, omegas: np.ndarray):
-    """Reflection and transmission amplitudes of the scatterer, vectorized."""
-    r = _lineshape(q, np.asarray(omegas, dtype=float))[0]
-    return r, 1 - r
-
-
 def _qubit_r_and_grad(q: QubitScatterer, omegas: np.ndarray):
     """r (N,) and dr/d(omega01, gamma1, gamma_phi, r0) (N,4): the fitted fields, in field order."""
     r, detune, sat, den = _lineshape(q, np.asarray(omegas, dtype=float).reshape(-1))
@@ -355,7 +349,7 @@ def total_matrix_stack(spec: CircuitSpec, omegas: np.ndarray,
     """Total transfer matrix splitter.line.scatterer.line.splitter per frequency.
 
     The scatterer block is qubit_stack of r, the scatterer's reflection per
-    frequency, which is spec.qubit's lineshape when r is not given; with
+    frequency, which is _lineshape(spec.qubit, w)[0] when r is not given; with
     neither the arm is empty.
 
     line.scatterer.line is block diagonal: d_k^2 on the empty arm and
@@ -368,7 +362,7 @@ def total_matrix_stack(spec: CircuitSpec, omegas: np.ndarray,
     d = tl_stack(spec.lines, w)
     inner_bs = (d * d)[:, None] * bs
     if r is None and spec.qubit is not None:
-        r = qubit_rt_many(spec.qubit, w)[0]
+        r = _lineshape(spec.qubit, w)[0]
     if r is not None:
         arm = slice(0, 2) if spec.qubit_arm == "a" else slice(2, 4)
         # the unscaled block stays a temporary: a name on it would add N*64 bytes to the peak
@@ -708,7 +702,8 @@ def trace_from_json(text: str) -> SpectrumTrace:
 
     def numbers(obj: dict, key: str, where: str = "") -> np.ndarray:
         a = np.asarray(obj[key])
-        if a.dtype.kind not in "iuf":  # strings, bools and nulls are not samples
+        # strings, bools and nulls are not samples; numpy reads a bool among numbers as 0 or 1
+        if a.dtype.kind not in "iuf" or (a.ndim == 1 and bool in map(type, obj[key])):
             raise ValueError(f"{where}{key} must be a list of numbers")
         return a.astype(float)
 

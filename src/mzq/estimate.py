@@ -19,10 +19,10 @@ from .components import (
     CircuitSpec,
     QubitScatterer,
     SpectrumTrace,
+    _lineshape,
     _qubit_r_and_grad,
     _reflection_embedding,
     csv_table,
-    qubit_rt_many,
     read_utf8,
     # unused: perfbench/test_perfbench.py::test_tracer_records_nested_layers_and_restores_originals
     # reads mzq.estimate.sweep; ROADMAP item 1 frees it
@@ -188,7 +188,7 @@ class RateDataset:
 
 def rates_from_csv(text: str) -> RateDataset:
     """Parse CSV produced by write_rates_csv; errors carry the 1-based line number."""
-    cols: list[list[float]] = [[], [], [], [], []]
+    rows = []
     for num, row in csv_table(text, RATES_CSV_HEADER.split(",")):
         try:
             vals = [float(p) for p in row]
@@ -200,9 +200,8 @@ def rates_from_csv(text: str) -> RateDataset:
         # a row whose rel_err is not a usable weight
         if not (math.isfinite(vals[1]) and math.isfinite(vals[2])):
             raise ValueError(f"line {num}: gamma1 and gamma_phi must be finite")
-        for c, v in zip(cols, vals):
-            c.append(v)
-    return RateDataset(*[np.array(c) for c in cols])
+        rows.append(vals)
+    return RateDataset(*np.array(rows).T)
 
 
 def write_rates_csv(path, rates: RateDataset) -> None:
@@ -355,7 +354,7 @@ def _embedded_spectrum(template: CircuitSpec, freqs: np.ndarray, f_ref: float, r
     mobius = _mobius_coefficients(solve_at, w.size)
 
     def model(x) -> dict[str, np.ndarray]:
-        r = qubit_rt_many(_fold_qubit(x, rabi)[0], w)[0]
+        r = _lineshape(_fold_qubit(x, rabi)[0], w)[0]
         cal = calibration_curve(*x[_NQ:], freqs, f_ref)
         return {p: s * cal for p, s in solve_at(r).items()}
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from mzq import netcore
 from mzq.components import (CSV_HEADER, PATHS, _IDEAL_BS, _branchline_coefficients,
-                            qubit_rt_many, total_matrix_stack)
+                            _lineshape, total_matrix_stack)
 from mzq.estimate import RATES_CSV_HEADER
 from mzq.leastsq import SQRT_EPS
 from mzq.netcore import SingularSystem
@@ -93,7 +93,8 @@ def transfer_chain_oracle(spec, omegas: np.ndarray) -> np.ndarray:
                         for att, rate in zip(spec.lines.attenuation, spec.lines.phase_rate)])
         scatterer = np.eye(4, dtype=complex)
         if spec.qubit is not None:
-            r, t = (complex(v[0]) for v in qubit_rt_many(spec.qubit, np.array([omega])))
+            r = complex(_lineshape(spec.qubit, np.array([omega]))[0][0])
+            t = 1 - r
             lo = 0 if spec.qubit_arm == "a" else 2
             scatterer[lo:lo + 2, lo:lo + 2] = [[(t * t - r * r) / t, r / t], [-r / t, 1 / t]]
         total = splitter

@@ -588,7 +588,8 @@ def _bad_json(**edits):
     (_bad_json(paths={"s12": {"re": [0.5], "im": [0.1] * 51}}),
      "path 's12': re, im and freq_hz differ in length"),
     # these used to be coerced: None and 5 into the labels "None" and "5",
-    # true and "0.5" into noise levels, string numbers into samples
+    # true and "0.5" into noise levels, string numbers into samples, true among
+    # numbers into a sample of 1
     (_bad_json(label=None), "trace.label: expected a string"),
     (_bad_json(label=5), "trace.label: expected a string"),
     (_bad_json(noise_sigma=True), "trace.noise_sigma: expected a finite number"),
@@ -597,6 +598,8 @@ def _bad_json(**edits):
     (_bad_json(re="0.5"), "path 's12': re must be a list of numbers"),
     (_bad_json(im="0.5"), "path 's12': im must be a list of numbers"),
     (_bad_json(im=None), "path 's12': im must be a list of numbers"),
+    (_bad_json(re=True), "path 's12': re must be a list of numbers"),
+    (_bad_json(freq_hz=True), "freq_hz must be a list of numbers"),
     # these used to raise AttributeError, a traceback and exit 1
     (_bad_json(paths=[]), "paths must be an object"),
     (_bad_json(paths=5), "paths must be an object"),
@@ -611,8 +614,9 @@ def _bad_json(**edits):
         "json-drive-port-string", "json-drive-port-bool", "json-flux-string", "json-flux-nan",
         "json-re-im-lengths", "json-label-null", "json-label-number", "json-noise-bool",
         "json-noise-string", "json-freq-string", "json-re-string", "json-im-string",
-        "json-im-null", "json-paths-list", "json-paths-number", "json-path-list",
-        "csv-byte-ff", "json-nested", "csv-no-cross-path", "json-freq-twice"])
+        "json-im-null", "json-re-bool", "json-freq-bool", "json-paths-list",
+        "json-paths-number", "json-path-list", "csv-byte-ff", "json-nested",
+        "csv-no-cross-path", "json-freq-twice"])
 def test_bad_trace_input_exits_2(tmp_path, capsys, make_input, message):
     trace = synthesize(make_interferometer(qubit=_truth_qubit()),
                        np.linspace(5.17e9, 5.23e9, 51))

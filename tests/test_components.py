@@ -25,7 +25,6 @@ from mzq.components import (
     TraceParseError,
     bs_stack,
     make_interferometer,
-    qubit_rt_many,
     qubit_stack,
     read_trace,
     sweep,
@@ -39,7 +38,7 @@ from mzq.components import (
     write_trace_csv,
     write_trace_json,
 )
-from mzq.components import _reflection_embedding
+from mzq.components import _lineshape, _reflection_embedding, _transmission
 from mzq.netcore import SingularSystem, solve_port_system_many
 
 from oracles import (csv_columns_oracle, splitter_stack_oracle, sweep_whole_grid_oracle,
@@ -144,7 +143,9 @@ def test_splitter_model_validation():
 
 def test_reflection_peaks_on_resonance():
     q = QubitScatterer(omega01=W_CENTER, gamma1=2e6, gamma_phi=1e6, r0=0.7)
-    r, t = qubit_rt_many(q, np.array([W_CENTER]))
+    w = np.array([W_CENTER])
+    r = _lineshape(q, w)[0]
+    t = _transmission(r, w)
     assert r[0] == pytest.approx(0.7, abs=1e-15)
     assert t[0] == pytest.approx(0.3, abs=1e-15)
 
@@ -152,13 +153,13 @@ def test_reflection_peaks_on_resonance():
 def test_reflection_at_one_linewidth_detuning():
     # gamma2 = gamma1/2 + gamma_phi = 2e6; probe exactly one gamma2 above
     q = QubitScatterer(omega01=W_CENTER, gamma1=2e6, gamma_phi=1e6, r0=1.0)
-    r, _ = qubit_rt_many(q, np.array([W_CENTER + 2e6]))
+    r = _lineshape(q, np.array([W_CENTER + 2e6]))[0]
     assert r[0] == pytest.approx((1 - 1j) / 2, abs=1e-12)
 
 
 def test_reflection_vanishes_far_from_resonance():
     q = QubitScatterer(omega01=W_CENTER, gamma1=2e6, gamma_phi=1e6, r0=0.9)
-    r, _ = qubit_rt_many(q, np.array([W_CENTER + 2e6 * 1e6]))
+    r = _lineshape(q, np.array([W_CENTER + 2e6 * 1e6]))[0]
     assert abs(r[0]) < 1e-5
 
 
@@ -173,7 +174,8 @@ def test_reflection_plus_transmission_is_exactly_one():
             rabi=10 ** rng.uniform(4, 7),
         )
         w = q.omega01 + np.linspace(-5, 5, 11) * 1e7
-        r, t = qubit_rt_many(q, w)
+        r = _lineshape(q, w)[0]
+        t = _transmission(r, w)
         assert np.max(np.abs(r + t - 1.0)) <= 1e-15
 
 
@@ -183,14 +185,14 @@ def test_drive_saturation_suppresses_reflection():
     sat = rabi**2 / (gamma1 * (gamma1 / 2 + gamma_phi))
     q = QubitScatterer(omega01=W_CENTER, gamma1=gamma1, gamma_phi=gamma_phi,
                        r0=0.8, rabi=rabi)
-    r, _ = qubit_rt_many(q, np.array([W_CENTER]))
+    r = _lineshape(q, np.array([W_CENTER]))[0]
     assert r[0] == pytest.approx(0.8 / (1 + sat), rel=1e-12)
 
 
 def test_scatterer_block_at_half_reflection():
     # r = t = 1/2 on resonance gives the transfer block [[0, 1], [-1, 2]]
     q = QubitScatterer(omega01=W_CENTER, gamma1=2e6, gamma_phi=1e6, r0=0.5)
-    blocks = qubit_stack(qubit_rt_many(q, np.array([W_CENTER]))[0], np.array([W_CENTER]))
+    blocks = qubit_stack(_lineshape(q, np.array([W_CENTER]))[0], np.array([W_CENTER]))
     assert blocks.shape == (2, 2, 1)
     assert np.allclose(blocks[..., 0], [[0, 1], [-1, 2]], rtol=0, atol=1e-14)
 
@@ -205,7 +207,8 @@ def test_scatterer_block_inverts_back_to_r_and_t():
             r0=rng.uniform(0.1, 0.95),
         )
         w = np.array([W_CENTER + rng.uniform(-3e6, 3e6)])
-        r, t = qubit_rt_many(q, w)
+        r = _lineshape(q, w)[0]
+        t = _transmission(r, w)
         block = qubit_stack(r, w)[..., 0]
         t_back = 1 / block[1, 1]
         r_back = block[0, 1] * t_back
@@ -218,7 +221,7 @@ def test_scatterer_block_inverts_back_to_r_and_t():
 def test_full_reflection_on_resonance_is_degenerate():
     q = QubitScatterer(omega01=W_CENTER, gamma1=2e6, gamma_phi=1e6, r0=1.0)
     with pytest.raises(DegenerateScatterer) as err:
-        qubit_stack(qubit_rt_many(q, np.array([W_CENTER]))[0], np.array([W_CENTER]))
+        qubit_stack(_lineshape(q, np.array([W_CENTER]))[0], np.array([W_CENTER]))
     assert isinstance(err.value, SingularSystem)  # one handler covers every degeneracy
     assert err.value.frequency == pytest.approx(CENTER_HZ, rel=1e-12)
     assert f"{CENTER_HZ:.9g}" in str(err.value)

@@ -23,7 +23,6 @@ from mzq.components import (
     SpectrumTrace,
     make_interferometer,
     parse_json,
-    qubit_rt_many,
     read_utf8,
     sweep,
     synthesize,
@@ -52,7 +51,7 @@ from mzq.estimate import (
     write_fit_json,
     write_rates_csv,
 )
-from mzq.components import _qubit_r_and_grad, _reflection_embedding
+from mzq.components import _lineshape, _qubit_r_and_grad, _reflection_embedding, _transmission
 from mzq.estimate import (_CALIBRATION, _QUBIT_BOUNDS, _embedded_spectrum, _fold_qubit, _median,
                            _mobius_coefficients, _quantile)
 from mzq.leastsq import NoConvergence, covariance
@@ -355,11 +354,11 @@ def test_cross_paths_are_affine_then_mobius_in_the_reflection(kind, arm, delays,
 
     def given_r(q, omegas):  # the scatterer of spec reflects r, whatever its lineshape
         k = np.searchsorted(w, omegas)
-        return r[k], 1 - r[k]
+        return (r[k],)
 
     spec = replace(template, qubit=TRUTH)
-    with mock.patch.object(components, "qubit_rt_many", given_r), \
-            mock.patch.object(oracles, "qubit_rt_many", given_r):
+    with mock.patch.object(components, "_lineshape", given_r), \
+            mock.patch.object(oracles, "_lineshape", given_r):
         swept = sweep(spec, freqs)
         totals = transfer_chain_oracle(spec, w)
     # (a1_out, a3_out, ...) for a unit port-2 drive, then a unit port-4 drive
@@ -421,7 +420,7 @@ def test_spectrum_jacobian_matches_central_differences(rabi, x, clamped):
 def test_folded_reflection_stays_clear_of_full_reflection(x, rabi, offsets):
     q = _fold_qubit(x, rabi)[0]
     w = q.omega01 + np.array([0.0, *offsets])  # resonance is the worst point
-    r, t = qubit_rt_many(q, w)
+    t = _transmission(_lineshape(q, w)[0], w)
     assert np.abs(t).min() >= 1e-6 > T_DEGENERATE
 
 
