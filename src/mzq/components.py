@@ -69,11 +69,11 @@ class LineParams:
     attenuation: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        for name in ("phase_rate", "attenuation"):
-            vals = getattr(self, name)
+        for f in fields(self):
+            vals = getattr(self, f.name)
             if len(vals) != 4:
-                raise ValueError(f"{name} needs 4 entries, got {len(vals)}")
-            object.__setattr__(self, name, tuple(_require_finite(v, name) for v in vals))
+                raise ValueError(f"{f.name} needs 4 entries, got {len(vals)}")
+            object.__setattr__(self, f.name, tuple(_require_finite(v, f.name) for v in vals))
         if any(r < 0 for r in self.attenuation):
             raise ValueError("attenuation entries must be >= 0")
 
@@ -254,12 +254,13 @@ def _branchline_coefficients(theta: np.ndarray):
     """
     za = 1 / math.sqrt(2)
     half = np.tan(theta / 2)
+    cos, sin = np.cos(theta), np.sin(theta)
+    b = 1j * za * sin
     results = []
     for stub_y in (1j * half, -1j / half):
         # shunt stub, quarter arm, shunt stub; the half circuit is symmetric
-        a = np.cos(theta) + 1j * za * np.sin(theta) * stub_y
-        b = 1j * za * np.sin(theta)
-        c = 1j * np.sin(theta) / za + 2 * np.cos(theta) * stub_y + b * stub_y**2
+        a = cos + b * stub_y
+        c = 1j * sin / za + 2 * cos * stub_y + b * stub_y**2
         den = 2 * a + b + c
         results.append(((b - c) / den, 2 / den))
     (gamma_e, t_e), (gamma_o, t_o) = results

@@ -242,16 +242,12 @@ def _detrend(freqs: np.ndarray, mag: np.ndarray):
     """
     x = np.linspace(-1.0, 1.0, freqs.size)
     mask = np.ones(freqs.size, dtype=bool)
-    resid = mag - _median(mag)
-    sigma = 0.0
     for _ in range(6):
         coef = np.polyfit(x[mask], mag[mask], 3)
         resid = mag - np.polyval(coef, x)
         med = _median(resid[mask])
         sigma = 1.4826 * _median(np.abs(resid[mask] - med))
-        if sigma == 0:
-            break
-        new_mask = np.abs(resid - med) < 3.5 * sigma
+        new_mask = np.abs(resid - med) < 3.5 * sigma  # none at all where sigma is 0
         if new_mask.sum() < max(5, mask.size // 4):  # a cubic plus one spare point
             break
         if np.array_equal(new_mask, mask):

@@ -7,7 +7,7 @@ units of the flux quantum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,6 +25,14 @@ class QuasiStaticLimit(ValueError):
     """Raised when the zero-frequency spectral value is a delta function."""
 
 
+def _check_fields(params, strict: bool = False) -> None:
+    """Refuse the first field of params that is not finite and >= 0 (> 0 with strict), by name."""
+    for f in fields(params):
+        v = getattr(params, f.name)
+        if not math.isfinite(v) or (v <= 0 if strict else v < 0):
+            raise ValueError(f"{f.name} must be finite and {'>' if strict else '>='} 0")
+
+
 @dataclass(frozen=True)
 class TransmonParams:
     """Symmetric-junction transmon energies in Hz.
@@ -37,10 +45,7 @@ class TransmonParams:
     ec: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.ej_max) and math.isfinite(self.ec)):
-            raise ValueError("energies must be finite")
-        if self.ej_max <= 0 or self.ec <= 0:
-            raise ValueError("energies must be > 0")
+        _check_fields(self, strict=True)
         if self.ej_max / self.ec <= 10:
             raise ValueError("transmon regime requires ej_max/ec > 10")
 
@@ -62,10 +67,7 @@ class BathModel:
     lorentz_height: float = 0.0
 
     def __post_init__(self):
-        for name in ("alpha", "lorentz_center", "lorentz_fwhm", "lorentz_height"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0:
-                raise ValueError(f"{name} must be finite and >= 0")
+        _check_fields(self)
         if self.lorentz_height > 0 and self.lorentz_fwhm <= 0:
             raise ValueError("lorentz_fwhm must be > 0 when the peak is present")
 
@@ -83,10 +85,7 @@ class CouplingParams:
     epsilon0: float = VACUUM_PERMITTIVITY
 
     def __post_init__(self):
-        for name in ("d_tilde", "c", "epsilon0"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v <= 0:
-                raise ValueError(f"{name} must be finite and > 0")
+        _check_fields(self, strict=True)
 
     @property
     def g0(self) -> float:
@@ -107,10 +106,7 @@ class OUNoise:
     slope: float
 
     def __post_init__(self):
-        for name in ("sigma", "kappa", "slope"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0:
-                raise ValueError(f"{name} must be finite and >= 0")
+        _check_fields(self)
 
     @property
     def v(self) -> float:

@@ -697,6 +697,10 @@ def _batch_config(tmp_path, **keys):
     # a required object given as null
     ("simulate", lambda tmp: {"circuit": {}, "grid": None}, "config.grid"),
     ("fit-rates", lambda tmp: {"rates_csv": "rates.csv", "transmon": None}, "config.transmon"),
+    # finite in GHz, infinite in Hz: the energy object refuses it
+    ("fit-rates", lambda tmp: {"rates_csv": str(_rates_table(tmp)),
+                               "transmon": {**TRANSMON_CFG, "ej_max_ghz": 1e300}},
+     "config.transmon"),
     # a trace name that would put the trace outside --out
     ("simulate", lambda tmp: {"circuit": {}, "grid": GRID_CFG, "basename": "../escaped"},
      "config.basename"),
@@ -714,9 +718,9 @@ def _batch_config(tmp_path, **keys):
         "classify-trace-flux-huge", "fit-spectrum-trace-flux-huge",
         "classify-trace-noise-huge", "fit-spectrum-trace-noise-huge",
         "grid-points-1e17", "grid-points-1e30", "band-points-1e17", "band-points-1e30",
-        "grid-null", "transmon-null", "basename-parent-dir", "basename-absolute",
-        "basename-nul", "rates-csv-out-nul", "input-json-nul", "input-csv-nul",
-        "rates-csv-in-nul"])
+        "grid-null", "transmon-null", "transmon-huge", "basename-parent-dir",
+        "basename-absolute", "basename-nul", "rates-csv-out-nul", "input-json-nul",
+        "input-csv-nul", "rates-csv-in-nul"])
 def test_value_out_of_range_exits_2_naming_its_key(tmp_path, capsys, command, make_config, key):
     cfg = _write(tmp_path / "cfg.json", make_config(tmp_path))
     out = tmp_path / "out"

@@ -252,6 +252,11 @@ def test_scatterer_parameter_validation():
         QubitScatterer(omega01=W_CENTER, gamma1=1e6, gamma_phi=1e5, r0=0.0)
     with pytest.raises(ValueError):
         QubitScatterer(omega01=W_CENTER, gamma1=0.0, gamma_phi=0.0, r0=0.9)
+    for gamma1, gamma_phi in ((-1e6, 1e6), (1e6, -1e5)):
+        with pytest.raises(ValueError, match="^rates must be >= 0$"):
+            QubitScatterer(omega01=W_CENTER, gamma1=gamma1, gamma_phi=gamma_phi, r0=0.9)
+    with pytest.raises(ValueError, match="^rabi must be >= 0$"):
+        QubitScatterer(omega01=W_CENTER, gamma1=1e6, gamma_phi=1e5, r0=0.9, rabi=-1e6)
     with pytest.raises(ValueError):
         # a drive needs a relaxation channel to saturate against
         QubitScatterer(omega01=W_CENTER, gamma1=0.0, gamma_phi=1e6, r0=0.9, rabi=1e6)

@@ -168,6 +168,12 @@ def test_featureless_traces_are_refused():
     short = SpectrumTrace(freqs=grid[:10], values={"s12": np.ones(10, complex)})
     with pytest.raises(NoFeature, match="too short"):
         classify_regime(short)
+    # zero spread keeps no point inside 3.5 sigma, so the baseline stops on its first pass
+    dark = np.zeros(grid.size)
+    resid, floor = estimate._detrend(grid, dark)
+    assert np.array_equal(resid, dark) and floor == 1e-6 * 1e-300
+    with pytest.raises(NoFeature):
+        classify_regime(SpectrumTrace(freqs=grid, values={"s12": dark.astype(complex)}))
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +497,22 @@ def test_spectrum_fit_keeps_the_port_gate(monkeypatch):
     with pytest.raises(SingularSystem) as err:
         fit_spectrum(trace, make_interferometer(), init=TRUTH)
     assert err.value.frequency in trace.freqs
+
+
+def test_a_dark_cross_path_starts_the_calibration_at_unit_scale(monkeypatch):
+    # all-zero data over a bright background: the ratio's median is 0, so the scale starts at 1
+    grid = np.linspace(5.17e9, 5.23e9, 601)
+    trace = SpectrumTrace(freqs=grid, values={"s12": np.zeros(grid.size, complex)})
+    starts = []
+
+    def capture(fun, x0, **kwargs):
+        starts.append(np.array(x0))
+        raise NoConvergence("start captured")
+
+    monkeypatch.setattr(estimate, "levenberg_marquardt", capture)
+    with pytest.raises(NoConvergence, match="start captured"):
+        fit_spectrum(trace, make_interferometer(), init=TRUTH)
+    assert starts[0][4:].tolist() == [1.0, 0.0, 0.0]
 
 
 def test_every_fit_evaluation_goes_through_the_port_gate(monkeypatch):
@@ -898,6 +920,9 @@ def test_rate_dataset_validation_and_subset():
                     np.array([0.1, 0.2]), np.array([0.1, 0.1]))
     with pytest.raises(ValueError, match="omega01"):
         RateDataset(np.array([1e9, -2e9]), np.array([1.0, 2.0]), np.array([1.0, 2.0]),
+                    np.array([0.1, 0.2]), np.array([0.1, 0.1]))
+    with pytest.raises(ValueError, match="^gamma1 must be 1-d$"):
+        RateDataset(np.array([1e9, 2e9]), np.array([[1.0, 2.0]]), np.array([1.0, 2.0]),
                     np.array([0.1, 0.2]), np.array([0.1, 0.1]))
     rates = RateDataset(np.array([1e9, 2e9, 3e9]), np.array([1.0, 2.0, 3.0]),
                         np.array([4.0, 5.0, 6.0]), np.array([0.1, 0.2, 0.3]),

@@ -1,5 +1,6 @@
 """Transmon spectrum, bath models, and the dephasing envelope."""
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -131,10 +132,29 @@ def test_flux_lookup_rejects_unreachable_targets():
 
 
 def test_transmon_regime_is_enforced():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="ej_max/ec > 10"):
         TransmonParams(ej_max=1.0e9, ec=1.0e8)  # ratio exactly 10
     with pytest.raises(ValueError):
         TransmonParams(ej_max=-1.0e9, ec=1.0e8)
+
+
+# each parameter object with valid fields, and whether its fields must be > 0 or only >= 0
+_PARAMS = {
+    TransmonParams: (dict(ej_max=20.0e9, ec=592.4e6), True),
+    BathModel: (dict(alpha=1.7e-4), False),
+    CouplingParams: (dict(d_tilde=6.9e-21), True),
+    OUNoise: (dict(sigma=1e-4, kappa=1.0, slope=1.0), False),
+}
+
+
+@pytest.mark.parametrize("cls, name, bad", [
+    (cls, f.name, bad) for cls, (_, strict) in _PARAMS.items() for f in fields(cls)
+    for bad in (math.nan, math.inf, -math.inf, -1.0) + ((0.0,) if strict else ())])
+def test_parameter_objects_refuse_a_field_by_name(cls, name, bad):
+    good, strict = _PARAMS[cls]
+    with pytest.raises(ValueError) as err:
+        cls(**{**good, name: bad})
+    assert str(err.value) == f"{name} must be finite and {'>' if strict else '>='} 0"
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +202,9 @@ def test_single_mode_equivalent_coupling():
     alpha = alpha_res(2 * math.pi * 70e6, 2 * math.pi * 6.54e9)
     assert alpha == pytest.approx(math.pi * (70 / 6540) ** 2, rel=1e-15)
     assert alpha == pytest.approx(3.6e-4, rel=1e-2)
+    for g, omega_res in ((0.0, 1e10), (1e8, -1e10), (math.nan, 1e10)):
+        with pytest.raises(ValueError, match="^g and omega_res must be > 0$"):
+            alpha_res(g, omega_res)
 
 
 def test_kondo_convention_is_a_rescaling():
@@ -201,6 +224,9 @@ def test_mode_couplings_reproduce_the_ohmic_density():
     # mode: 2*pi*gk^2/(pi*c/length) must equal alpha*omega exactly
     density = 2 * math.pi * gk**2 / (math.pi * SPEED_OF_LIGHT / length)
     assert np.allclose(density, alpha_from_dipole(coupling) * w, rtol=1e-12, atol=0)
+    for omega_k, bad_length in ((w, 0.0), (w, math.nan), (np.array([1e9, 0.0]), length)):
+        with pytest.raises(ValueError, match="^omega_k and length must be > 0$"):
+            coupling_gk(coupling, omega_k, bad_length)
 
 
 def test_ohmic_spectral_density_cutoff():
@@ -210,8 +236,13 @@ def test_ohmic_spectral_density_cutoff():
         beta * cutoff / math.e, rel=1e-15)
     assert spectral_density_ohmic(beta, 1e9) == beta * 1e9  # no cutoff by default
     assert spectral_density_ohmic(beta, 0.0) == 0.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^beta must be >= 0$"):
         spectral_density_ohmic(-beta, 1e9)
+    for bad in (0.0, -cutoff, math.nan):
+        with pytest.raises(ValueError, match="^cutoff must be > 0$"):
+            spectral_density_ohmic(beta, 1e9, bad)
+    with pytest.raises(ValueError, match="^omega must be >= 0$"):
+        spectral_density_ohmic(beta, np.array([1e9, -1.0]), cutoff)
 
 
 def test_dressed_mode_splitting():
@@ -223,6 +254,9 @@ def test_dressed_mode_splitting():
     # far detuned the modes pin to the bare frequencies
     lo, hi = dressed_frequencies(w, w + 2 * math.pi * 2e9, 0.0)
     assert lo == pytest.approx(w, rel=1e-12)
+    for args in ((0.0, w, g), (w, -w, g), (w, w, -g), (w, w, math.nan)):
+        with pytest.raises(ValueError, match="^frequencies must be > 0 and g >= 0$"):
+            dressed_frequencies(*args)
 
 
 # ---------------------------------------------------------------------------
