@@ -586,8 +586,8 @@ def _run(argv: list[str] | None) -> int:
     except (NoConvergence, BadInitialization, NoFeature) as exc:
         print(f"error: fit failed: {exc}", file=sys.stderr)
         return 4
-    except (OSError, ValueError) as exc:
-        # covers config validation, JSON decoding, trace/rates parsing, IllPosed
+    except (OSError, ValueError, MemoryError) as exc:
+        # covers config validation, JSON decoding, trace/rates parsing, IllPosed, no memory
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

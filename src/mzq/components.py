@@ -222,7 +222,8 @@ class SpectrumTrace:
 
 
 # ---------------------------------------------------------------------------
-# component factories
+# component factories; each takes w, a 1-d float array of angular frequencies
+# in rad/s, and sweep is where a grid of any shape becomes one
 # ---------------------------------------------------------------------------
 
 _IDEAL_BS = np.array(
@@ -239,9 +240,8 @@ _IDEAL_BS = np.array(
 _ARM_SWAP = [2, 3, 0, 1]
 
 
-def tl_stack(params: LineParams, omegas: np.ndarray) -> np.ndarray:
+def tl_stack(params: LineParams, w: np.ndarray) -> np.ndarray:
     """Line factors exp(-r_k + i*phase_rate_k*omega) of the four segments, shape (4,N)."""
-    w = np.asarray(omegas, dtype=float).reshape(-1)
     return np.exp(-np.asarray(params.attenuation)[:, None]
                   + 1j * np.asarray(params.phase_rate)[:, None] * w)
 
@@ -271,12 +271,11 @@ def _branchline_coefficients(theta: np.ndarray):
     return refl, iso, thru, cross
 
 
-def bs_stack(model: BeamSplitterModel, omegas: np.ndarray) -> np.ndarray:
+def bs_stack(model: BeamSplitterModel, w: np.ndarray) -> np.ndarray:
     """Splitter transfer matrices for each frequency, shape (4,4,N).
 
     The ideal splitter comes back as a read-only broadcast view of one matrix.
     """
-    w = np.asarray(omegas, dtype=float).reshape(-1)
     if np.any(w <= 0):
         raise ValueError("omega must be > 0")
     if model.kind == "ideal":
@@ -314,9 +313,9 @@ def _lineshape(q: QubitScatterer, w: np.ndarray):
     return q.r0 * (1 - 1j * detune) / den, detune, sat, den
 
 
-def _qubit_r_and_grad(q: QubitScatterer, omegas: np.ndarray):
+def _qubit_r_and_grad(q: QubitScatterer, w: np.ndarray):
     """r (N,) and dr/d(omega01, gamma1, gamma_phi, r0) (N,4): the fitted fields, in field order."""
-    r, detune, sat, den = _lineshape(q, np.asarray(omegas, dtype=float).reshape(-1))
+    r, detune, sat, den = _lineshape(q, w)
     g2 = q.gamma2
     dr_ddetune = q.r0 * (-1j * den - 2 * detune * (1 - 1j * detune)) / den**2
     dr_dsat = -r / den
@@ -339,13 +338,13 @@ def _transmission(r: np.ndarray, w: np.ndarray) -> np.ndarray:
     return t
 
 
-def qubit_stack(r: np.ndarray, omegas: np.ndarray) -> np.ndarray:
+def qubit_stack(r: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Blocks (1/t) [[t^2 - r^2, r], [-r, 1]] of a scatterer reflecting r, t = _transmission."""
-    t = _transmission(r, np.asarray(omegas, dtype=float).reshape(-1))
+    t = _transmission(r, w)
     return np.array([[(t**2 - r**2) / t, r / t], [-r / t, 1 / t]])
 
 
-def total_matrix_stack(spec: CircuitSpec, omegas: np.ndarray,
+def total_matrix_stack(spec: CircuitSpec, w: np.ndarray,
                        r: np.ndarray | None = None) -> np.ndarray:
     """Total transfer matrix splitter.line.scatterer.line.splitter per frequency.
 
@@ -358,7 +357,6 @@ def total_matrix_stack(spec: CircuitSpec, omegas: np.ndarray,
     scatterer block. It is applied to the right splitter row by row, then the
     left splitter multiplies the result. Shape (4,4,N).
     """
-    w = np.asarray(omegas, dtype=float).reshape(-1)
     bs = bs_stack(spec.splitter, w)
     d = tl_stack(spec.lines, w)
     inner_bs = (d * d)[:, None] * bs
@@ -436,14 +434,13 @@ def _reflection_embedding(spec: CircuitSpec, freqs: np.ndarray, paths):
     port solve's condition, which are sweep's values for a scatterer that
     reflects r, to rounding.
     """
-    f = np.asarray(freqs, dtype=float).reshape(-1)
-    w = 2 * math.pi * f
+    w = 2 * math.pi * freqs
     a_tot = total_matrix_stack(spec, w, np.zeros(w.size))
     b_tot = total_matrix_stack(spec, w, np.full(w.size, 0.5)) - 2 * a_tot
 
     def solve_at(r: np.ndarray) -> dict[str, np.ndarray]:
         totals = (a_tot + r * b_tot) / _transmission(r, w)
-        return _calibrated_paths(spec, w, netcore.solve_port_system_many(totals, frequencies=f),
+        return _calibrated_paths(spec, w, netcore.solve_port_system_many(totals, frequencies=freqs),
                                  paths)
 
     return solve_at

@@ -443,7 +443,7 @@ def fit_spectrum(trace: SpectrumTrace, spec_template: CircuitSpec,
     if freqs.size < 20:
         raise ValueError("need at least 20 frequency points")
 
-    data = {p: np.asarray(trace.values[p], dtype=complex) for p in paths}
+    data = {p: trace.values[p] for p in paths}
 
     rabi = init.rabi if init is not None else 0.0
     # a shared init cannot carry the right center for every trace of a flux
@@ -466,21 +466,19 @@ def fit_spectrum(trace: SpectrumTrace, spec_template: CircuitSpec,
     model, model_jacobian, mobius = _embedded_spectrum(spec_template, freqs, f_ref, rabi, paths)
     background = mobius[primary][0]
     ok = np.abs(background) > 1e-12
+    delay_0, scale_0 = 0.0, 0j
     if ok.sum() >= 4:
         ratio = data[primary][ok] / background[ok]
         rel = freqs[ok] - f_ref
         angle = np.unwrap(np.angle(ratio))
         outer = np.ones(ratio.size, dtype=bool)
         edge = max(ratio.size // 10, 2)
-        if ratio.size > 2 * edge:
-            outer[edge:-edge] = False
+        outer[edge:-edge] = False
         slope = np.polyfit(rel[outer], angle[outer], 1)[0]
         delay_0 = -slope / (2 * math.pi)
         unwound = ratio * np.exp(2j * np.pi * rel * delay_0)
         pick = unwound[outer]
         scale_0 = complex(_median(pick.real), _median(pick.imag))
-    else:
-        delay_0, scale_0 = 0.0, 1.0 + 0.0j
     if abs(scale_0) < 1e-9:
         scale_0 = 1.0 + 0.0j
 

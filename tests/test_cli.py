@@ -1430,6 +1430,18 @@ def test_a_rate_table_that_is_not_utf8_exits_2_naming_its_line(tmp_path, capsys)
     assert capsys.readouterr().err == "error: line 3: not UTF-8 text\n"
 
 
+def test_a_run_that_cannot_get_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    # a band_points that passes the one-array pre-check can still fail a later allocation
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 916. MiB for an array")
+
+    monkeypatch.setattr(estimate, "prediction_band", no_memory)
+    cfg = _write(tmp_path / "cfg.json", {"rates_csv": str(_rates_table(tmp_path)),
+                                         "transmon": TRANSMON_CFG})
+    assert _run("fit-rates", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet") == 2
+    assert capsys.readouterr().err == "error: Unable to allocate 916. MiB for an array\n"
+
+
 @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
 def test_bad_omega01_exits_2_naming_its_line(tmp_path, capsys, value):
     path = _rates_table(tmp_path)

@@ -515,6 +515,31 @@ def test_a_dark_cross_path_starts_the_calibration_at_unit_scale(monkeypatch):
     assert starts[0][4:].tolist() == [1.0, 0.0, 0.0]
 
 
+def test_a_background_dark_across_the_window_starts_at_unit_scale_and_no_delay(monkeypatch):
+    # each arm-b segment a quarter period longer at 5.746 GHz puts the dark fringe across
+    # 5.7-5.8 GHz, and attenuation 12 on every segment keeps the background below 1e-12
+    # while the port gate stays open
+    d = 0.0435085 * 1e-9
+    template = replace(make_interferometer(),
+                       lines=LineParams(phase_rate=(0.0, 0.0, d, d), attenuation=(12.0,) * 4))
+    truth = QubitScatterer(omega01=2 * math.pi * 5.75e9, gamma1=2 * math.pi * 1e6,
+                           gamma_phi=2 * math.pi * 0.4e6, r0=0.5)
+    freqs = np.linspace(5.7e9, 5.8e9, 201)
+    background = _reflection_embedding(template, freqs, ["s12"])(np.zeros(freqs.size))["s12"]
+    assert np.sum(np.abs(background) > 1e-12) < 4
+    starts, lm = [], estimate.levenberg_marquardt
+
+    def capture(fun, x0, **kwargs):
+        starts.append(np.array(x0))
+        return lm(fun, x0, **kwargs)
+
+    monkeypatch.setattr(estimate, "levenberg_marquardt", capture)
+    result = fit_spectrum(sweep(replace(template, qubit=truth), freqs), template, init=truth)
+    assert starts[0][4:].tolist() == [1.0, 0.0, 0.0]
+    for name in ("omega01", "gamma1", "gamma_phi", "r0"):
+        assert result.params[name] == pytest.approx(getattr(truth, name), rel=1e-12, abs=0)
+
+
 def test_every_fit_evaluation_goes_through_the_port_gate(monkeypatch):
     # one gated solve per residual evaluation, plus three Mobius probes and the final curves
     trace, solves, evals = _qubit_trace(noise=0.01, seed=3), [], []

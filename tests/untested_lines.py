@@ -8,10 +8,9 @@ starts a bytecode line) that never ran, as path:line and its text. The
 tracer cannot see a forked child or a subprocess, so the lines that run only
 there are printed too, marked as such: the child branch of
 cli._in_two_processes, cli's back_half, and main() past its argv guard.
-A line that no test can reach is listed in KNOWN_UNTESTED with its reason.
 Exits with pytest's code if pytest fails, else 1 if any line that no test
-ran is neither marked nor listed, else 0. Every test is derandomized, so a
-full run gives the same lines every time. pytest does not collect this file.
+ran is not so marked, else 0. Every test is derandomized, so a full run
+gives the same lines every time. pytest does not collect this file.
 """
 from __future__ import annotations
 
@@ -26,17 +25,6 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "mzq"
-
-# (file, stripped source line): why no test runs it. Keyed by text, not line
-# number, so an edit elsewhere in the file keeps the entry valid.
-KNOWN_UNTESTED = {
-    ("estimate.py", "delay_0, scale_0 = 0.0, 1.0 + 0.0j"):
-        "fit_spectrum's fallback start needs a template background above 1e-12 at fewer "
-        "than 4 points, and the fit's own port gate refuses such a template first: with the "
-        "default ideal interferometer on 5.7-5.8 GHz and every segment at attenuation 13.6 "
-        "the background still reads 1.54e-12, and at 13.7 the gate (condition 1.19e12) "
-        "stops the fit",
-}
 
 
 def executable_lines(code) -> set[int]:
@@ -96,7 +84,7 @@ def main() -> int:
         sys.settrace(None)
         threading.settrace(None)
 
-    total = missed = elsewhere = unexplained = 0
+    total = missed = elsewhere = 0
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text()
         text = source.splitlines()
@@ -104,18 +92,13 @@ def main() -> int:
         lines = executable_lines(compile(source, str(path), "exec"))
         total += len(lines)
         for line in sorted(lines - ran.get(str(path), set())):
-            stripped = text[line - 1].strip()
-            reason = KNOWN_UNTESTED.get((path.name, stripped))
-            note = (f"  [{notes[line]}]" if line in notes
-                    else f"  [known: {reason}]" if reason else "")
-            print(f"src/mzq/{path.name}:{line}: {stripped}{note}")
+            note = f"  [{notes[line]}]" if line in notes else ""
+            print(f"src/mzq/{path.name}:{line}: {text[line - 1].strip()}{note}")
             missed += 1
             elsewhere += line in notes
-            unexplained += not note
     print(f"{missed} of {total} executable lines in src/mzq ran in no test; "
-          f"{elsewhere} of them run only in a forked child or a subprocess, "
-          f"{unexplained} neither that nor in KNOWN_UNTESTED")
-    return int(code) or int(unexplained > 0)
+          f"{elsewhere} of them run only in a forked child or a subprocess")
+    return int(code) or int(missed > elsewhere)
 
 
 if __name__ == "__main__":
