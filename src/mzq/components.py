@@ -47,18 +47,20 @@ class TraceParseError(ValueError):
     """Raised on a malformed input file, naming the offending line where there is one."""
 
 
-def _require_finite(value: float, name: str) -> float:
-    v = float(value)
-    if not math.isfinite(v):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return v
+def _check_fields(params, strict: bool = False) -> None:
+    """Refuse by name the first field or tuple entry not finite and >= 0 (> 0 with strict)."""
+    for f in fields(params):
+        v = getattr(params, f.name)
+        for x in v if isinstance(v, tuple) else (v,):
+            if not math.isfinite(x) or (x <= 0 if strict else x < 0):
+                raise ValueError(f"{f.name} must be finite and {'>' if strict else '>='} 0")
 
 
 @dataclass(frozen=True)
 class LineParams:
     """Per-segment propagation parameters of the four internal line segments.
 
-    phase_rate: seconds per segment; the accumulated phase is phase_rate * omega.
+    phase_rate: delay in seconds >= 0 per segment; the accumulated phase is phase_rate * omega.
     attenuation: dimensionless damping exponent r >= 0 per segment; the segment
         amplitude factor is exp(-r + 1j * phase_rate * omega).
 
@@ -73,9 +75,8 @@ class LineParams:
             vals = getattr(self, f.name)
             if len(vals) != 4:
                 raise ValueError(f"{f.name} needs 4 entries, got {len(vals)}")
-            object.__setattr__(self, f.name, tuple(_require_finite(v, f.name) for v in vals))
-        if any(r < 0 for r in self.attenuation):
-            raise ValueError("attenuation entries must be >= 0")
+            object.__setattr__(self, f.name, tuple(map(float, vals)))
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -114,18 +115,13 @@ class QubitScatterer:
     rabi: float = 0.0
 
     def __post_init__(self):
-        for f in fields(self):
-            _require_finite(getattr(self, f.name), f.name)
+        _check_fields(self)
         if self.omega01 <= 0:
             raise ValueError("omega01 must be > 0")
-        if self.gamma1 < 0 or self.gamma_phi < 0:
-            raise ValueError("rates must be >= 0")
         if self.gamma2 <= 0:
             raise ValueError("gamma1/2 + gamma_phi must be > 0")
         if not 0 < self.r0 <= 1:
             raise ValueError("r0 must be in (0, 1]")
-        if self.rabi < 0:
-            raise ValueError("rabi must be >= 0")
         if self.rabi > 0 and self.gamma1 == 0:
             raise ValueError("saturation term needs gamma1 > 0 when rabi > 0")
 
@@ -153,7 +149,8 @@ class CircuitSpec:
         if not (math.isfinite(scale.real) and math.isfinite(scale.imag)) or scale == 0:
             raise ValueError("cal_scale must be finite and nonzero")
         object.__setattr__(self, "cal_scale", scale)
-        _require_finite(self.cal_delay, "cal_delay")
+        if not math.isfinite(self.cal_delay):  # a calibration delay may be negative
+            raise ValueError(f"cal_delay must be finite, got {self.cal_delay!r}")
 
 
 def _check_label(label: str) -> str:  # the label, refused where a trace file cannot hold it

@@ -85,7 +85,9 @@ def levenberg_marquardt(fn: Callable[[np.ndarray], np.ndarray],
     step improves the cost by less than ftol relative, when the accepted
     step is smaller than xtol in scaled units, or when no damping value
     yields an improvement (a numerical stationary point). A returned run
-    converged: spending max_iter raises NoConvergence. A non-finite sum of
+    converged: spending max_iter raises NoConvergence, as does a stationary
+    point where fn finds a lower cost one scaled unit either way along an
+    all-zero Jacobian column. A non-finite sum of
     squares refuses x0 and rejects a trial step; a non-finite Jacobian raises
     BadInitialization at x0, NoConvergence after an accepted step, where no
     step could be solved from it. The returned jacobian is in x units.
@@ -144,7 +146,12 @@ def levenberg_marquardt(fn: Callable[[np.ndarray], np.ndarray],
                 break
             lam *= 10
         else:
-            # no damping admits a downhill step: stationary to working precision
+            # no downhill step at any damping: stationary, unless a zero column has a way down
+            for i in np.flatnonzero(~jmat.any(axis=0)):
+                for unit in (1.0, -1.0):
+                    if (probe := _sum_squares(fn_z(z + unit * np.eye(z.size)[i]))) < cost:
+                        raise NoConvergence(f"stationary on zero jacobian column {i} at cost "
+                                            f"{cost:.3g}, but one unit along it costs {probe:.3g}")
             break
 
         done = (cost_new == 0.0 or cost - cost_new <= ftol * max(cost_new, 1e-300)

@@ -7,9 +7,11 @@ units of the flux quantum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
+
+from .components import _check_fields
 
 # CODATA 2018 exact h and c; CODATA 2022 vacuum permittivity
 HBAR = 6.62607015e-34 / (2 * math.pi)
@@ -23,14 +25,6 @@ class DegenerateFlux(ValueError):
 
 class QuasiStaticLimit(ValueError):
     """Raised when the zero-frequency spectral value is a delta function."""
-
-
-def _check_fields(params, strict: bool = False) -> None:
-    """Refuse the first field of params that is not finite and >= 0 (> 0 with strict), by name."""
-    for f in fields(params):
-        v = getattr(params, f.name)
-        if not math.isfinite(v) or (v <= 0 if strict else v < 0):
-            raise ValueError(f"{f.name} must be finite and {'>' if strict else '>='} 0")
 
 
 @dataclass(frozen=True)

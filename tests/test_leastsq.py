@@ -256,12 +256,26 @@ def test_stationary_point_counts_as_converged():
     assert res.cost == pytest.approx(1 + 4 + 0.25)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 5: the stationary exit reports a start "
-                   "that never moved as converged")
 def test_a_start_on_a_cost_maximum_is_not_reported_as_converged():
     # 1 - x^2 is flat only at x0 = 0, where the cost 1 is a maximum; cost 0 lies at x = +-1
     with pytest.raises(NoConvergence):
         levenberg_marquardt(lambda x: 1 - x**2, [0.0], jac=lambda x: np.array([[-2 * x[0]]]))
+
+
+@pytest.mark.parametrize("fn, jac, x0, refusal", [
+    # 1 + x^3 has a zero Jacobian at x0 = 0; one unit up costs 4, only one unit down is lower
+    (lambda x: 1 + x**3, lambda x: np.array([[3 * x[0]**2]]), [0.0],
+     "column 0 at cost 1, but one unit along it costs 0"),
+    # column 0 is live and at a local minimum, so it is not probed although one unit up along
+    # it costs 1; column 1 is zero at x0, and one unit up along it costs 1 too
+    (lambda x: np.array([x[0] * (1 - x[0]), 1 - x[0]**3, 1 - x[1]**3]),
+     lambda x: np.array([[1 - 2 * x[0], 0.0], [-3 * x[0]**2, 0.0], [0.0, -3 * x[1]**2]]),
+     [0.0, 0.0], "column 1 at cost 2, but one unit along it costs 1"),
+], ids=["one-unit-down", "dead-next-to-live"])
+def test_a_stationary_stop_that_one_unit_along_a_dead_column_lowers_is_refused(fn, jac, x0,
+                                                                                refusal):
+    with pytest.raises(NoConvergence, match=f"^stationary on zero jacobian {refusal}$"):
+        levenberg_marquardt(fn, x0, jac=jac)
 
 
 def test_bad_starts_are_rejected():

@@ -7,6 +7,7 @@ import pytest
 from oracles import dephasing_rate_oracle, richardson_jacobian
 from scipy.integrate import quad
 
+from mzq.components import LineParams, QubitScatterer
 from mzq.physics import (
     HBAR,
     SPEED_OF_LIGHT,
@@ -138,12 +139,16 @@ def test_transmon_regime_is_enforced():
         TransmonParams(ej_max=-1.0e9, ec=1.0e8)
 
 
-# each parameter object with valid fields, and whether its fields must be > 0 or only >= 0
+# each parameter object that calls components' one field rule, with valid fields, and
+# whether its fields must be > 0 or only >= 0
 _PARAMS = {
     TransmonParams: (dict(ej_max=20.0e9, ec=592.4e6), True),
     BathModel: (dict(alpha=1.7e-4), False),
     CouplingParams: (dict(d_tilde=6.9e-21), True),
     OUNoise: (dict(sigma=1e-4, kappa=1.0, slope=1.0), False),
+    QubitScatterer: (dict(omega01=2 * math.pi * 5.75e9, gamma1=1e6, gamma_phi=1e5, r0=0.9,
+                          rabi=1e6), False),
+    LineParams: (dict(phase_rate=(1e-9, 2e-9, 3e-9, 4e-9), attenuation=(0.1,) * 4), False),
 }
 
 
@@ -151,9 +156,12 @@ _PARAMS = {
     (cls, f.name, bad) for cls, (_, strict) in _PARAMS.items() for f in fields(cls)
     for bad in (math.nan, math.inf, -math.inf, -1.0) + ((0.0,) if strict else ())])
 def test_parameter_objects_refuse_a_field_by_name(cls, name, bad):
+    # a tuple field (LineParams' segments) gets the bad value in one entry; a negative
+    # phase_rate is a negative delay
     good, strict = _PARAMS[cls]
+    v = good.get(name)
     with pytest.raises(ValueError) as err:
-        cls(**{**good, name: bad})
+        cls(**{**good, name: (*v[:2], bad, *v[3:]) if isinstance(v, tuple) else bad})
     assert str(err.value) == f"{name} must be finite and {'>' if strict else '>='} 0"
 
 
